@@ -10,8 +10,7 @@ from .generate import GeneratorConfig, GeneratorError, generate_synthetic
 from .netbuild import (HyperArc, Hypergraph, Node, SizeBounds,
                        build_hypergraph, size_bounds, to_dot)
 from .ilp import (ConstraintRow, FeasibilityReport, IlpModel,
-                  check_feasibility, encode_ilp, encode_licensed_drivers,
-                  export_lp, objective_value)
+                  check_feasibility, encode_ilp, export_lp, objective_value)
 from .exact import (Solution, SolutionPortfolio, SolveResult, brute_force,
                     enumerate_feasible, solve_exact)
 from .qubo import (DEFAULT_LAMBDAS, DecodedSample, IsingModel, QuboModel,
@@ -32,8 +31,7 @@ __all__ = [
     "Node", "HyperArc", "Hypergraph", "SizeBounds", "build_hypergraph",
     "size_bounds", "to_dot",
     "ConstraintRow", "IlpModel", "FeasibilityReport", "encode_ilp",
-    "encode_licensed_drivers", "objective_value", "check_feasibility",
-    "export_lp",
+    "objective_value", "check_feasibility", "export_lp",
     "Solution", "SolutionPortfolio", "SolveResult", "solve_exact",
     "enumerate_feasible", "brute_force",
     "QuboModel", "IsingModel", "DecodedSample", "ScalingReport",

@@ -119,8 +119,6 @@ def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet
                     uniforms[:, i] < np.exp(-beta * np.maximum(delta, 0.0)))
                 states[accept, i] = 1.0 - states[accept, i]
 
-    # full recompute validates the incremental bookkeeping implicitly: the
-    # returned energies are evaluated from scratch in exact arithmetic
     counts: dict[tuple[int, ...], int] = {}
     for row in states.astype(int):
         y = tuple(int(v) for v in row)

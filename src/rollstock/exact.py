@@ -200,10 +200,9 @@ class _Search:
                 if val:
                     rows.fixed[idx] -= c
 
-    def _propagate(self, seed: int) -> bool:
-        """Unit-propagate forced values starting from a fresh assignment."""
+    def _propagate(self, queue: list[int]) -> bool:
+        """Unit-propagate forced values from the queued rows outward."""
         rows = self.rows
-        queue = [idx for idx, _ in rows.var_rows[seed]]
         head = 0
         while head < len(queue):
             idx = queue[head]
@@ -235,7 +234,7 @@ class _Search:
                     for jdx, _ in rows.var_rows[v]:
                         if jdx != idx:
                             queue.append(jdx)
-                    # row state changed; restart scan of this row
+                    # row state changed; refresh its totals and scan on
                     fixed = rows.fixed[idx]
                     pos, neg = rows.pos_free[idx], rows.neg_free[idx]
         return True
@@ -282,7 +281,8 @@ class _Search:
     # -- main recursion -------------------------------------------------------
 
     def run(self) -> None:
-        self._dfs()
+        if self._propagate(list(range(self.rows.m))):
+            self._dfs()
 
     def _dfs(self) -> None:
         if self.timed_out or self.budget_hit:
@@ -308,7 +308,8 @@ class _Search:
         v, order = branch
         for val in order:
             mark = len(self.trail)
-            if self._assign(v, val) and self._propagate(v):
+            if self._assign(v, val) and self._propagate(
+                    [idx for idx, _ in self.rows.var_rows[v]]):
                 self._dfs()
             self._undo(mark)
             if self.timed_out or self.budget_hit:
@@ -335,8 +336,7 @@ def solve_exact(model: IlpModel,
     search = _Search(model, use_bound=True)
     if time_limit is not None:
         search.deadline = start + time_limit
-    if _root_propagate(search):
-        search.run()
+    search.run()
     elapsed = time.monotonic() - start
     if search.incumbent is not None:
         status = "time_limit" if search.timed_out else "optimal"
@@ -351,44 +351,12 @@ def solve_exact(model: IlpModel,
                        nodes=search.nodes, elapsed=elapsed)
 
 
-def _root_propagate(search: _Search) -> bool:
-    """Apply forced assignments visible before any branching."""
-    rows = search.rows
-    for idx in range(rows.m):
-        if rows.bounds_broken(idx):
-            return False
-        lo, hi = rows.lo[idx], rows.hi[idx]
-        fixed = rows.fixed[idx]
-        pos, neg = rows.pos_free[idx], rows.neg_free[idx]
-        for v, c in zip(rows.vars[idx], rows.coeffs[idx]):
-            if search.x[v] != -1:
-                continue
-            pos_rest = pos - c if c > 0 else pos
-            neg_rest = neg - c if c < 0 else neg
-            forced = -1
-            if (fixed + c + neg_rest > hi
-                    or (lo is not None and fixed + c + pos_rest < lo)):
-                forced = 0
-            if (fixed + neg_rest > hi
-                    or (lo is not None and fixed + pos_rest < lo)):
-                if forced == 0:
-                    return False
-                forced = 1
-            if forced != -1:
-                if not search._assign(v, forced) or not search._propagate(v):
-                    return False
-                fixed = rows.fixed[idx]
-                pos, neg = rows.pos_free[idx], rows.neg_free[idx]
-    return True
-
-
 def enumerate_feasible(model: IlpModel, max_count: int = 100000
                        ) -> SolutionPortfolio:
     """All feasible assignments (up to max_count), sorted by objective."""
     search = _Search(model, use_bound=False)
     search.max_count = max_count
-    if _root_propagate(search):
-        search.run()
+    search.run()
     solutions = sorted(set(search.collected), key=lambda e: (e[0], e[1]))
     return SolutionPortfolio(
         solutions=tuple(Solution.from_assignment(model, x)

@@ -10,7 +10,9 @@ out_degree      at most one arc leaves a trip node (all types combined)
 depot_out       per (depot, type): dispatched EMU count within bounds
 depot_in        per (depot, type): returned EMU count within bounds
 capacity_forbid arcs whose seat/bike shortage exceeds tolerance sum to zero
-driver          per (depot, checkpoint[, license]): en-route EMUs within bounds
+driver          per (depot, checkpoint[, license]): en-route EMUs within bounds;
+                a licensed window only counts arcs of the types its license
+                covers, and its rows follow all unlicensed ones
 
 Flow balance weights each incoming arc by the EMUs it places on the node's
 trip and each outgoing arc by the EMUs it removes; a coupling hyper-arc
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from .model import Instance
@@ -36,7 +39,6 @@ __all__ = [
     "Violation",
     "FeasibilityReport",
     "encode_ilp",
-    "encode_licensed_drivers",
     "objective_value",
     "check_feasibility",
     "export_lp",
@@ -219,10 +221,16 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
             coeffs=tuple((a, 1) for a in over_capacity),
             tag="capacity"))
 
-    for window in instance.driver_windows:
-        if window.license is not None:
-            continue  # licensed windows are encoded by encode_licensed_drivers
+    # unlicensed windows first, then licensed ones, each in input order
+    for window in sorted(instance.driver_windows,
+                         key=lambda w: w.license is not None):
         members = graph.driver_members.get((window.depot, window.at), ())
+        tag = f"{window.depot},{window.at}"
+        if window.license is not None:
+            covered = instance.license_types(window.license)
+            members = [(a, running) for a, running in members
+                       if arcs[a].emu_type in covered]
+            tag += f",{window.license}"
         if not members and window.min_drivers == 0:
             continue
         coeffs = tuple(
@@ -232,39 +240,10 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
             kind="driver", relation="range",
             lo=window.min_drivers, hi=window.max_drivers,
             coeffs=coeffs,
-            tag=f"driver[{window.depot},{window.at}]"))
-
-    rows.extend(encode_licensed_drivers(graph, instance, driver_weighting))
+            tag=f"driver[{tag}]"))
 
     return IlpModel(num_vars=len(arcs), objective=tuple(objective),
                     constraints=tuple(rows))
-
-
-def encode_licensed_drivers(graph: Hypergraph, instance: Instance,
-                            driver_weighting: str = "per_emu"
-                            ) -> tuple[ConstraintRow, ...]:
-    """Driver rows restricted to arcs whose EMU type a license covers."""
-    arcs = graph.arcs
-    rows = []
-    for window in instance.driver_windows:
-        if window.license is None:
-            continue
-        covered = instance.license_types(window.license)
-        members = [(a, running)
-                   for a, running in graph.driver_members.get(
-                       (window.depot, window.at), ())
-                   if arcs[a].emu_type in covered]
-        if not members and window.min_drivers == 0:
-            continue
-        coeffs = tuple(
-            (a, driver_row_weight(arcs[a].k, running, driver_weighting))
-            for a, running in members)
-        rows.append(ConstraintRow(
-            kind="driver", relation="range",
-            lo=window.min_drivers, hi=window.max_drivers,
-            coeffs=coeffs,
-            tag=f"driver[{window.depot},{window.at},{window.license}]"))
-    return tuple(rows)
 
 
 def objective_value(model: IlpModel, x: Sequence[int]) -> Fraction:
@@ -288,22 +267,20 @@ def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:
 # LP file export (CPLEX-LP dialect)
 
 
-def _lp_number(value: Fraction) -> str:
+def _lp_number(value: Rational) -> str:
+    """Integer text, else the shortest float text (LP files have no n/d)."""
     if value.denominator == 1:
         return str(value.numerator)
-    as_float = float(value)
-    if Fraction(str(as_float)) == value:
-        return str(as_float)
-    return repr(as_float)
+    return str(float(value))
 
 
-def _lp_expr(coeffs: Iterable[tuple[int, Fraction]]) -> str:
+def _lp_expr(coeffs: Iterable[tuple[int, Rational]]) -> str:
     parts = []
     for var, coeff in coeffs:
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else "+"
-        parts.append(f"{sign} {_lp_number(abs(Fraction(coeff)))} x{var}")
+        parts.append(f"{sign} {_lp_number(abs(coeff))} x{var}")
     if not parts:
         return "0 x0"
     text = " ".join(parts)
@@ -322,7 +299,7 @@ def export_lp(model: IlpModel, name: str = "rollstock") -> str:
     lines.append("Subject To")
     for i, row in enumerate(model.constraints):
         base = _lp_name(row.tag, f"c{i}")
-        expr = _lp_expr((v, Fraction(c)) for v, c in row.coeffs)
+        expr = _lp_expr(row.coeffs)
         if row.relation == "=":
             lines.append(f" {base}: {expr} = {row.rhs}")
         elif row.relation == "<=":

@@ -30,6 +30,7 @@ __all__ = [
     "load_instance",
     "loads_instance",
     "serialize_instance",
+    "exact_number",
 ]
 
 
@@ -485,15 +486,15 @@ def load_instance(source: Union[str, IO[bytes], IO[str]]) -> Instance:
     return loads_instance(raw)
 
 
-def _num(value: Rational) -> Union[int, float, str]:
-    """Emit a rational as a JSON value that parses back to the same number."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return int(f)
-    as_float = float(f)
-    if Fraction(str(as_float)) == f:
+def exact_number(value: Rational) -> Union[int, float, str]:
+    """A rational as an int, a float or ``"n/d"`` text, whichever is exact;
+    both the JSON value and its ``str()`` parse back to the same number."""
+    if value.denominator == 1:
+        return value.numerator
+    as_float = float(value)
+    if Fraction(str(as_float)) == value:
         return as_float
-    return f"{f.numerator}/{f.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -505,7 +506,7 @@ def serialize_instance(inst: Instance) -> str:
             "passengers": t.passengers, "bicycles": t.bicycles,
             "couplable": t.couplable,
             "allowed_types": sorted(t.allowed_types),
-            "distance": _num(t.distance), "obligatory": t.obligatory,
+            "distance": exact_number(t.distance), "obligatory": t.obligatory,
         }
         if t.driver_depot is not None:
             obj["driver_depot"] = t.driver_depot
@@ -517,7 +518,7 @@ def serialize_instance(inst: Instance) -> str:
 
     def emu(r: EmuType) -> dict:
         return {"id": r.id, "seats": r.seats, "bike_slots": r.bike_slots,
-                "cost_per_km": _num(r.cost_per_km), "couplable": r.couplable}
+                "cost_per_km": exact_number(r.cost_per_km), "couplable": r.couplable}
 
     def depot(d: Depot) -> dict:
         obj: dict[str, Any] = {"id": d.id, "station": d.station,
@@ -538,7 +539,7 @@ def serialize_instance(inst: Instance) -> str:
 
     data: dict[str, Any] = {
         "meta": dict(inst.meta),
-        "alpha": _num(inst.alpha),
+        "alpha": exact_number(inst.alpha),
         "delta_min": inst.delta_min,
         "delta_max": inst.delta_max,
         "tolerances": {

@@ -64,9 +64,9 @@ class HyperArc:
     """One candidate EMU movement; ``id`` doubles as the ILP variable index.
 
     ``k`` is the EMU count on each trip the arc points to, ``k_prime`` the
-    count on each trip it originates from. ``seat_shortage``/``bike_shortage``
-    hold the maximum over pointed-to trips; the per-trip values are kept in
-    ``seat_shortages``/``bike_shortages`` (aligned with ``targets``).
+    count on each trip it originates from. ``seat_shortages``/``bike_shortages``
+    hold the per-trip shortfalls (aligned with ``targets``); the properties
+    ``seat_shortage``/``bike_shortage`` derive their maximum (0 without trips).
     """
 
     id: int
@@ -77,10 +77,16 @@ class HyperArc:
     k: int
     k_prime: int
     cost: Fraction
-    seat_shortage: int = 0
-    bike_shortage: int = 0
     seat_shortages: tuple[int, ...] = ()
     bike_shortages: tuple[int, ...] = ()
+
+    @property
+    def seat_shortage(self) -> int:
+        return max(self.seat_shortages, default=0)
+
+    @property
+    def bike_shortage(self) -> int:
+        return max(self.bike_shortages, default=0)
 
     def label(self) -> str:
         src = ",".join(self.sources)
@@ -96,7 +102,9 @@ class Hypergraph:
     idx_in      (node id, type) -> incoming arc ids (H(v)^in_r)
     idx_out     (node id, type) -> outgoing arc ids (H(v)^out_r)
     idx_depot_out / idx_depot_in  (depot, type) -> arc ids (H(v_d)_r)
-    idx_driver  (depot, checkpoint) -> arc ids (H(t, d))
+    driver_members  (depot, checkpoint) -> (arc id, en-route trip count)
+    idx_driver  (depot, checkpoint) -> arc ids (H(t, d)), derived from
+                driver_members
     """
 
     nodes: tuple[Node, ...]
@@ -106,8 +114,6 @@ class Hypergraph:
     idx_out: dict[tuple[str, str], tuple[int, ...]]
     idx_depot_out: dict[tuple[str, str], tuple[int, ...]]
     idx_depot_in: dict[tuple[str, str], tuple[int, ...]]
-    idx_driver: dict[tuple[str, int], tuple[int, ...]]
-    # (depot, checkpoint) -> ((arc id, running pointed-to trip count), ...)
     driver_members: dict[tuple[str, int], tuple[tuple[int, int], ...]] = field(
         default_factory=dict)
 
@@ -120,21 +126,18 @@ class Hypergraph:
     def outgoing(self, node_id: str) -> tuple[int, ...]:
         return self._out_all.get(node_id, ())
 
-    def incoming(self, node_id: str) -> tuple[int, ...]:
-        return self._in_all.get(node_id, ())
+    @property
+    def idx_driver(self) -> dict[tuple[str, int], tuple[int, ...]]:
+        return {key: tuple(a for a, _ in members)
+                for key, members in self.driver_members.items()}
 
     def __post_init__(self):
         object.__setattr__(self, "_node_index", {n.id: n for n in self.nodes})
         out_all: dict[str, list[int]] = {}
-        in_all: dict[str, list[int]] = {}
         for (node_id, _), arc_ids in self.idx_out.items():
             out_all.setdefault(node_id, []).extend(arc_ids)
-        for (node_id, _), arc_ids in self.idx_in.items():
-            in_all.setdefault(node_id, []).extend(arc_ids)
         object.__setattr__(self, "_out_all",
                            {k: tuple(sorted(v)) for k, v in out_all.items()})
-        object.__setattr__(self, "_in_all",
-                           {k: tuple(sorted(v)) for k, v in in_all.items()})
 
 
 def _turnaround_ok(inst: Instance, src: Trip, dst: Trip) -> bool:
@@ -147,12 +150,10 @@ def _trip_cost(trip: Trip, emu: EmuType) -> Fraction:
     return emu.cost_per_km * trip.distance
 
 
-def _shortages(inst: Instance, targets: Iterable[Trip], emu: EmuType,
-               k: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    seats = [max(0, t.passengers - k * emu.seats) for t in targets]
-    bikes = [max(0, t.bicycles - k * emu.bike_slots) for t in targets]
-    return (max(seats, default=0), max(bikes, default=0),
-            tuple(seats), tuple(bikes))
+def _shortages(targets: Iterable[Trip], emu: EmuType,
+               k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (tuple(max(0, t.passengers - k * emu.seats) for t in targets),
+            tuple(max(0, t.bicycles - k * emu.bike_slots) for t in targets))
 
 
 def build_hypergraph(instance: Instance) -> Hypergraph:
@@ -260,14 +261,13 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
 
     arcs: list[HyperArc] = []
     for arc_id, (kind, sources, targets, emu, k, k_prime, tts) in enumerate(raw):
-        seat, bike, seats_per, bikes_per = _shortages(instance, tts, emu, k)
+        seats, bikes = _shortages(tts, emu, k)
         # multiplicity on the pointed-to trip(s) prices every unit that runs them
         cost = sum((Fraction(k) * _trip_cost(t, emu) for t in tts), Fraction(0))
         arcs.append(HyperArc(
             id=arc_id, kind=kind, sources=sources, targets=targets,
             emu_type=emu.id, k=k, k_prime=k_prime, cost=cost,
-            seat_shortage=seat, bike_shortage=bike,
-            seat_shortages=seats_per, bike_shortages=bikes_per))
+            seat_shortages=seats, bike_shortages=bikes))
 
     idx_cover: dict[str, list[int]] = {t.id: [] for t in instance.trips}
     idx_in: dict[tuple[str, str], list[int]] = {}
@@ -293,7 +293,6 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
     # Driver demand: an arc needs drivers from depot d at checkpoint t when a
     # pointed-to trip assigned to d is en route (depart <= t < arrive).
     driver_members: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    idx_driver: dict[tuple[str, int], list[int]] = {}
     checkpoints = sorted({(w.depot, w.at) for w in instance.driver_windows})
     for depot_id, at in checkpoints:
         members: list[tuple[int, int]] = []
@@ -313,7 +312,6 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
                 members.append((arc.id, running))
         if members:
             driver_members[(depot_id, at)] = members
-            idx_driver[(depot_id, at)] = [a for a, _ in members]
 
     def freeze(mapping):
         return {k: tuple(sorted(set(v))) for k, v in mapping.items() if v}
@@ -327,7 +325,6 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
         idx_out=freeze(idx_out),
         idx_depot_out=freeze(idx_depot_out),
         idx_depot_in=freeze(idx_depot_in),
-        idx_driver=freeze(idx_driver),
         driver_members={k: tuple(v) for k, v in driver_members.items()},
     )
 

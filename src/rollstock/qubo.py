@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .ilp import FeasibilityReport, IlpModel, check_feasibility
-from .model import Instance
+from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
 __all__ = [
@@ -369,28 +369,21 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
 # Deterministic text exports
 
 
-def _fmt(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    as_float = float(value)
-    if Fraction(str(as_float)) == value:
-        return str(as_float)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def export_qubo_coo(model: QuboModel) -> str:
     """COO text: one `i j value` line per stored upper-triangular entry."""
-    lines = [f"# qubo num_vars={model.num_vars} offset={_fmt(model.offset)}"]
+    lines = [f"# qubo num_vars={model.num_vars} "
+             f"offset={exact_number(model.offset)}"]
     for (i, j) in sorted(model.q):
-        lines.append(f"{i} {j} {_fmt(model.q[(i, j)])}")
+        lines.append(f"{i} {j} {exact_number(model.q[(i, j)])}")
     return "\n".join(lines) + "\n"
 
 
 def export_ising_coo(model: IsingModel) -> str:
     """Same shape for the spin form; `i i value` lines carry the fields h_i."""
-    lines = [f"# ising num_vars={model.num_vars} offset={_fmt(model.offset)}"]
+    lines = [f"# ising num_vars={model.num_vars} "
+             f"offset={exact_number(model.offset)}"]
     entries = [((i, i), v) for i, v in model.h.items()]
     entries += [(key, v) for key, v in model.j.items()]
     for (i, j), value in sorted(entries):
-        lines.append(f"{i} {j} {_fmt(value)}")
+        lines.append(f"{i} {j} {exact_number(value)}")
     return "\n".join(lines) + "\n"

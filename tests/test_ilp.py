@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from rollstock.exact import brute_force
-from rollstock.ilp import (check_feasibility, encode_ilp,
-                           encode_licensed_drivers, export_lp,
-                           objective_value)
+from rollstock.ilp import (IlpModel, check_feasibility, encode_ilp,
+                           export_lp, objective_value)
 from rollstock.model import DriverWindow, Instance
 from rollstock.netbuild import build_hypergraph
+from rollstock.qubo import encode_qubo, export_qubo_coo
 
 from conftest import small_random_instance, toy_x
 
@@ -262,6 +262,12 @@ def licensed_variant(inst: Instance, licenses, windows):
                                driver_windows=inst.driver_windows + windows)
 
 
+def licensed_driver_rows(graph, inst):
+    """The driver[depot,at,license] rows of encode_ilp, in encoding order."""
+    return [r for r in encode_ilp(graph, inst).constraints
+            if r.kind == "driver" and r.tag.count(",") == 2]
+
+
 def test_single_license_degenerates_to_plain_rows(toy_instance):
     inst = licensed_variant(
         toy_instance,
@@ -269,7 +275,7 @@ def test_single_license_degenerates_to_plain_rows(toy_instance):
         (DriverWindow(depot="depA", at=600, min_drivers=0, max_drivers=2,
                       license="all"),))
     graph = build_hypergraph(inst)
-    rows = encode_licensed_drivers(graph, inst)
+    rows = licensed_driver_rows(graph, inst)
     assert len(rows) == 1
     plain = {r.tag: r for r in encode_ilp(graph, inst).constraints}
     assert rows[0].coeffs == plain["driver[depA,600]"].coeffs
@@ -283,7 +289,7 @@ def test_disjoint_licenses_partition_support(toy_instance):
         (DriverWindow(depot="depA", at=600, max_drivers=2, license="lic1"),
          DriverWindow(depot="depA", at=600, max_drivers=2, license="lic2")))
     graph = build_hypergraph(inst)
-    rows = encode_licensed_drivers(graph, inst)
+    rows = licensed_driver_rows(graph, inst)
     assert len(rows) == 2
     supports = [set(v for v, _ in r.coeffs) for r in rows]
     assert supports[0] & supports[1] == set()
@@ -327,10 +333,17 @@ def test_lp_export_toy(toy_ilp):
 
 
 def test_lp_export_empty_model():
-    from rollstock.ilp import IlpModel
     text = export_lp(IlpModel(num_vars=0, objective=(), constraints=()))
     assert text.startswith("\\ Problem")
     assert "Minimize" in text and text.rstrip().endswith("End")
+
+
+def test_non_decimal_coefficient_text_per_format():
+    # 1/3 has no exact decimal: LP text falls back to the float, COO to n/d
+    model = IlpModel(num_vars=1, objective=((0, Fraction(1, 3)),),
+                     constraints=())
+    assert " obj: 0.3333333333333333 x0" in export_lp(model).splitlines()
+    assert "0 0 1/3" in export_qubo_coo(encode_qubo(model)).splitlines()
 
 
 def parse_lp(text: str):
