@@ -50,6 +50,11 @@ class GeneratorConfig:
     driver_window_minutes: int = 120
     name: str = ""
 
+    def __post_init__(self):
+        # a float alpha means the decimal it prints as, exactly
+        if isinstance(self.alpha, float):
+            object.__setattr__(self, "alpha", Fraction(str(self.alpha)))
+
     def validate(self) -> None:
         if self.n_trips <= 0:
             raise GeneratorError("n_trips must be >= 1")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational as _Rational
 from typing import Any, IO, Mapping, Optional, Union
 
 __all__ = [
@@ -67,6 +68,24 @@ def _frac(value: Any, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise InstanceError(path, f"not a rational number: {value!r}")
     raise InstanceError(path, f"expected a number, got {type(value).__name__}")
+
+
+def _check_rational(value: Any, path: str) -> None:
+    """Reject what exact arithmetic downstream cannot use: floats, bools."""
+    if isinstance(value, bool) or not isinstance(value, _Rational):
+        raise InstanceError(path, f"expected an int or a Fraction, got {value!r}")
+
+
+def _mapping(value: Any, path: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise InstanceError(path, "expected an object")
+    return value
+
+
+def _type_list(value: Any, path: str) -> frozenset[str]:
+    if not isinstance(value, list):
+        raise InstanceError(path, "expected a list of type ids")
+    return frozenset(_str(x, path) for x in value)
 
 
 def _require(obj: Mapping[str, Any], key: str, path: str) -> Any:
@@ -265,6 +284,7 @@ def _validate(inst: Instance) -> None:
             raise InstanceError(f"{path}/seats", "must be > 0")
         if r.bike_slots < 0:
             raise InstanceError(f"{path}/bike_slots", "must be >= 0")
+        _check_rational(r.cost_per_km, f"{path}/cost_per_km")
         if r.cost_per_km < 0:
             raise InstanceError(f"{path}/cost_per_km", "must be >= 0")
 
@@ -280,6 +300,7 @@ def _validate(inst: Instance) -> None:
             raise InstanceError(f"{path}/passengers", "must be >= 0")
         if t.bicycles < 0:
             raise InstanceError(f"{path}/bicycles", "must be >= 0")
+        _check_rational(t.distance, f"{path}/distance")
         if t.distance < 0:
             raise InstanceError(f"{path}/distance", "must be >= 0")
         if t.obligatory and not t.allowed_types:
@@ -352,6 +373,7 @@ def _validate(inst: Instance) -> None:
                  "bike_tolerance_single", "bike_tolerance_coupled"):
         if getattr(inst, name) < 0:
             raise InstanceError(f"/tolerances/{name}", "must be >= 0")
+    _check_rational(inst.alpha, "/alpha")
     if inst.alpha < 0:
         raise InstanceError("/alpha", "must be >= 0")
 
@@ -366,10 +388,9 @@ def _type_bounds(obj: Any, path: str) -> dict[str, int]:
     return {str(k): _int(v, f"{path}/{k}") for k, v in obj.items()}
 
 
-def _parse_trip(obj: Mapping[str, Any], path: str) -> Trip:
-    allowed = _require(obj, "allowed_types", path)
-    if not isinstance(allowed, list):
-        raise InstanceError(f"{path}/allowed_types", "expected a list of type ids")
+def _parse_trip(obj: Any, path: str) -> Trip:
+    obj = _mapping(obj, path)
+    allowed = _type_list(_require(obj, "allowed_types", path), f"{path}/allowed_types")
     return Trip(
         id=_str(_require(obj, "id", path), f"{path}/id"),
         origin=_str(_require(obj, "origin", path), f"{path}/origin"),
@@ -379,7 +400,7 @@ def _parse_trip(obj: Mapping[str, Any], path: str) -> Trip:
         passengers=_int(obj.get("passengers", 0), f"{path}/passengers"),
         bicycles=_int(obj.get("bicycles", 0), f"{path}/bicycles"),
         couplable=_bool(obj.get("couplable", False), f"{path}/couplable"),
-        allowed_types=frozenset(_str(x, f"{path}/allowed_types") for x in allowed),
+        allowed_types=allowed,
         distance=_frac(obj.get("distance", 1), f"{path}/distance"),
         obligatory=_bool(obj.get("obligatory", True), f"{path}/obligatory"),
         driver_depot=(None if obj.get("driver_depot") is None
@@ -391,7 +412,8 @@ def _parse_trip(obj: Mapping[str, Any], path: str) -> Trip:
     )
 
 
-def _parse_emu_type(obj: Mapping[str, Any], path: str) -> EmuType:
+def _parse_emu_type(obj: Any, path: str) -> EmuType:
+    obj = _mapping(obj, path)
     return EmuType(
         id=_str(_require(obj, "id", path), f"{path}/id"),
         seats=_int(_require(obj, "seats", path), f"{path}/seats"),
@@ -401,7 +423,8 @@ def _parse_emu_type(obj: Mapping[str, Any], path: str) -> EmuType:
     )
 
 
-def _parse_depot(obj: Mapping[str, Any], path: str) -> Depot:
+def _parse_depot(obj: Any, path: str) -> Depot:
+    obj = _mapping(obj, path)
     in_min = obj.get("in_min")
     in_max = obj.get("in_max")
     return Depot(
@@ -414,7 +437,8 @@ def _parse_depot(obj: Mapping[str, Any], path: str) -> Depot:
     )
 
 
-def _parse_window(obj: Mapping[str, Any], path: str) -> DriverWindow:
+def _parse_window(obj: Any, path: str) -> DriverWindow:
+    obj = _mapping(obj, path)
     return DriverWindow(
         depot=_str(_require(obj, "depot", path), f"{path}/depot"),
         at=_int(_require(obj, "at", path), f"{path}/at"),
@@ -434,9 +458,7 @@ def loads_instance(text: str) -> Instance:
     if not isinstance(data, Mapping):
         raise InstanceError("/", "top level must be a JSON object")
 
-    tol = data.get("tolerances", {})
-    if not isinstance(tol, Mapping):
-        raise InstanceError("/tolerances", "expected an object")
+    tol = _mapping(data.get("tolerances", {}), "/tolerances")
 
     def seq(key: str) -> list:
         value = data.get(key, [])
@@ -444,11 +466,8 @@ def loads_instance(text: str) -> Instance:
             raise InstanceError(f"/{key}", "expected a list")
         return value
 
-    licenses_raw = data.get("licenses", {})
-    if not isinstance(licenses_raw, Mapping):
-        raise InstanceError("/licenses", "expected an object")
-    licenses = {str(k): frozenset(_str(x, f"/licenses/{k}") for x in v)
-                for k, v in licenses_raw.items()}
+    licenses = {str(k): _type_list(v, f"/licenses/{k}")
+                for k, v in _mapping(data.get("licenses", {}), "/licenses").items()}
 
     return Instance(
         trips=tuple(_parse_trip(t, f"/trips/{i}") for i, t in enumerate(seq("trips"))),
@@ -466,7 +485,7 @@ def loads_instance(text: str) -> Instance:
         bike_tolerance_coupled=_int(tol.get("bike_coupled", 0), "/tolerances/bike_coupled"),
         alpha=_frac(data.get("alpha", 0), "/alpha"),
         licenses=licenses,
-        meta=dict(data.get("meta", {})),
+        meta=dict(_mapping(data.get("meta", {}), "/meta")),
     )
 
 

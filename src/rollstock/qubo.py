@@ -13,12 +13,15 @@ P4 (lambda4)  capacity: a plain linear term per over-tolerance arc (not
 P5 (lambda5)  driver ranges, squared with unary slack chains
 
 Slack variables are appended after the decision variables in ILP row
-order, one unary chain per inequality row. All coefficients are exact
-fractions; floats only appear at the sampler boundary.
+order, one unary chain per inequality row. Construction works in
+integers over one common denominator per model; the coefficients it
+returns are exact fractions, and floats only appear at the sampler
+boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -135,20 +138,21 @@ def _as_lambdas(lambdas) -> tuple[Fraction, ...]:
 
 def encode_qubo(model: IlpModel,
                 lambdas: Sequence[Rational] = DEFAULT_LAMBDAS) -> QuboModel:
-    """Compile the ILP into an unconstrained quadratic form."""
+    """Compile the ILP into an unconstrained quadratic form.
+
+    Penalty rows are expanded in integers counted in units of ``1/den``,
+    ``den`` being the LCM of the penalty weights' denominators; the
+    objective's coefficients join their diagonal entries once at the end.
+    """
     lam = _as_lambdas(lambdas)
+    den = math.lcm(*(w.denominator for w in lam))
+    scaled = [w.numerator * (den // w.denominator) for w in lam]
     n = model.num_vars
-    q: dict[tuple[int, int], Fraction] = {}
-    offset = Fraction(0)
 
-    def add(i: int, j: int, value: Fraction) -> None:
-        if i > j:
-            i, j = j, i
-        q[(i, j)] = q.get((i, j), Fraction(0)) + value
-
-    for v, c in model.objective:
-        add(v, v, c)
-    offset += model.constant
+    # objective keys first: q keeps the order in which keys were first hit
+    acc: dict[tuple[int, int], int] = {(v, v): 0 for v, _ in model.objective}
+    get = acc.get
+    offset = 0
 
     next_slack = n
     slack_map: dict[int, tuple[str, int]] = {}
@@ -160,12 +164,12 @@ def encode_qubo(model: IlpModel,
         if kind not in _FAMILY_OF_KIND:
             raise ValueError(f"unsupported constraint kind {kind!r}")
         family = _FAMILY_OF_KIND[kind]
-        weight = lam[family]
+        weight = scaled[family]
 
         if kind == "capacity_forbid":
             capacity_vars.extend(v for v, _ in row.coeffs)
             for v, _ in row.coeffs:
-                add(v, v, weight)
+                acc[(v, v)] = get((v, v), 0) + weight
             continue
 
         if row.relation == "=":
@@ -183,27 +187,31 @@ def encode_qubo(model: IlpModel,
             slack_map[s] = (row.tag, pos)
         next_slack += width
 
-        terms = [(v, c) for v, c in row.coeffs] + [(s, -1) for s in slacks]
+        terms = list(row.coeffs) + [(s, -1) for s in slacks]
         penalty_rows.append(PenaltyRow(
             family=family, tag=row.tag, coeffs=row.coeffs,
             constant=constant, slack_indices=slacks))
 
         # weight * (sum c_i y_i + constant)^2 expanded over binaries
-        for a in range(len(terms)):
-            va, ca = terms[a]
-            add(va, va, weight * (ca * ca + 2 * constant * ca))
-            for b in range(a + 1, len(terms)):
-                vb, cb = terms[b]
-                add(va, vb, 2 * weight * ca * cb)
+        for a, (va, ca) in enumerate(terms):
+            acc[(va, va)] = get((va, va), 0) + weight * ca * (ca + 2 * constant)
+            cross = 2 * weight * ca
+            for vb, cb in terms[a + 1:]:
+                key = (va, vb) if va < vb else (vb, va)
+                acc[key] = get(key, 0) + cross * cb
         offset += weight * constant * constant
 
-    q = {key: val for key, val in q.items() if val != 0}
+    # coefficients repeat, so build each distinct Fraction once and share it
+    exact = {value: Fraction(value, den) for value in set(acc.values())}
+    q = {key: exact[value] for key, value in acc.items()}
+    for v, c in model.objective:
+        q[(v, v)] += c
 
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
-        q=q,
-        offset=offset,
+        q={key: value for key, value in q.items() if value},
+        offset=Fraction(offset, den) + model.constant,
         lambdas=lam,  # type: ignore[arg-type]
         slack_map=slack_map,
         decode_hint={v: v for v in range(n)},
@@ -223,30 +231,35 @@ def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
 
 
 def to_ising(model: QuboModel) -> IsingModel:
-    """Exact change of variables y = (s + 1) / 2 onto spins s in {-1, +1}."""
-    h: dict[int, Fraction] = {}
-    j: dict[tuple[int, int], Fraction] = {}
-    offset = model.offset
+    """Exact change of variables y = (s + 1) / 2 onto spins s in {-1, +1}.
 
-    def add_h(i: int, value: Fraction) -> None:
-        h[i] = h.get(i, Fraction(0)) + value
+    Fields, couplings and offset are summed as integers in units of
+    ``1/(4 den)``, ``den`` being the LCM of the denominators in the model.
+    """
+    den = math.lcm(model.offset.denominator,
+                   *{value.denominator for value in model.q.values()})
+    h: dict[int, int] = {}
+    j: dict[tuple[int, int], int] = {}
+    get = h.get
+    offset = 4 * model.offset.numerator * (den // model.offset.denominator)
 
     for (a, b), value in model.q.items():
+        quarter = value.numerator * (den // value.denominator)  # value / 4
         if a == b:
-            add_h(a, value / 2)
-            offset += value / 2
+            h[a] = get(a, 0) + 2 * quarter
+            offset += 2 * quarter
         else:
-            quarter = value / 4
-            j[(a, b)] = j.get((a, b), Fraction(0)) + quarter
-            add_h(a, quarter)
-            add_h(b, quarter)
+            j[(a, b)] = quarter
+            h[a] = get(a, 0) + quarter
+            h[b] = get(b, 0) + quarter
             offset += quarter
 
+    exact = {v: Fraction(v, 4 * den) for v in {*h.values(), *j.values(), offset}}
     return IsingModel(
         num_vars=model.num_vars,
-        h={k: v for k, v in h.items() if v != 0},
-        j={k: v for k, v in j.items() if v != 0},
-        offset=offset)
+        h={k: exact[v] for k, v in h.items() if v},
+        j={k: exact[v] for k, v in j.items() if v},
+        offset=exact[offset])
 
 
 def ising_energy(model: IsingModel, s: Sequence[int]) -> Fraction:

@@ -71,6 +71,63 @@ def test_invariant_violations_report_paths(mutate, path):
     assert path in str(err.value)
 
 
+@pytest.mark.parametrize("mutate,path", [
+    (lambda d: d.update(meta=[1]), "/meta"),
+    (lambda d: d.update(trips=[5]), "/trips/0"),
+    (lambda d: d.update(emu_types=["r1"]), "/emu_types/0"),
+    (lambda d: d.update(depots=[None]), "/depots/0"),
+    (lambda d: d.update(driver_windows=[[]]), "/driver_windows/0"),
+    (lambda d: d.update(licenses={"a": 3}), "/licenses/a"),
+    (lambda d: d.update(licenses={"a": "r1"}), "/licenses/a"),
+    (lambda d: d.update(licenses=[]), "/licenses"),
+    (lambda d: d.update(tolerances=0), "/tolerances"),
+])
+def test_malformed_containers_report_paths(mutate, path):
+    data = json.loads(TOY_PATH.read_text())
+    mutate(data)
+    with pytest.raises(InstanceError) as err:
+        loads_instance(json.dumps(data))
+    assert err.value.path == path
+
+
+def _one_trip_instance(alpha=Fraction(0), distance=Fraction(1),
+                       cost_per_km=Fraction(1)):
+    return Instance(
+        trips=(Trip(id="t", origin="A", destination="B", depart=0, arrive=10,
+                    passengers=1, allowed_types=frozenset({"r1"}),
+                    distance=distance),),
+        emu_types=(EmuType(id="r1", seats=10, cost_per_km=cost_per_km),),
+        depots=(Depot(id="d", station="A", out_max={"r1": 1}),),
+        alpha=alpha)
+
+
+@pytest.mark.parametrize("field,value,path", [
+    ("alpha", 0.5, "/alpha"),
+    ("alpha", True, "/alpha"),
+    ("distance", 1.5, "/trips/0/distance"),
+    ("cost_per_km", 0.25, "/emu_types/0/cost_per_km"),
+    ("cost_per_km", False, "/emu_types/0/cost_per_km"),
+])
+def test_non_rational_numbers_rejected(field, value, path):
+    with pytest.raises(InstanceError) as err:
+        _one_trip_instance(**{field: value})
+    assert err.value.path == path
+
+
+def test_generator_float_alpha_is_exact_and_exports():
+    from rollstock.ilp import encode_ilp, export_lp
+    from rollstock.netbuild import build_hypergraph
+    from rollstock.qubo import encode_qubo, export_qubo_coo
+
+    inst = generate_synthetic(GeneratorConfig(n_trips=8, alpha=0.5), 1)
+    assert inst.alpha == Fraction(1, 2)
+    assert isinstance(inst.alpha, Fraction)
+    model = encode_ilp(build_hypergraph(inst), inst)
+    assert export_qubo_coo(encode_qubo(model)).startswith("# qubo")
+    assert export_lp(model).startswith("\\ Problem")
+    assert loads_instance(serialize_instance(inst)) == inst
+
+
 def test_obligatory_trip_needs_allowed_types():
     with pytest.raises(InstanceError) as err:
         Instance(

@@ -1,0 +1,202 @@
+"""The integer QUBO/Ising construction against a plain ``Fraction`` reference.
+
+``reference_encode_qubo`` and ``reference_to_ising`` expand every term in
+``Fraction`` arithmetic, one coefficient at a time. The library's versions
+must give equal models with the same key order, hence byte-equal COO text.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from rollstock.generate import GeneratorConfig, generate_synthetic
+from rollstock.ilp import ConstraintRow, IlpModel, encode_ilp
+from rollstock.netbuild import build_hypergraph
+from rollstock.qubo import (_FAMILY_OF_KIND, DEFAULT_LAMBDAS, IsingModel,
+                            PenaltyRow, QuboModel, _as_lambdas, encode_qubo,
+                            export_ising_coo, export_qubo_coo, to_ising)
+
+
+def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
+    lam = _as_lambdas(lambdas)
+    n = model.num_vars
+    q = {}
+    offset = Fraction(0)
+
+    def add(i, j, value):
+        if i > j:
+            i, j = j, i
+        q[(i, j)] = q.get((i, j), Fraction(0)) + value
+
+    for v, c in model.objective:
+        add(v, v, c)
+    offset += model.constant
+
+    next_slack = n
+    slack_map = {}
+    penalty_rows = []
+    capacity_vars = []
+    for row in model.constraints:
+        family = _FAMILY_OF_KIND[row.kind]
+        weight = lam[family]
+        if row.kind == "capacity_forbid":
+            capacity_vars.extend(v for v, _ in row.coeffs)
+            for v, _ in row.coeffs:
+                add(v, v, weight)
+            continue
+        if row.relation == "=":
+            constant, width = -row.rhs, 0
+        elif row.relation == "<=":
+            constant, width = 0, row.rhs
+        else:
+            constant, width = -row.lo, row.hi - row.lo
+        slacks = tuple(range(next_slack, next_slack + width))
+        for pos, s in enumerate(slacks):
+            slack_map[s] = (row.tag, pos)
+        next_slack += width
+        terms = list(row.coeffs) + [(s, -1) for s in slacks]
+        penalty_rows.append(PenaltyRow(
+            family=family, tag=row.tag, coeffs=row.coeffs,
+            constant=constant, slack_indices=slacks))
+        for a in range(len(terms)):
+            va, ca = terms[a]
+            add(va, va, weight * (ca * ca + 2 * constant * ca))
+            for b in range(a + 1, len(terms)):
+                vb, cb = terms[b]
+                add(va, vb, 2 * weight * ca * cb)
+        offset += weight * constant * constant
+
+    return QuboModel(
+        num_decision=n, num_slack=next_slack - n,
+        q={key: val for key, val in q.items() if val != 0},
+        offset=offset, lambdas=lam, slack_map=slack_map,
+        decode_hint={v: v for v in range(n)},
+        penalty_rows=tuple(penalty_rows), capacity_vars=tuple(capacity_vars))
+
+
+def reference_to_ising(model):
+    h = {}
+    j = {}
+    offset = model.offset
+    for (a, b), value in model.q.items():
+        if a == b:
+            h[a] = h.get(a, Fraction(0)) + value / 2
+            offset += value / 2
+        else:
+            quarter = value / 4
+            j[(a, b)] = j.get((a, b), Fraction(0)) + quarter
+            h[a] = h.get(a, Fraction(0)) + quarter
+            h[b] = h.get(b, Fraction(0)) + quarter
+            offset += quarter
+    return IsingModel(num_vars=model.num_vars,
+                      h={k: v for k, v in h.items() if v != 0},
+                      j={k: v for k, v in j.items() if v != 0},
+                      offset=offset)
+
+
+def assert_same_ising(got, want):
+    assert got == want
+    assert list(got.h) == list(want.h)
+    assert list(got.j) == list(want.j)
+    assert export_ising_coo(got) == export_ising_coo(want)
+
+
+def assert_same_as_reference(ilp, lambdas):
+    got = encode_qubo(ilp, lambdas)
+    want = reference_encode_qubo(ilp, lambdas)
+    assert got == want
+    assert list(got.q) == list(want.q)
+    assert all(isinstance(v, Fraction) for v in got.q.values())
+    assert isinstance(got.offset, Fraction)
+    assert export_qubo_coo(got) == export_qubo_coo(want)
+    assert_same_ising(to_ising(got), reference_to_ising(want))
+
+
+FRACTIONAL_LAMBDAS = (Fraction(1, 3), 7, Fraction(5, 2), 0.1, 100)
+GENERATED = {
+    "12": (dict(n_trips=12), 3),
+    "80": (dict(n_trips=80, n_couplable=16, n_types=2, n_depots=2), 5),
+    "200": (dict(n_trips=200, n_couplable=40, n_types=3, n_depots=8), 0),
+    "80-alpha-2/3": (dict(n_trips=80, n_couplable=16, n_types=2, n_depots=2,
+                          alpha=Fraction(2, 3)), 7),
+    "12-alpha-0.3": (dict(n_trips=12, n_types=2, alpha=0.3), 4),
+}
+
+
+def generated_ilp(name):
+    gen, seed = GENERATED[name]
+    inst = generate_synthetic(GeneratorConfig(**gen), seed)
+    return encode_ilp(build_hypergraph(inst), inst)
+
+
+@pytest.mark.parametrize("lambdas", [DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS],
+                         ids=["default", "fractional"])
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_models_match_reference(name, lambdas):
+    assert_same_as_reference(generated_ilp(name), lambdas)
+
+
+@pytest.mark.parametrize("lambdas", [DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS],
+                         ids=["default", "fractional"])
+def test_toy_matches_reference(toy_ilp, lambdas):
+    assert_same_as_reference(toy_ilp, lambdas)
+
+
+def test_zero_weights_and_repeated_objective_match_reference():
+    # a zero weight leaves keys that sum to zero; a variable listed twice
+    # in the objective and a row that names one variable twice both merge
+    ilp = IlpModel(
+        num_vars=4,
+        objective=((0, Fraction(1, 3)), (2, Fraction(-1, 6)), (0, Fraction(2, 3))),
+        constraints=(
+            ConstraintRow(kind="coverage", relation="=", rhs=1,
+                          coeffs=((3, 1), (1, 1)), tag="c"),
+            ConstraintRow(kind="driver", relation="range", lo=1, hi=3,
+                          coeffs=((2, 2), (0, 1), (2, 1)), tag="d"),
+            ConstraintRow(kind="capacity_forbid", relation="=", rhs=0,
+                          coeffs=((1, 1),), tag="capacity"),
+        ),
+        constant=Fraction(5, 7))
+    for lambdas in [(0, 1, 0, 2, Fraction(3, 4)), (0,) * 5, DEFAULT_LAMBDAS]:
+        assert_same_as_reference(ilp, lambdas)
+
+
+def test_model_without_constraints_matches_reference():
+    ilp = IlpModel(num_vars=3, objective=((1, Fraction(3, 10)),),
+                   constraints=())
+    assert_same_as_reference(ilp, DEFAULT_LAMBDAS)
+    empty = IlpModel(num_vars=0, objective=(), constraints=())
+    assert_same_as_reference(empty, FRACTIONAL_LAMBDAS)
+    assert encode_qubo(empty).q == {}
+
+
+def test_mixed_denominators_through_to_ising():
+    model = QuboModel(
+        num_decision=4, num_slack=0,
+        q={(0, 0): Fraction(1, 3), (0, 2): Fraction(-5, 6), (1, 3): Fraction(7),
+           (2, 2): Fraction(3, 4), (1, 2): Fraction(2, 9), (3, 3): Fraction(-1, 5),
+           (0, 3): Fraction(1, 2), (1, 1): Fraction(-2, 9)},
+        offset=Fraction(11, 7), lambdas=DEFAULT_LAMBDAS, slack_map={},
+        decode_hint={})
+    assert_same_ising(to_ising(model), reference_to_ising(model))
+    # h_0 = (1/3)/2 + (-5/6)/4 + (1/2)/4
+    assert to_ising(model).h[0] == Fraction(1, 12)
+
+
+def test_cancelling_entries_leave_no_ising_terms():
+    model = QuboModel(
+        num_decision=2, num_slack=0,
+        q={(0, 0): Fraction(-1, 2), (0, 1): Fraction(2), (1, 1): Fraction(-1)},
+        offset=Fraction(0), lambdas=DEFAULT_LAMBDAS, slack_map={},
+        decode_hint={})
+    got = to_ising(model)
+    assert_same_ising(got, reference_to_ising(model))
+    assert got.h == {0: Fraction(1, 4)}
+
+
+def test_empty_qubo_to_ising():
+    model = QuboModel(num_decision=0, num_slack=0, q={}, offset=Fraction(2, 3),
+                      lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={})
+    got = to_ising(model)
+    assert_same_ising(got, reference_to_ising(model))
+    assert got.offset == Fraction(2, 3) and got.h == {} and got.j == {}
