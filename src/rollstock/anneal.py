@@ -4,10 +4,30 @@ The in-repo stand-in for quantum-annealing hardware: independent
 single-spin-flip Metropolis chains under a geometric inverse-temperature
 schedule. Read ``r`` draws from its own PCG64 stream derived from
 ``SeedSequence([seed, r])``, with a fixed per-sweep convention (one
-uniform block per sweep, sites visited in index order), so serial and
+uniform per site per sweep, sites visited in index order), so serial and
 read-parallel execution produce the same samples. A plain ``seed ^ r``
 derivation would hand nearby master seeds the same set of streams, which
 ruins multi-seed statistics.
+
+A sweep runs level by level rather than site by site. Variable ``j`` gets
+``level(j) = 1 + max(level(k))`` over the variables ``k < j`` it is
+coupled to (0 if none), and variables are renumbered by (level, index).
+No two variables of a level are coupled, and of every coupled pair the
+lower index sits on the lower level, so one vectorised Metropolis step
+per level over all reads sees exactly the states the index-order sweep
+would: a site's acceptance depends only on its coupled neighbours.
+
+Each variable's off-diagonal local field is kept per read as an exact
+integer in units of ``1/den`` (``den`` the LCM of the off-diagonal
+denominators), stored in float64 below 2**53, and updated after each
+level from that level's neighbour rows only; no n x n matrix is built.
+The acceptance test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))``
+with ``s = 1 - 2 y_i``. When the off-diagonal couplings are integers, as
+in every model built with integer penalty weights, this is bit for bit
+the per-site sweep over a dense float matrix; otherwise the field is
+exact and rounded once. Each read's uniforms for a few sweeps come from
+one ``random((sweeps, n))`` call, the same stream as one call per sweep.
+Energies are exact (:func:`rollstock.qubo.qubo_energy`).
 
 ``sample_portfolio`` is the full pipeline: build the hypergraph, encode
 ILP and QUBO, anneal, decode every distinct sample, keep the feasible
@@ -17,6 +37,9 @@ constraint families.
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +75,15 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_reads", "sweeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("beta_min", "beta_max"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 0:
@@ -83,17 +115,72 @@ class SampleSet:
         return tuple(e.energy for e in self.entries)
 
 
-def _dense_couplings(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
+_UNIFORM_BLOCK = 4  # sweeps of uniforms drawn per read in one call
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Variables ``start:stop`` of the level order, the level-order rows of
+    their neighbours, and the integer couplings between the two."""
+
+    start: int
+    stop: int
+    rows: np.ndarray
+    block: np.ndarray  # (len(rows), stop - start)
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    order: np.ndarray  # level position -> variable index
+    diag: np.ndarray  # diagonal coefficients in level order
+    den: int  # couplings and local fields count in units of 1/den
+    levels: tuple[_Level, ...]
+
+
+def _schedule(model: QuboModel) -> _Schedule:
+    """Level schedule of the interaction graph and its neighbour blocks."""
     n = model.num_vars
     diag = np.zeros(n)
-    w = np.zeros((n, n))
+    pairs: dict[tuple[int, int], Fraction] = {}
     for (i, j), value in model.q.items():
         if i == j:
             diag[i] += float(value)
         else:
-            w[i, j] += float(value)
-            w[j, i] += float(value)
-    return diag, w
+            key = (i, j) if i < j else (j, i)
+            pairs[key] = pairs.get(key, 0) + Fraction(value)
+    pairs = {key: value for key, value in pairs.items() if value}
+    den = math.lcm(*(value.denominator for value in pairs.values()))
+
+    neighbours: list[dict[int, int]] = [{} for _ in range(n)]
+    for (i, j), value in pairs.items():
+        neighbours[i][j] = neighbours[j][i] = value.numerator * (den // value.denominator)
+    if den > 2 ** 53 or any(sum(map(abs, nb.values())) >= 2 ** 53 for nb in neighbours):
+        raise ValueError("couplings too large for exact float64 local fields")
+
+    level = [0] * n
+    for j in range(n):
+        level[j] = 1 + max((level[k] for k in neighbours[j] if k < j), default=-1)
+    order = sorted(range(n), key=level.__getitem__)
+    position = [0] * n
+    for p, v in enumerate(order):
+        position[v] = p
+    sizes = [0] * (max(level) + 1)
+    for lv in level:
+        sizes[lv] += 1
+    bounds = list(itertools.accumulate(sizes, initial=0))
+
+    levels = []
+    for start, stop in zip(bounds, bounds[1:]):
+        members = order[start:stop]
+        rows = sorted({position[k] for v in members for k in neighbours[v]})
+        index = {row: r for r, row in enumerate(rows)}
+        block = np.zeros((len(rows), stop - start))
+        for c, v in enumerate(members):
+            for k, weight in neighbours[v].items():
+                block[index[position[k]], c] = weight
+        levels.append(_Level(start, stop, np.array(rows, dtype=np.intp), block))
+    order = np.array(order, dtype=np.intp)
+    return _Schedule(order, diag[order], den, tuple(levels))
 
 
 def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet:
@@ -101,27 +188,63 @@ def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet
     n = model.num_vars
     if n == 0:
         raise ValueError("cannot anneal an empty model")
-    diag, w = _dense_couplings(model)
+    plan = _schedule(model)
+    order, den = plan.order, plan.den
     reads = params.num_reads
     rngs = [np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([params.seed, r])))
             for r in range(reads)]
-    states = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
+    # chains are columns, variables are rows in level order; spin = 1 - 2 y
+    y = np.stack([rng.integers(0, 2, size=n) for rng in rngs], axis=1)[order]
+    spin = 1.0 - 2.0 * y
+    field = np.zeros((n, reads))  # off-diagonal local fields, times den
+    for lv in plan.levels:
+        field[lv.rows] += lv.block @ y[lv.start:lv.stop]
+    diag = np.repeat(plan.diag[:, None], reads, axis=1)
+    scratch = np.empty((n, reads))
+    steps = [(slice(lv.start, lv.stop), spin[lv.start:lv.stop],
+              field[lv.start:lv.stop], diag[lv.start:lv.stop],
+              scratch[lv.start:lv.stop], lv.rows, lv.block)
+             for lv in plan.levels]
 
-    if params.sweeps > 0:
-        betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
-        for beta in betas:
-            uniforms = np.stack([rng.random(n) for rng in rngs])
-            for i in range(n):
-                field_i = states @ w[i] + diag[i]
-                delta = (1.0 - 2.0 * states[:, i]) * field_i
-                accept = (delta <= 0.0) | (
-                    uniforms[:, i] < np.exp(-beta * np.maximum(delta, 0.0)))
-                states[accept, i] = 1.0 - states[accept, i]
+    betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
+    draws = np.empty((reads, min(_UNIFORM_BLOCK, params.sweeps), n))
+    uniforms = np.empty((draws.shape[1], n, reads))  # sweep, level order, read
+    for first in range(0, params.sweeps, _UNIFORM_BLOCK):
+        count = min(_UNIFORM_BLOCK, params.sweeps - first)
+        for rng, out in zip(rngs, draws):
+            rng.random(out=out[:count])
+        np.take(draws[:, :count].transpose(1, 2, 0), order, axis=1,
+                out=uniforms[:count], mode="clip")
+        for beta, u in zip(betas[first:first + count], uniforms):
+            neg_beta = -beta
+            for sl, s, f, d, x, rows, block in steps:
+                # x = exp(-beta * max(delta, 0)), delta = s * (f / den + d);
+                # f / 1 == f, so integer couplings skip the division
+                if den == 1:
+                    np.add(f, d, out=x)
+                else:
+                    np.divide(f, den, out=x)
+                    np.add(x, d, out=x)
+                np.multiply(x, s, out=x)
+                np.maximum(x, 0.0, out=x)
+                np.multiply(x, neg_beta, out=x)
+                np.exp(x, out=x)
+                accept = np.less(u[sl], x)
+                if not accept.any():
+                    continue
+                np.multiply(accept, s, out=x)  # x = change of y
+                near = field.take(rows, axis=0)  # rows are distinct
+                near += block @ x
+                field[rows] = near
+                s -= x  # twice: s - 2 s flips the accepted spins
+                s -= x
 
     counts: dict[tuple[int, ...], int] = {}
-    for row in states.astype(int):
-        y = tuple(int(v) for v in row)
+    final = np.empty((n, reads), dtype=int)
+    final[order] = spin < 0  # y = 1 where spin = -1
+    for row in final.T.tolist():
+        y = tuple(row)
         counts[y] = counts.get(y, 0) + 1
     entries = [SampleEntry(y=y, energy=qubo_energy(model, y), multiplicity=c)
                for y, c in counts.items()]

@@ -516,6 +516,17 @@ def exact_number(value: Rational) -> Union[int, float, str]:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _meta_json(value: Any) -> Any:
+    """``meta`` as JSON values: loaded numbers are Fractions, at any depth."""
+    if isinstance(value, Fraction):
+        return exact_number(value)
+    if isinstance(value, Mapping):
+        return {key: _meta_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_meta_json(item) for item in value]
+    return value
+
+
 def serialize_instance(inst: Instance) -> str:
     """Inverse of :func:`loads_instance`: deterministic, round-trip exact."""
     def trip(t: Trip) -> dict:
@@ -557,7 +568,7 @@ def serialize_instance(inst: Instance) -> str:
         return obj
 
     data: dict[str, Any] = {
-        "meta": dict(inst.meta),
+        "meta": _meta_json(inst.meta),
         "alpha": exact_number(inst.alpha),
         "delta_min": inst.delta_min,
         "delta_max": inst.delta_max,

@@ -21,6 +21,7 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,6 +102,19 @@ class QuboModel:
 
     def num_terms(self) -> int:
         return len(self.q)
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+        """``(den, offset, ((i, j, value), ...))``: the offset and the entries
+        of ``q`` as integers in units of ``1/den``, ``den`` being the LCM of
+        their denominators. Built on first use; ``q`` is not changed after
+        construction."""
+        values = [Fraction(v) for v in self.q.values()]
+        offset = Fraction(self.offset)
+        den = math.lcm(offset.denominator, *(v.denominator for v in values))
+        return den, offset.numerator * (den // offset.denominator), tuple(
+            (i, j, v.numerator * (den // v.denominator))
+            for (i, j), v in zip(self.q, values))
 
 
 @dataclass(frozen=True)
@@ -221,13 +235,12 @@ def encode_qubo(model: IlpModel,
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
+    """Exact energy of ``y``, summed in integers over the model's common
+    denominator."""
     if len(y) != model.num_vars:
         raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
-    total = model.offset
-    for (i, j), value in model.q.items():
-        if y[i] and y[j]:
-            total += value
-    return total
+    den, offset, terms = model._scaled
+    return Fraction(offset + sum(v for i, j, v in terms if y[i] and y[j]), den)
 
 
 def to_ising(model: QuboModel) -> IsingModel:

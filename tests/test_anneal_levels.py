@@ -1,0 +1,212 @@
+"""The level-scheduled annealer against the dense per-site reference.
+
+``dense_anneal`` is the sampler the level schedule replaced: an n x n float
+coupling matrix and one Metropolis step per site per sweep, sites in index
+order. With integer off-diagonal couplings the two must return equal
+``SampleSet``s, energies and multiplicities included.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from rollstock.anneal import AnnealParams, SampleEntry, SampleSet, _schedule, anneal
+from rollstock.generate import GeneratorConfig, generate_synthetic
+from rollstock.ilp import encode_ilp
+from rollstock.netbuild import build_hypergraph
+from rollstock.qubo import DEFAULT_LAMBDAS, QuboModel, encode_qubo, qubo_energy
+
+
+def dense_anneal(model, params):
+    n = model.num_vars
+    diag = np.zeros(n)
+    w = np.zeros((n, n))
+    for (i, j), value in model.q.items():
+        if i == j:
+            diag[i] += float(value)
+        else:
+            w[i, j] += float(value)
+            w[j, i] += float(value)
+    rngs = [np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([params.seed, r])))
+            for r in range(params.num_reads)]
+    states = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
+    if params.sweeps > 0:
+        betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
+        for beta in betas:
+            uniforms = np.stack([rng.random(n) for rng in rngs])
+            for i in range(n):
+                field_i = states @ w[i] + diag[i]
+                delta = (1.0 - 2.0 * states[:, i]) * field_i
+                accept = (delta <= 0.0) | (
+                    uniforms[:, i] < np.exp(-beta * np.maximum(delta, 0.0)))
+                states[accept, i] = 1.0 - states[accept, i]
+    counts = {}
+    for row in states.astype(int):
+        y = tuple(int(v) for v in row)
+        counts[y] = counts.get(y, 0) + 1
+    entries = [SampleEntry(y=y, energy=reference_energy(model, y), multiplicity=c)
+               for y, c in counts.items()]
+    entries.sort(key=lambda e: (e.energy, e.y))
+    return SampleSet(entries=tuple(entries), num_reads=params.num_reads)
+
+
+def reference_energy(model, y):
+    total = Fraction(model.offset)
+    for (i, j), value in model.q.items():
+        if y[i] and y[j]:
+            total += value
+    return total
+
+
+def generated_qubo(n_trips, seed, lambdas=DEFAULT_LAMBDAS, **gen):
+    inst = generate_synthetic(GeneratorConfig(n_trips=n_trips, **gen), seed)
+    return encode_qubo(encode_ilp(build_hypergraph(inst), inst), lambdas)
+
+
+def hand_model(n, q, offset=0):
+    return QuboModel(num_decision=n, num_slack=0, q=q, offset=Fraction(offset),
+                     lambdas=DEFAULT_LAMBDAS, slack_map={},
+                     decode_hint={v: v for v in range(n)})
+
+
+def assert_same_as_dense(model, params):
+    got = anneal(model, params)
+    assert got == dense_anneal(model, params)
+    assert sum(e.multiplicity for e in got.entries) == params.num_reads
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_toy_matches_dense(toy_qubo, seed):
+    assert_same_as_dense(toy_qubo, AnnealParams(num_reads=20, sweeps=150, seed=seed))
+
+
+@pytest.mark.parametrize("n_trips,reads,sweeps", [(6, 20, 100), (12, 20, 100),
+                                                  (40, 8, 40), (80, 4, 20)])
+def test_generated_matches_dense(n_trips, reads, sweeps):
+    model = generated_qubo(n_trips, 11 + n_trips, n_couplable=n_trips // 5,
+                           n_types=2, n_depots=2)
+    assert_same_as_dense(model, AnnealParams(num_reads=reads, sweeps=sweeps,
+                                             seed=n_trips))
+
+
+def test_anneal_portfolio_sized_instances_match_dense():
+    for seed in (5000, 5001):
+        model = generated_qubo(12, seed, n_types=1, n_depots=1)
+        assert_same_as_dense(model, AnnealParams(num_reads=30, sweeps=60, seed=seed))
+
+
+def test_integer_non_default_lambdas_match_dense():
+    model = generated_qubo(12, 3, lambdas=(3, 7, 2, 1, 11), n_types=2)
+    assert_same_as_dense(model, AnnealParams(num_reads=20, sweeps=100, seed=2))
+
+
+@pytest.mark.parametrize("reads,sweeps", [(7, 0), (1, 50), (1, 0)])
+def test_degenerate_reads_and_sweeps_match_dense(toy_qubo, reads, sweeps):
+    assert_same_as_dense(toy_qubo, AnnealParams(num_reads=reads, sweeps=sweeps,
+                                                beta_min=0.5, beta_max=5.0, seed=3))
+
+
+def test_diagonal_only_model_matches_dense():
+    model = hand_model(5, {(i, i): Fraction(3 - 2 * i, 4) for i in range(5)})
+    assert len(_schedule(model).levels) == 1
+    assert_same_as_dense(model, AnnealParams(num_reads=10, sweeps=30, seed=4))
+
+
+def test_uncoupled_variables_match_dense():
+    q = {(0, 0): Fraction(-1), (0, 3): Fraction(2), (3, 3): Fraction(-1),
+         (2, 2): Fraction(1, 2), (3, 5): Fraction(-3), (5, 5): Fraction(1)}
+    model = hand_model(7, q, offset=1)  # 1, 4 and 6 appear nowhere; 2 has no neighbour
+    assert_same_as_dense(model, AnnealParams(num_reads=12, sweeps=40, seed=5))
+
+
+def test_both_key_orders_of_a_pair_are_summed():
+    model = hand_model(3, {(0, 1): Fraction(2), (1, 0): Fraction(-5),
+                           (1, 2): Fraction(1), (1, 1): Fraction(1)})
+    assert_same_as_dense(model, AnnealParams(num_reads=10, sweeps=30, seed=6))
+
+
+def random_graph_model(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    q = {}
+    for _ in range(rng.randint(0, 3 * n)):
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        q[(i, j)] = Fraction(rng.randint(-9, 9) or 1)
+    return hand_model(n, q)
+
+
+def levels_of(model):
+    plan = _schedule(model)
+    level = {}
+    for index, lv in enumerate(plan.levels):
+        for v in plan.order[lv.start:lv.stop].tolist():
+            level[v] = index
+    return plan, level
+
+
+def assert_valid_schedule(model):
+    plan, level = levels_of(model)
+    n = model.num_vars
+    assert sorted(plan.order.tolist()) == list(range(n))
+    assert [lv.start for lv in plan.levels] == [0] + [lv.stop for lv in plan.levels[:-1]]
+    assert plan.levels[-1].stop == n
+    for lv in plan.levels:  # index order within a level
+        members = plan.order[lv.start:lv.stop].tolist()
+        assert members == sorted(members)
+    for (i, j), value in model.q.items():
+        if i != j and value:
+            low, high = min(i, j), max(i, j)
+            assert level[low] < level[high]  # coupled pairs keep index order
+    for lv in plan.levels:  # a level's rows are exactly its neighbours
+        members = set(plan.order[lv.start:lv.stop].tolist())
+        neighbours = set()
+        for (i, j), value in model.q.items():
+            if i != j and value:
+                neighbours |= {j} if i in members else set()
+                neighbours |= {i} if j in members else set()
+        assert set(plan.order[lv.rows].tolist()) == neighbours
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_levels_are_independent_and_keep_coupled_order(seed):
+    assert_valid_schedule(random_graph_model(seed))
+
+
+@pytest.mark.parametrize("n_trips", [6, 12, 40])
+def test_generated_levels_are_valid(n_trips):
+    assert_valid_schedule(generated_qubo(n_trips, n_trips, n_couplable=n_trips // 5,
+                                         n_types=2, n_depots=2))
+
+
+def test_level_count_on_a_12_trip_instance():
+    model = generated_qubo(12, 7000, n_types=1, n_depots=1)
+    plan = _schedule(model)
+    assert 1 < len(plan.levels) < model.num_vars
+    cells = sum(lv.block.size for lv in plan.levels)
+    assert cells < model.num_vars ** 2
+
+
+FRACTIONAL = (Fraction(1, 3), 7, Fraction(5, 2), Fraction(1, 10), 100)
+
+
+def test_fractional_lambdas_are_deterministic_with_exact_energies():
+    model = generated_qubo(12, 4, lambdas=FRACTIONAL, n_types=2)
+    assert _schedule(model).den > 1
+    params = AnnealParams(num_reads=25, sweeps=120, seed=8)
+    first = anneal(model, params)
+    assert first == anneal(model, params)
+    assert sum(e.multiplicity for e in first.entries) == 25
+    for entry in first.entries:
+        assert isinstance(entry.energy, Fraction)
+        assert entry.energy == reference_energy(model, entry.y)
+    assert list(first.entries) == sorted(first.entries, key=lambda e: (e.energy, e.y))
+
+
+def test_oversized_couplings_rejected():
+    model = hand_model(2, {(0, 1): Fraction(2 ** 53)})
+    with pytest.raises(ValueError, match="too large"):
+        anneal(model, AnnealParams(num_reads=1, sweeps=1))
+    assert qubo_energy(model, (1, 1)) == 2 ** 53

@@ -142,6 +142,20 @@ def test_roundtrip_on_toy(toy_instance):
     assert loads_instance(serialize_instance(toy_instance)) == toy_instance
 
 
+def test_meta_numbers_roundtrip():
+    data = json.loads(TOY_PATH.read_text())
+    data["meta"] = {"scale": 0.5, "count": 3, "flag": True, "none": None,
+                    "nested": {"xs": [0.25, 1, "a", [2.5, False]], "big": 1e-3}}
+    inst = loads_instance(json.dumps(data))
+    assert inst.meta["scale"] == Fraction(1, 2)
+    text = serialize_instance(inst)
+    again = loads_instance(text)
+    assert again == inst
+    assert again.meta == inst.meta
+    assert serialize_instance(again) == text
+    assert json.loads(text)["meta"]["nested"]["xs"] == [0.25, 1, "a", [2.5, False]]
+
+
 def test_load_from_open_byte_stream(toy_instance):
     from rollstock.model import load_instance
     with open(TOY_PATH, "rb") as fh:

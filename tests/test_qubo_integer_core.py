@@ -5,6 +5,7 @@
 must give equal models with the same key order, hence byte-equal COO text.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from rollstock.ilp import ConstraintRow, IlpModel, encode_ilp
 from rollstock.netbuild import build_hypergraph
 from rollstock.qubo import (_FAMILY_OF_KIND, DEFAULT_LAMBDAS, IsingModel,
                             PenaltyRow, QuboModel, _as_lambdas, encode_qubo,
-                            export_ising_coo, export_qubo_coo, to_ising)
+                            export_ising_coo, export_qubo_coo, qubo_energy,
+                            to_ising)
 
 
 def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
@@ -200,3 +202,53 @@ def test_empty_qubo_to_ising():
     got = to_ising(model)
     assert_same_ising(got, reference_to_ising(model))
     assert got.offset == Fraction(2, 3) and got.h == {} and got.j == {}
+
+
+def reference_qubo_energy(model, y):
+    total = model.offset
+    for (i, j), value in model.q.items():
+        if y[i] and y[j]:
+            total += value
+    return total
+
+
+def assert_energies_match_reference(model, samples=60, seed=0):
+    rng = random.Random(seed)
+    n = model.num_vars
+    ys = [tuple([0] * n), tuple([1] * n)]
+    ys += [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(samples)]
+    for y in ys:
+        got = qubo_energy(model, y)
+        assert isinstance(got, Fraction)
+        assert got == reference_qubo_energy(model, y)
+
+
+@pytest.mark.parametrize("lambdas", [DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS],
+                         ids=["default", "fractional"])
+@pytest.mark.parametrize("name", ["12", "80", "80-alpha-2/3", "12-alpha-0.3"])
+def test_qubo_energy_matches_fraction_reference(name, lambdas):
+    assert_energies_match_reference(encode_qubo(generated_ilp(name), lambdas))
+
+
+def test_qubo_energy_matches_reference_on_toy(toy_qubo, toy_ilp):
+    assert_energies_match_reference(toy_qubo, samples=200)
+    assert_energies_match_reference(encode_qubo(toy_ilp, FRACTIONAL_LAMBDAS))
+
+
+def test_qubo_energy_mixed_denominators_and_empty():
+    q = {(0, 0): Fraction(1, 3), (0, 1): Fraction(-5, 6), (1, 1): Fraction(7, 4),
+         (1, 2): 2, (2, 2): Fraction(-1, 9), (0, 2): Fraction(3, 10)}
+    mixed = QuboModel(num_decision=3, num_slack=0, q=q, offset=Fraction(2, 7),
+                      lambdas=DEFAULT_LAMBDAS, slack_map={},
+                      decode_hint={v: v for v in range(3)})
+    for bits in range(8):
+        y = tuple((bits >> k) & 1 for k in range(3))
+        assert qubo_energy(mixed, y) == reference_qubo_energy(mixed, y)
+    empty = QuboModel(num_decision=2, num_slack=0, q={}, offset=Fraction(-3, 4),
+                      lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={0: 0, 1: 1})
+    assert qubo_energy(empty, (1, 0)) == Fraction(-3, 4)
+    nothing = QuboModel(num_decision=0, num_slack=0, q={}, offset=Fraction(0),
+                        lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={})
+    assert qubo_energy(nothing, ()) == 0
+    with pytest.raises(ValueError):
+        qubo_energy(mixed, (0, 1))
