@@ -218,9 +218,13 @@ def cmd_solve_ilp(args) -> int:
 
 def cmd_solve_qubo(args) -> int:
     inst = _load(args)
-    params = AnnealParams(
-        num_reads=args.reads, sweeps=args.sweeps,
-        beta_min=args.beta_min, beta_max=args.beta_max, seed=args.seed)
+    try:
+        params = AnnealParams(
+            num_reads=args.reads, sweeps=args.sweeps,
+            beta_min=args.beta_min, beta_max=args.beta_max, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     tic = time.monotonic()
     graph = build_hypergraph(inst)
     build_secs = time.monotonic() - tic

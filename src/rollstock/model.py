@@ -367,6 +367,8 @@ def _validate(inst: Instance) -> None:
             if rid not in type_ids:
                 raise InstanceError(f"/licenses/{lic}", f"unknown EMU type {rid!r}")
 
+    if inst.delta_min < 0:
+        raise InstanceError("/delta_min", "must be >= 0")
     if inst.delta_min > inst.delta_max:
         raise InstanceError("/delta_min", "delta_min must be <= delta_max")
     for name in ("seat_tolerance_single", "seat_tolerance_coupled",

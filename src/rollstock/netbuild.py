@@ -20,15 +20,30 @@ Arc ids are dense integers assigned kind-major (depot_out, transfer,
 couple, coupled_transfer, decouple, depot_in) and lexicographic within a
 kind, so identical instances always build identical graphs and the toy
 instance reproduces the reference variable order x0..x10.
+
+The build looks turnarounds up instead of scanning trip pairs. Trips are
+filed per origin station by departure; each trip's successors are found by
+bisecting ``[arrive + delta_min, arrive + delta_max]`` in its destination's
+list and sorted back into input order, and predecessor lists are built from
+them in input order. Transfers, coupled transfers and decouple heads read
+the successor lists, couple feeders the predecessor lists. Each kind is
+emitted directly in id order, so no arc sort is needed. Driver demand is
+looked up per trip too: bisecting its driver depot's sorted checkpoint
+times gives the checkpoints with ``depart <= at < arrive``, and every arc
+adds one member per such checkpoint, counting its distinct en-route
+pointed-to trips. Prices ``k * cost_per_km * distance`` are computed once
+per (trip, type, k). The cost is linear in trips times turnaround-window
+hits, plus arcs times en-route checkpoints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .model import EmuType, Instance, Trip
+from .model import Depot, EmuType, Instance
 
 __all__ = [
     "Node",
@@ -43,7 +58,6 @@ __all__ = [
 
 ARC_KINDS = ("depot_out", "transfer", "couple", "coupled_transfer", "decouple",
              "depot_in")
-_KIND_RANK = {kind: i for i, kind in enumerate(ARC_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -140,29 +154,58 @@ class Hypergraph:
                            {k: tuple(sorted(v)) for k, v in out_all.items()})
 
 
-def _turnaround_ok(inst: Instance, src: Trip, dst: Trip) -> bool:
-    gap = dst.depart - src.arrive
-    return (src.destination == dst.origin
-            and inst.delta_min <= gap <= inst.delta_max)
+def _turnaround_lists(instance: Instance) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor trip positions, each list in input order.
+
+    ``b`` succeeds ``a`` when ``b`` departs from ``a``'s destination with a
+    turnaround ``depart(b) - arrive(a)`` inside ``[delta_min, delta_max]``;
+    the hits come from bisecting the origin station's departures.
+    """
+    trips = instance.trips
+    boards: dict[str, list[int]] = {}
+    for pos in sorted(range(len(trips)), key=lambda p: trips[p].depart):
+        boards.setdefault(trips[pos].origin, []).append(pos)
+    departs = {station: [trips[p].depart for p in board]
+               for station, board in boards.items()}
+    succ: list[list[int]] = []
+    for pos, a in enumerate(trips):
+        board = boards.get(a.destination, [])
+        times = departs.get(a.destination, [])
+        lo = bisect_left(times, a.arrive + instance.delta_min)
+        hi = bisect_right(times, a.arrive + instance.delta_max)
+        succ.append(sorted(p for p in board[lo:hi] if p != pos))
+    pred: list[list[int]] = [[] for _ in trips]
+    for a, heads in enumerate(succ):
+        for b in heads:
+            pred[b].append(a)
+    return succ, pred
 
 
-def _trip_cost(trip: Trip, emu: EmuType) -> Fraction:
-    return emu.cost_per_km * trip.distance
-
-
-def _shortages(targets: Iterable[Trip], emu: EmuType,
-               k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (tuple(max(0, t.passengers - k * emu.seats) for t in targets),
-            tuple(max(0, t.bicycles - k * emu.bike_slots) for t in targets))
+def _en_route(instance: Instance) -> tuple[list[tuple[str, int]],
+                                           list[list[tuple[str, int]]]]:
+    """Sorted driver checkpoints and, per trip position, the checkpoints of
+    its driver depot with ``depart <= at < arrive``."""
+    checkpoints = sorted({(w.depot, w.at) for w in instance.driver_windows})
+    times: dict[str, list[int]] = {}
+    for depot_id, at in checkpoints:
+        times.setdefault(depot_id, []).append(at)
+    en_route = []
+    for t in instance.trips:
+        depot_id = instance.driver_depot_of(t)
+        ats = times.get(depot_id, [])
+        lo, hi = bisect_left(ats, t.depart), bisect_left(ats, t.arrive)
+        en_route.append([(depot_id, at) for at in ats[lo:hi]])
+    return checkpoints, en_route
 
 
 def build_hypergraph(instance: Instance) -> Hypergraph:
     """Construct the full candidate-arc hypergraph for one instance."""
+    trips, types = instance.trips, instance.emu_types
     nodes: list[Node] = []
     for d in instance.depots:
         nodes.append(Node(id=f"src:{d.id}", index=len(nodes),
                           kind="depot_source", depot=d.id))
-    for t in instance.trips:
+    for t in trips:
         nodes.append(Node(id=f"trip:{t.id}", index=len(nodes),
                           kind="trip" if t.obligatory else "service_trip",
                           trip=t.id))
@@ -170,162 +213,142 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
         if d.has_sink:
             nodes.append(Node(id=f"snk:{d.id}", index=len(nodes),
                               kind="depot_sink", depot=d.id))
-    node_index = {n.id: n.index for n in nodes}
-
-    type_order = {r.id: i for i, r in enumerate(instance.emu_types)}
-
-    # raw arcs as (kind, sources, targets, type, k, k', target trips)
-    raw: list[tuple] = []
-
-    def emit(kind: str, sources: tuple[str, ...], targets: tuple[str, ...],
-             emu: EmuType, k: int, k_prime: int, target_trips: tuple[Trip, ...]):
-        raw.append((kind, sources, targets, emu, k, k_prime, target_trips))
-
-    for d in instance.depots:
-        for r in instance.emu_types:
-            _, out_max = d.out_bounds(r.id)
-            if out_max <= 0:
-                continue
-            for t in instance.trips:
-                if t.origin != d.station or r.id not in t.allowed_types:
-                    continue
-                emit("depot_out", (f"src:{d.id}",), (f"trip:{t.id}",), r, 1, 1, (t,))
-                if out_max >= 2 and t.couplable and r.couplable:
-                    emit("depot_out", (f"src:{d.id}",), (f"trip:{t.id}",), r, 2, 2, (t,))
-
-    for a in instance.trips:
-        for b in instance.trips:
-            if a.id == b.id or not _turnaround_ok(instance, a, b):
-                continue
-            for r in instance.emu_types:
-                if r.id not in a.allowed_types or r.id not in b.allowed_types:
-                    continue
-                emit("transfer", (f"trip:{a.id}",), (f"trip:{b.id}",), r, 1, 1, (b,))
-                if a.couplable and b.couplable and r.couplable:
-                    emit("coupled_transfer", (f"trip:{a.id}",), (f"trip:{b.id}",),
-                         r, 2, 2, (b,))
-
-    trips = instance.trips
-    for c in trips:
-        if not c.couplable:
-            continue
-        for r in instance.emu_types:
-            if not r.couplable or r.id not in c.allowed_types:
-                continue
-            feeders = [a for a in trips
-                       if a.id != c.id and r.id in a.allowed_types
-                       and _turnaround_ok(instance, a, c)]
-            for i in range(len(feeders)):
-                for j in range(i + 1, len(feeders)):
-                    emit("couple",
-                         (f"trip:{feeders[i].id}", f"trip:{feeders[j].id}"),
-                         (f"trip:{c.id}",), r, 2, 1, (c,))
-
-    for a in trips:
-        if not a.couplable:
-            continue
-        for r in instance.emu_types:
-            if not r.couplable or r.id not in a.allowed_types:
-                continue
-            heads = [b for b in trips
-                     if b.id != a.id and r.id in b.allowed_types
-                     and _turnaround_ok(instance, a, b)]
-            for i in range(len(heads)):
-                for j in range(i + 1, len(heads)):
-                    emit("decouple", (f"trip:{a.id}",),
-                         (f"trip:{heads[i].id}", f"trip:{heads[j].id}"),
-                         r, 1, 2, (heads[i], heads[j]))
-
-    for d in instance.depots:
-        if not d.has_sink:
-            continue
-        for r in instance.emu_types:
-            _, in_max = d.in_bounds(r.id)
-            if in_max <= 0:
-                continue
-            for t in instance.trips:
-                if t.destination != d.station or r.id not in t.allowed_types:
-                    continue
-                emit("depot_in", (f"trip:{t.id}",), (f"snk:{d.id}",), r, 1, 1, ())
-                if in_max >= 2 and t.couplable and r.couplable:
-                    emit("depot_in", (f"trip:{t.id}",), (f"snk:{d.id}",), r, 2, 2, ())
-
-    def sort_key(entry):
-        kind, sources, targets, emu, k, k_prime, _ = entry
-        return (_KIND_RANK[kind],
-                tuple(node_index[s] for s in sources),
-                tuple(node_index[t] for t in targets),
-                type_order[emu.id], k)
-
-    raw.sort(key=sort_key)
+    trip_node = [f"trip:{t.id}" for t in trips]
+    allowed = [t.allowed_types for t in trips]
+    succ, pred = _turnaround_lists(instance)
+    checkpoints, en_route = _en_route(instance)
 
     arcs: list[HyperArc] = []
-    for arc_id, (kind, sources, targets, emu, k, k_prime, tts) in enumerate(raw):
-        seats, bikes = _shortages(tts, emu, k)
-        # multiplicity on the pointed-to trip(s) prices every unit that runs them
-        cost = sum((Fraction(k) * _trip_cost(t, emu) for t in tts), Fraction(0))
-        arcs.append(HyperArc(
-            id=arc_id, kind=kind, sources=sources, targets=targets,
-            emu_type=emu.id, k=k, k_prime=k_prime, cost=cost,
-            seat_shortages=seats, bike_shortages=bikes))
-
-    idx_cover: dict[str, list[int]] = {t.id: [] for t in instance.trips}
+    idx_cover: dict[str, list[int]] = {t.id: [] for t in trips}
     idx_in: dict[tuple[str, str], list[int]] = {}
     idx_out: dict[tuple[str, str], list[int]] = {}
-    idx_depot_out: dict[tuple[str, str], list[int]] = {}
-    idx_depot_in: dict[tuple[str, str], list[int]] = {}
-
-    for arc in arcs:
-        for target in arc.targets:
-            node = nodes[node_index[target]]
-            if node.is_trip:
-                idx_cover[node.trip].append(arc.id)
-            idx_in.setdefault((target, arc.emu_type), []).append(arc.id)
-        for source in arc.sources:
-            idx_out.setdefault((source, arc.emu_type), []).append(arc.id)
-        if arc.kind == "depot_out":
-            depot_id = nodes[node_index[arc.sources[0]]].depot
-            idx_depot_out.setdefault((depot_id, arc.emu_type), []).append(arc.id)
-        if arc.kind == "depot_in":
-            depot_id = nodes[node_index[arc.targets[0]]].depot
-            idx_depot_in.setdefault((depot_id, arc.emu_type), []).append(arc.id)
-
-    # Driver demand: an arc needs drivers from depot d at checkpoint t when a
-    # pointed-to trip assigned to d is en route (depart <= t < arrive).
+    idx_depot: dict[str, dict[tuple[str, str], list[int]]] = {
+        "depot_out": {}, "depot_in": {}}
     driver_members: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    checkpoints = sorted({(w.depot, w.at) for w in instance.driver_windows})
-    for depot_id, at in checkpoints:
-        members: list[tuple[int, int]] = []
-        for arc in arcs:
-            running = 0
-            seen: set[str] = set()
-            for target in arc.targets:
-                node = nodes[node_index[target]]
-                if node.trip is None or node.trip in seen:
+    prices: dict[tuple[int, str, int], Fraction] = {}
+
+    def add(kind: str, sources: tuple[str, ...], targets: tuple[str, ...],
+            emu: EmuType, k: int, k_prime: int, heads: tuple[int, ...] = (),
+            depot_id: Optional[str] = None) -> None:
+        """Append the next arc; ``heads`` are the positions of the (distinct)
+        trips it points to, ``depot_id`` the depot of a depot arc."""
+        arc_id = len(arcs)
+        costs = []
+        for pos in heads:
+            # multiplicity on the pointed-to trip prices every unit that runs it
+            cost = prices.get((pos, emu.id, k))
+            if cost is None:
+                cost = prices[pos, emu.id, k] = (
+                    Fraction(k) * emu.cost_per_km * trips[pos].distance)
+            costs.append(cost)
+            idx_cover[trips[pos].id].append(arc_id)
+        arcs.append(HyperArc(
+            id=arc_id, kind=kind, sources=sources, targets=targets,
+            emu_type=emu.id, k=k, k_prime=k_prime,
+            cost=costs[0] if len(costs) == 1 else sum(costs, Fraction(0)),
+            seat_shortages=tuple(max(0, trips[p].passengers - k * emu.seats)
+                                 for p in heads),
+            bike_shortages=tuple(max(0, trips[p].bicycles - k * emu.bike_slots)
+                                 for p in heads)))
+        for target in targets:
+            idx_in.setdefault((target, emu.id), []).append(arc_id)
+        for source in sources:
+            idx_out.setdefault((source, emu.id), []).append(arc_id)
+        if depot_id is not None:
+            idx_depot[kind].setdefault((depot_id, emu.id), []).append(arc_id)
+        # driver demand: en-route pointed-to trips per checkpoint
+        running: dict[tuple[str, int], int] = {}
+        for pos in heads:
+            for key in en_route[pos]:
+                running[key] = running.get(key, 0) + 1
+        for key, count in running.items():
+            driver_members.setdefault(key, []).append((arc_id, count))
+
+    # Each kind is emitted in id order: sources, then targets, type and k.
+    for d in instance.depots:
+        source = f"src:{d.id}"
+        for pos, t in enumerate(trips):
+            if t.origin != d.station:
+                continue
+            for r in types:
+                _, out_max = d.out_bounds(r.id)
+                if out_max <= 0 or r.id not in t.allowed_types:
                     continue
-                seen.add(node.trip)
-                trip = instance.trip_by_id(node.trip)
-                if (instance.driver_depot_of(trip) == depot_id
-                        and trip.depart <= at < trip.arrive):
-                    running += 1
-            if running:
-                members.append((arc.id, running))
-        if members:
-            driver_members[(depot_id, at)] = members
+                add("depot_out", (source,), (trip_node[pos],), r, 1, 1, (pos,), d.id)
+                if out_max >= 2 and t.couplable and r.couplable:
+                    add("depot_out", (source,), (trip_node[pos],), r, 2, 2, (pos,),
+                        d.id)
+
+    for a, heads in enumerate(succ):
+        for b in heads:
+            for r in types:
+                if r.id in allowed[a] and r.id in allowed[b]:
+                    add("transfer", (trip_node[a],), (trip_node[b],), r, 1, 1, (b,))
+
+    for f in range(len(trips)):
+        # (second feeder, coupled trip) for feeder pairs led by f; pred[c]
+        # is in input order, so the second feeders are the suffix after f
+        pairs = sorted((g, c) for c in succ[f] if trips[c].couplable
+                       for g in pred[c][bisect_right(pred[c], f):])
+        for g, c in pairs:
+            for r in types:
+                if (r.couplable and r.id in allowed[c] and r.id in allowed[f]
+                        and r.id in allowed[g]):
+                    add("couple", (trip_node[f], trip_node[g]), (trip_node[c],),
+                        r, 2, 1, (c,))
+
+    for a, heads in enumerate(succ):
+        if not trips[a].couplable:
+            continue
+        for b in heads:
+            if not trips[b].couplable:
+                continue
+            for r in types:
+                if r.couplable and r.id in allowed[a] and r.id in allowed[b]:
+                    add("coupled_transfer", (trip_node[a],), (trip_node[b],),
+                        r, 2, 2, (b,))
+
+    for a, heads in enumerate(succ):
+        if not trips[a].couplable:
+            continue
+        for i, b in enumerate(heads):
+            for c in heads[i + 1:]:
+                for r in types:
+                    if (r.couplable and r.id in allowed[a] and r.id in allowed[b]
+                            and r.id in allowed[c]):
+                        add("decouple", (trip_node[a],),
+                            (trip_node[b], trip_node[c]), r, 1, 2, (b, c))
+
+    sinks: dict[str, list[Depot]] = {}
+    for d in instance.depots:
+        if d.has_sink:
+            sinks.setdefault(d.station, []).append(d)
+    for pos, t in enumerate(trips):
+        for d in sinks.get(t.destination, ()):
+            for r in types:
+                _, in_max = d.in_bounds(r.id)
+                if in_max <= 0 or r.id not in t.allowed_types:
+                    continue
+                add("depot_in", (trip_node[pos],), (f"snk:{d.id}",), r, 1, 1,
+                    depot_id=d.id)
+                if in_max >= 2 and t.couplable and r.couplable:
+                    add("depot_in", (trip_node[pos],), (f"snk:{d.id}",), r, 2, 2,
+                        depot_id=d.id)
 
     def freeze(mapping):
-        return {k: tuple(sorted(set(v))) for k, v in mapping.items() if v}
+        return {k: tuple(v) for k, v in mapping.items() if v}
 
     return Hypergraph(
         nodes=tuple(nodes),
         arcs=tuple(arcs),
-        idx_cover=freeze(idx_cover) | {t.id: () for t in instance.trips
+        idx_cover=freeze(idx_cover) | {t.id: () for t in trips
                                        if not idx_cover[t.id]},
         idx_in=freeze(idx_in),
         idx_out=freeze(idx_out),
-        idx_depot_out=freeze(idx_depot_out),
-        idx_depot_in=freeze(idx_depot_in),
-        driver_members={k: tuple(v) for k, v in driver_members.items()},
+        idx_depot_out=freeze(idx_depot["depot_out"]),
+        idx_depot_in=freeze(idx_depot["depot_in"]),
+        driver_members={key: tuple(driver_members[key]) for key in checkpoints
+                        if key in driver_members},
     )
 
 

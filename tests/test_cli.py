@@ -83,6 +83,20 @@ def test_solve_qubo_degenerate_params_still_exit_0(capsys):
     assert "rejected=" in out
 
 
+def test_solve_qubo_zero_reads_is_an_input_error(capsys):
+    code, out, err = run(capsys, "solve-qubo", TOY, "--reads", "0")
+    assert code == 1
+    assert err.strip() == "error: num_reads must be >= 1"
+    assert "Traceback" not in out + err
+
+
+def test_solve_qubo_nan_beta_is_an_input_error(capsys):
+    code, out, err = run(capsys, "solve-qubo", TOY, "--beta-min", "nan")
+    assert code == 1
+    assert err.startswith("error: beta_min must be a finite number")
+    assert "Traceback" not in out + err
+
+
 def test_enumerate_toy(capsys):
     code, out, _ = run(capsys, "enumerate", TOY)
     assert code == 0

@@ -53,6 +53,15 @@ def test_dangling_depot_reference():
     assert "/driver_windows/0/depot" in str(err.value)
 
 
+def test_negative_delta_min_rejected():
+    # a negative minimum turnaround would let a unit depart before it arrived
+    data = json.loads(TOY_PATH.read_text())
+    data["delta_min"] = -30
+    with pytest.raises(InstanceError) as err:
+        loads_instance(json.dumps(data))
+    assert "/delta_min" in str(err.value)
+
+
 @pytest.mark.parametrize("mutate,path", [
     (lambda d: d["trips"][0].update(arrive=d["trips"][0]["depart"]),
      "/trips/0/arrive"),

@@ -1,0 +1,377 @@
+"""The indexed ``build_hypergraph`` against the all-pairs scan it replaced.
+
+``scan_build_hypergraph`` below is the former builder, kept verbatim as the
+reference: it tests every trip pair for a turnaround, scans all trips for
+the feeders of a coupling and the heads of a decoupling, sorts the raw arcs
+into id order, and counts driver demand checkpoint by checkpoint over every
+arc. The indexed builder must return the same graph field by field: the same
+nodes, the same arcs in the same id order with ``Fraction`` costs, and the
+same keys in the same order in every index and in ``driver_members``.
+"""
+
+from fractions import Fraction
+from typing import Iterable
+
+import pytest
+
+from rollstock.generate import GeneratorConfig, generate_synthetic
+from rollstock.model import (Depot, DriverWindow, EmuType, Instance, Trip,
+                             load_instance)
+from rollstock.netbuild import (ARC_KINDS, HyperArc, Hypergraph, Node,
+                                build_hypergraph)
+
+from conftest import TOY_PATH, small_random_instance
+
+_KIND_RANK = {kind: i for i, kind in enumerate(ARC_KINDS)}
+
+
+def _turnaround_ok(inst: Instance, src: Trip, dst: Trip) -> bool:
+    gap = dst.depart - src.arrive
+    return (src.destination == dst.origin
+            and inst.delta_min <= gap <= inst.delta_max)
+
+
+def _trip_cost(trip: Trip, emu: EmuType) -> Fraction:
+    return emu.cost_per_km * trip.distance
+
+
+def _shortages(targets: Iterable[Trip], emu: EmuType,
+               k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (tuple(max(0, t.passengers - k * emu.seats) for t in targets),
+            tuple(max(0, t.bicycles - k * emu.bike_slots) for t in targets))
+
+
+def scan_build_hypergraph(instance: Instance) -> Hypergraph:
+    nodes: list[Node] = []
+    for d in instance.depots:
+        nodes.append(Node(id=f"src:{d.id}", index=len(nodes),
+                          kind="depot_source", depot=d.id))
+    for t in instance.trips:
+        nodes.append(Node(id=f"trip:{t.id}", index=len(nodes),
+                          kind="trip" if t.obligatory else "service_trip",
+                          trip=t.id))
+    for d in instance.depots:
+        if d.has_sink:
+            nodes.append(Node(id=f"snk:{d.id}", index=len(nodes),
+                              kind="depot_sink", depot=d.id))
+    node_index = {n.id: n.index for n in nodes}
+
+    type_order = {r.id: i for i, r in enumerate(instance.emu_types)}
+
+    # raw arcs as (kind, sources, targets, type, k, k', target trips)
+    raw: list[tuple] = []
+
+    def emit(kind: str, sources: tuple[str, ...], targets: tuple[str, ...],
+             emu: EmuType, k: int, k_prime: int, target_trips: tuple[Trip, ...]):
+        raw.append((kind, sources, targets, emu, k, k_prime, target_trips))
+
+    for d in instance.depots:
+        for r in instance.emu_types:
+            _, out_max = d.out_bounds(r.id)
+            if out_max <= 0:
+                continue
+            for t in instance.trips:
+                if t.origin != d.station or r.id not in t.allowed_types:
+                    continue
+                emit("depot_out", (f"src:{d.id}",), (f"trip:{t.id}",), r, 1, 1, (t,))
+                if out_max >= 2 and t.couplable and r.couplable:
+                    emit("depot_out", (f"src:{d.id}",), (f"trip:{t.id}",), r, 2, 2, (t,))
+
+    for a in instance.trips:
+        for b in instance.trips:
+            if a.id == b.id or not _turnaround_ok(instance, a, b):
+                continue
+            for r in instance.emu_types:
+                if r.id not in a.allowed_types or r.id not in b.allowed_types:
+                    continue
+                emit("transfer", (f"trip:{a.id}",), (f"trip:{b.id}",), r, 1, 1, (b,))
+                if a.couplable and b.couplable and r.couplable:
+                    emit("coupled_transfer", (f"trip:{a.id}",), (f"trip:{b.id}",),
+                         r, 2, 2, (b,))
+
+    trips = instance.trips
+    for c in trips:
+        if not c.couplable:
+            continue
+        for r in instance.emu_types:
+            if not r.couplable or r.id not in c.allowed_types:
+                continue
+            feeders = [a for a in trips
+                       if a.id != c.id and r.id in a.allowed_types
+                       and _turnaround_ok(instance, a, c)]
+            for i in range(len(feeders)):
+                for j in range(i + 1, len(feeders)):
+                    emit("couple",
+                         (f"trip:{feeders[i].id}", f"trip:{feeders[j].id}"),
+                         (f"trip:{c.id}",), r, 2, 1, (c,))
+
+    for a in trips:
+        if not a.couplable:
+            continue
+        for r in instance.emu_types:
+            if not r.couplable or r.id not in a.allowed_types:
+                continue
+            heads = [b for b in trips
+                     if b.id != a.id and r.id in b.allowed_types
+                     and _turnaround_ok(instance, a, b)]
+            for i in range(len(heads)):
+                for j in range(i + 1, len(heads)):
+                    emit("decouple", (f"trip:{a.id}",),
+                         (f"trip:{heads[i].id}", f"trip:{heads[j].id}"),
+                         r, 1, 2, (heads[i], heads[j]))
+
+    for d in instance.depots:
+        if not d.has_sink:
+            continue
+        for r in instance.emu_types:
+            _, in_max = d.in_bounds(r.id)
+            if in_max <= 0:
+                continue
+            for t in instance.trips:
+                if t.destination != d.station or r.id not in t.allowed_types:
+                    continue
+                emit("depot_in", (f"trip:{t.id}",), (f"snk:{d.id}",), r, 1, 1, ())
+                if in_max >= 2 and t.couplable and r.couplable:
+                    emit("depot_in", (f"trip:{t.id}",), (f"snk:{d.id}",), r, 2, 2, ())
+
+    def sort_key(entry):
+        kind, sources, targets, emu, k, k_prime, _ = entry
+        return (_KIND_RANK[kind],
+                tuple(node_index[s] for s in sources),
+                tuple(node_index[t] for t in targets),
+                type_order[emu.id], k)
+
+    raw.sort(key=sort_key)
+
+    arcs: list[HyperArc] = []
+    for arc_id, (kind, sources, targets, emu, k, k_prime, tts) in enumerate(raw):
+        seats, bikes = _shortages(tts, emu, k)
+        cost = sum((Fraction(k) * _trip_cost(t, emu) for t in tts), Fraction(0))
+        arcs.append(HyperArc(
+            id=arc_id, kind=kind, sources=sources, targets=targets,
+            emu_type=emu.id, k=k, k_prime=k_prime, cost=cost,
+            seat_shortages=seats, bike_shortages=bikes))
+
+    idx_cover: dict[str, list[int]] = {t.id: [] for t in instance.trips}
+    idx_in: dict[tuple[str, str], list[int]] = {}
+    idx_out: dict[tuple[str, str], list[int]] = {}
+    idx_depot_out: dict[tuple[str, str], list[int]] = {}
+    idx_depot_in: dict[tuple[str, str], list[int]] = {}
+
+    for arc in arcs:
+        for target in arc.targets:
+            node = nodes[node_index[target]]
+            if node.is_trip:
+                idx_cover[node.trip].append(arc.id)
+            idx_in.setdefault((target, arc.emu_type), []).append(arc.id)
+        for source in arc.sources:
+            idx_out.setdefault((source, arc.emu_type), []).append(arc.id)
+        if arc.kind == "depot_out":
+            depot_id = nodes[node_index[arc.sources[0]]].depot
+            idx_depot_out.setdefault((depot_id, arc.emu_type), []).append(arc.id)
+        if arc.kind == "depot_in":
+            depot_id = nodes[node_index[arc.targets[0]]].depot
+            idx_depot_in.setdefault((depot_id, arc.emu_type), []).append(arc.id)
+
+    driver_members: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    checkpoints = sorted({(w.depot, w.at) for w in instance.driver_windows})
+    for depot_id, at in checkpoints:
+        members: list[tuple[int, int]] = []
+        for arc in arcs:
+            running = 0
+            seen: set[str] = set()
+            for target in arc.targets:
+                node = nodes[node_index[target]]
+                if node.trip is None or node.trip in seen:
+                    continue
+                seen.add(node.trip)
+                trip = instance.trip_by_id(node.trip)
+                if (instance.driver_depot_of(trip) == depot_id
+                        and trip.depart <= at < trip.arrive):
+                    running += 1
+            if running:
+                members.append((arc.id, running))
+        if members:
+            driver_members[(depot_id, at)] = members
+
+    def freeze(mapping):
+        return {k: tuple(sorted(set(v))) for k, v in mapping.items() if v}
+
+    return Hypergraph(
+        nodes=tuple(nodes),
+        arcs=tuple(arcs),
+        idx_cover=freeze(idx_cover) | {t.id: () for t in instance.trips
+                                       if not idx_cover[t.id]},
+        idx_in=freeze(idx_in),
+        idx_out=freeze(idx_out),
+        idx_depot_out=freeze(idx_depot_out),
+        idx_depot_in=freeze(idx_depot_in),
+        driver_members={k: tuple(v) for k, v in driver_members.items()},
+    )
+
+
+# ---------------------------------------------------------------------------
+
+INDEXES = ("idx_cover", "idx_in", "idx_out", "idx_depot_out", "idx_depot_in",
+           "driver_members")
+
+
+def arc_fields(arc: HyperArc) -> tuple:
+    return (arc.id, arc.kind, arc.sources, arc.targets, arc.emu_type, arc.k,
+            arc.k_prime, arc.cost, type(arc.cost), arc.seat_shortages,
+            arc.bike_shortages)
+
+
+def assert_same_graph(inst: Instance) -> Hypergraph:
+    got, want = build_hypergraph(inst), scan_build_hypergraph(inst)
+    assert got.nodes == want.nodes
+    assert [arc_fields(a) for a in got.arcs] == [arc_fields(a) for a in want.arcs]
+    assert all(type(a.cost) is Fraction for a in got.arcs)
+    for name in INDEXES:
+        got_items, want_items = getattr(got, name).items(), getattr(want, name).items()
+        assert list(got_items) == list(want_items), name
+    return got
+
+
+def test_toy_matches_scan():
+    assert_same_graph(load_instance(str(TOY_PATH)))
+
+
+@pytest.mark.parametrize("seed", range(1, 25))
+def test_small_random_instances_match_scan(seed):
+    assert_same_graph(small_random_instance(seed))
+
+
+@pytest.mark.parametrize("n_trips,n_couplable,n_types,n_depots,seeds", [
+    (6, 2, 1, 1, range(3)),
+    (12, 4, 2, 1, range(3)),
+    (12, 6, 3, 2, range(3)),
+    (40, 8, 2, 2, range(3)),
+    (40, 20, 3, 4, range(2)),
+    (100, 20, 3, 4, range(1000, 1003)),
+    (100, 30, 1, 1, range(2)),
+    (300, 60, 3, 8, range(1)),
+])
+def test_generated_instances_match_scan(n_trips, n_couplable, n_types, n_depots,
+                                        seeds):
+    for seed in seeds:
+        for returns in (True, False):
+            cfg = GeneratorConfig(n_trips=n_trips, n_couplable=n_couplable,
+                                  n_types=n_types, n_depots=n_depots,
+                                  with_return_bounds=returns,
+                                  cross_type_prob=0.5)
+            assert_same_graph(generate_synthetic(cfg, seed))
+
+
+# ---------------------------------------------------------------------------
+# Hand-built edge cases
+
+R1 = EmuType(id="r1", seats=50, bike_slots=2, cost_per_km=Fraction(3, 2),
+             couplable=True)
+R2 = EmuType(id="r2", seats=80, cost_per_km=Fraction(2), couplable=False)
+
+
+def trip(tid, origin, destination, depart, arrive, couplable=True,
+         types=("r1", "r2"), depot=None, passengers=60, distance=Fraction(7, 3)):
+    return Trip(id=tid, origin=origin, destination=destination, depart=depart,
+                arrive=arrive, passengers=passengers, bicycles=3,
+                couplable=couplable, allowed_types=frozenset(types),
+                distance=distance, driver_depot=depot)
+
+
+def instance(trips, depots=None, windows=(), delta=(10, 30), types=(R1, R2)):
+    if depots is None:
+        depots = (Depot(id="dA", station="A", out_max={"r1": 2, "r2": 1},
+                        in_min={}, in_max={"r1": 2, "r2": 1}),)
+    return Instance(trips=tuple(trips), emu_types=types, depots=tuple(depots),
+                    driver_windows=tuple(windows), delta_min=delta[0],
+                    delta_max=delta[1])
+
+
+def kinds(graph, kind):
+    return [(a.sources, a.targets, a.emu_type) for a in graph.arcs
+            if a.kind == kind]
+
+
+def test_equal_departures_keep_input_order():
+    # three trips leave B at 600, listed out of station-board order
+    g = assert_same_graph(instance([
+        trip("a", "A", "B", 500, 580),
+        trip("z", "B", "A", 600, 660),
+        trip("m", "B", "A", 600, 660),
+        trip("b", "A", "B", 505, 585),
+        trip("k", "B", "A", 600, 650),
+    ]))
+    assert [t for _, (t,), r in kinds(g, "transfer") if r == "r1"][:3] == [
+        "trip:z", "trip:m", "trip:k"]
+    assert kinds(g, "couple")
+    assert kinds(g, "decouple")
+
+
+def test_gaps_at_both_window_ends_count():
+    g = assert_same_graph(instance([
+        trip("a", "A", "B", 500, 600),
+        trip("lo", "B", "A", 610, 650),     # gap 10 == delta_min
+        trip("hi", "B", "A", 630, 680),     # gap 30 == delta_max
+        trip("under", "B", "A", 609, 640),  # gap 9
+        trip("over", "B", "A", 631, 690),   # gap 31
+    ]))
+    heads = {t for (s,), (t,), _ in kinds(g, "transfer") if s == "trip:a"}
+    assert heads == {"trip:lo", "trip:hi"}
+
+
+def test_zero_width_window():
+    g = assert_same_graph(instance([
+        trip("a", "A", "B", 500, 600),
+        trip("b", "A", "B", 510, 600),
+        trip("on", "B", "A", 620, 650),
+        trip("off", "B", "A", 621, 650),
+    ], delta=(20, 20)))
+    assert {t for _, (t,), _ in kinds(g, "transfer")} == {"trip:on"}
+    assert kinds(g, "couple") == [(("trip:a", "trip:b"), ("trip:on",), "r1")]
+
+
+def test_checkpoints_at_depart_count_and_at_arrive_do_not():
+    depots = (Depot(id="dA", station="A", out_max={"r1": 2, "r2": 1}),
+              Depot(id="dB", station="B", out_max={"r1": 1}))
+    g = assert_same_graph(instance(
+        [trip("a", "A", "B", 500, 600, depot="dA"),
+         trip("b", "B", "A", 620, 700, depot="dA"),
+         trip("c", "A", "C", 615, 690)],  # no driver depot
+        depots=depots,
+        windows=[DriverWindow("dA", 500, 0, 3), DriverWindow("dA", 600, 0, 3),
+                 DriverWindow("dA", 620, 0, 3), DriverWindow("dA", 700, 0, 3),
+                 DriverWindow("dB", 650, 0, 3)]))  # dB serves no trip
+    assert list(g.driver_members) == [("dA", 500), ("dA", 620)]
+    assert g.idx_cover["c"]
+    for key, trip_id in ((("dA", 500), "trip:a"), (("dA", 620), "trip:b")):
+        members = g.driver_members[key]
+        assert all(trip_id in g.arcs[a].targets and n == 1 for a, n in members)
+    assert not any("trip:c" in g.arcs[a].targets
+                   for members in g.driver_members.values() for a, _ in members)
+
+
+def test_decouple_with_both_heads_en_route_counts_two():
+    g = assert_same_graph(instance(
+        [trip("a", "A", "B", 500, 600),
+         trip("b", "B", "A", 615, 700, types=("r1",)),
+         trip("c", "B", "C", 620, 690, couplable=False, types=("r1",))],
+        windows=[DriverWindow("dA", 650, 0, 4)]))
+    (decouple,) = [a for a in g.arcs if a.kind == "decouple"]
+    assert decouple.targets == ("trip:b", "trip:c")
+    assert (decouple.id, 2) in g.driver_members[("dA", 650)]
+    assert decouple.cost == 2 * Fraction(3, 2) * Fraction(7, 3)
+
+
+def test_licensed_and_unlicensed_windows_share_a_checkpoint():
+    g = assert_same_graph(instance(
+        [trip("a", "A", "B", 500, 600), trip("b", "B", "A", 620, 700)],
+        windows=[DriverWindow("dA", 650, 0, 2, license="r1"),
+                 DriverWindow("dA", 650, 0, 1),
+                 DriverWindow("dA", 550, 0, 1, license="r2")]))
+    assert list(g.driver_members) == [("dA", 550), ("dA", 650)]
+
+
+def test_empty_instance():
+    g = assert_same_graph(Instance(trips=(), emu_types=(), depots=()))
+    assert g.arcs == () and g.nodes == () and g.driver_members == {}
