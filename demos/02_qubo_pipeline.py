@@ -7,6 +7,7 @@ weights at 100 the toy compiles to 20 binary variables and 88 stored
 terms, and its ground state is exactly the ILP optimum.
 """
 
+from fractions import Fraction
 from itertools import product
 
 from rollstock import (build_hypergraph, consistent_slacks, encode_ilp,
@@ -20,7 +21,8 @@ qubo = encode_qubo(model, lambdas=(100, 100, 100, 100, 100))
 print(f"decision vars : {qubo.num_decision}")
 print(f"slack vars    : {qubo.num_slack}")
 print(f"stored terms  : {qubo.num_terms()} (upper triangular incl. diagonal)")
-print(f"constant      : {qubo.offset}")
+print(f"constant      : {Fraction(qubo.offset, qubo.den)}")
+print(f"denominator   : {qubo.den} (q and the constant are integers over it)")
 
 print("\nslack layout (one unary chain per inequality row):")
 for idx in sorted(qubo.slack_map):
@@ -49,5 +51,5 @@ print(f"energy check: {qubo_energy(qubo, y)}")
 ising = to_ising(qubo)
 spins = tuple(2 * v - 1 for v in y)
 print(f"\nising: {len(ising.h)} fields, {len(ising.j)} couplings, "
-      f"offset {ising.offset}")
+      f"offset {Fraction(ising.offset, ising.den)}")
 print(f"spin-image energy of the optimum: {ising_energy(ising, spins)}")

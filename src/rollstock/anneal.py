@@ -18,11 +18,13 @@ per level over all reads sees exactly the states the index-order sweep
 would: a site's acceptance depends only on its coupled neighbours.
 
 Each variable's off-diagonal local field is kept per read as an exact
-integer in units of ``1/den`` (``den`` the LCM of the off-diagonal
-denominators), stored in float64 below 2**53, and updated after each
-level from that level's neighbour rows only; no n x n matrix is built.
-The acceptance test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))``
-with ``s = 1 - 2 y_i``. When the off-diagonal couplings are integers, as
+integer in units of ``1/den``, stored in float64 below 2**53, and updated
+after each level from that level's neighbour rows only; no n x n matrix
+is built. ``den`` is the model's ``den`` over its gcd with the integer
+couplings (1 when they are whole numbers), and ``q_ii`` is the model's
+integer over its ``den``, one correctly rounded division. The acceptance
+test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))`` with
+``s = 1 - 2 y_i``. When the off-diagonal couplings are integers, as
 in every model built with integer penalty weights, this is bit for bit
 the per-site sweep over a dense float matrix; otherwise the field is
 exact and rounded once. Each read's uniforms for a few sweeps come from
@@ -141,19 +143,20 @@ def _schedule(model: QuboModel) -> _Schedule:
     """Level schedule of the interaction graph and its neighbour blocks."""
     n = model.num_vars
     diag = np.zeros(n)
-    pairs: dict[tuple[int, int], Fraction] = {}
+    pairs: dict[tuple[int, int], int] = {}
     for (i, j), value in model.q.items():
         if i == j:
-            diag[i] += float(value)
+            diag[i] += value / model.den
         else:
             key = (i, j) if i < j else (j, i)
-            pairs[key] = pairs.get(key, 0) + Fraction(value)
+            pairs[key] = pairs.get(key, 0) + value
     pairs = {key: value for key, value in pairs.items() if value}
-    den = math.lcm(*(value.denominator for value in pairs.values()))
+    g = math.gcd(model.den, *pairs.values())
+    den = model.den // g
 
     neighbours: list[dict[int, int]] = [{} for _ in range(n)]
     for (i, j), value in pairs.items():
-        neighbours[i][j] = neighbours[j][i] = value.numerator * (den // value.denominator)
+        neighbours[i][j] = neighbours[j][i] = value // g
     if den > 2 ** 53 or any(sum(map(abs, nb.values())) >= 2 ** 53 for nb in neighbours):
         raise ValueError("couplings too large for exact float64 local fields")
 

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 from .anneal import AnnealParams, sample_portfolio
 from .diagram import render_ascii, render_svg
 from .exact import SolutionPortfolio, SolveResult, enumerate_feasible, solve_exact
-from .generate import GeneratorConfig, GeneratorError, generate_synthetic
+from .generate import GeneratorConfig, generate_synthetic
 from .ilp import IlpModel, encode_ilp, export_lp
-from .model import Instance, InstanceError, load_instance, serialize_instance
+from .model import Instance, load_instance, serialize_instance
 from .netbuild import Hypergraph, build_hypergraph, to_dot
 from .qubo import (DEFAULT_LAMBDAS, encode_qubo, export_ising_coo,
                    export_qubo_coo, scaling_report, to_ising)
@@ -218,13 +218,9 @@ def cmd_solve_ilp(args) -> int:
 
 def cmd_solve_qubo(args) -> int:
     inst = _load(args)
-    try:
-        params = AnnealParams(
-            num_reads=args.reads, sweeps=args.sweeps,
-            beta_min=args.beta_min, beta_max=args.beta_max, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params = AnnealParams(
+        num_reads=args.reads, sweeps=args.sweeps,
+        beta_min=args.beta_min, beta_max=args.beta_max, seed=args.seed)
     tic = time.monotonic()
     graph = build_hypergraph(inst)
     build_secs = time.monotonic() - tic
@@ -462,15 +458,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, GeneratorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (ValueError, FileNotFoundError) as exc:
+        # the library rejects bad input with ValueError: InstanceError,
+        # GeneratorError and every out-of-range parameter
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

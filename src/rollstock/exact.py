@@ -332,6 +332,8 @@ class _Search:
 def solve_exact(model: IlpModel,
                 time_limit: Optional[float] = None) -> SolveResult:
     """Find a provably optimal feasible assignment by branch and bound."""
+    if time_limit is not None and not time_limit >= 0:  # also rejects NaN
+        raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
     start = time.monotonic()
     search = _Search(model, use_bound=True)
     if time_limit is not None:
@@ -354,6 +356,8 @@ def solve_exact(model: IlpModel,
 def enumerate_feasible(model: IlpModel, max_count: int = 100000
                        ) -> SolutionPortfolio:
     """All feasible assignments (up to max_count), sorted by objective."""
+    if max_count < 1:
+        raise ValueError(f"max_count must be >= 1, got {max_count!r}")
     search = _Search(model, use_bound=False)
     search.max_count = max_count
     search.run()

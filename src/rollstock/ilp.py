@@ -81,12 +81,6 @@ class IlpModel:
     constraints: tuple[ConstraintRow, ...]
     constant: Fraction = Fraction(0)
 
-    def objective_dense(self) -> list[Fraction]:
-        dense = [Fraction(0)] * self.num_vars
-        for v, c in self.objective:
-            dense[v] += c
-        return dense
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -13,19 +13,22 @@ P4 (lambda4)  capacity: a plain linear term per over-tolerance arc (not
 P5 (lambda5)  driver ranges, squared with unary slack chains
 
 Slack variables are appended after the decision variables in ILP row
-order, one unary chain per inequality row. Construction works in
-integers over one common denominator per model; the coefficients it
-returns are exact fractions, and floats only appear at the sampler
-boundary.
+order, one unary chain per inequality row.
+
+Both models are integers over one common denominator: ``QuboModel.q``
+and ``offset`` count in units of ``1/den``, ``den`` being the LCM of the
+penalty weights' denominators, the objective's and the ILP constant's;
+``IsingModel`` counts in units of ``1/(4 qubo.den)``. ``Fraction``s
+appear only at the boundaries: the energies returned and the COO text.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .ilp import FeasibilityReport, IlpModel, check_feasibility
 from .model import Instance, exact_number
@@ -84,15 +87,16 @@ class PenaltyRow:
 
 @dataclass(frozen=True)
 class QuboModel:
-    """Upper-triangular sparse quadratic form over decision + slack bits."""
+    """Upper-triangular sparse quadratic form over decision + slack bits;
+    the entries of ``q`` and the offset count in units of ``1/den``."""
 
     num_decision: int
     num_slack: int
-    q: dict[tuple[int, int], Fraction]
-    offset: Fraction
+    q: dict[tuple[int, int], int]
+    offset: int
+    den: int
     lambdas: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
     slack_map: dict[int, tuple[str, int]]  # slack index -> (row tag, position)
-    decode_hint: dict[int, int]  # decision index -> arc id
     penalty_rows: tuple[PenaltyRow, ...] = ()
     capacity_vars: tuple[int, ...] = ()
 
@@ -103,28 +107,17 @@ class QuboModel:
     def num_terms(self) -> int:
         return len(self.q)
 
-    @functools.cached_property
-    def _scaled(self) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
-        """``(den, offset, ((i, j, value), ...))``: the offset and the entries
-        of ``q`` as integers in units of ``1/den``, ``den`` being the LCM of
-        their denominators. Built on first use; ``q`` is not changed after
-        construction."""
-        values = [Fraction(v) for v in self.q.values()]
-        offset = Fraction(self.offset)
-        den = math.lcm(offset.denominator, *(v.denominator for v in values))
-        return den, offset.numerator * (den // offset.denominator), tuple(
-            (i, j, v.numerator * (den // v.denominator))
-            for (i, j), v in zip(self.q, values))
-
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Spin form: sum_{i<j} J_ij s_i s_j + sum_i h_i s_i + offset."""
+    """Spin form: sum_{i<j} J_ij s_i s_j + sum_i h_i s_i + offset, with
+    ``h``, ``j`` and the offset in units of ``1/den``."""
 
     num_vars: int
-    h: dict[int, Fraction]
-    j: dict[tuple[int, int], Fraction]
-    offset: Fraction
+    h: dict[int, int]
+    j: dict[tuple[int, int], int]
+    offset: int
+    den: int
 
 
 @dataclass(frozen=True)
@@ -154,19 +147,22 @@ def encode_qubo(model: IlpModel,
                 lambdas: Sequence[Rational] = DEFAULT_LAMBDAS) -> QuboModel:
     """Compile the ILP into an unconstrained quadratic form.
 
-    Penalty rows are expanded in integers counted in units of ``1/den``,
-    ``den`` being the LCM of the penalty weights' denominators; the
-    objective's coefficients join their diagonal entries once at the end.
+    The objective and the expanded penalty rows are summed as integers in
+    units of ``1/den``, ``den`` being the LCM of the denominators of the
+    penalty weights, the objective coefficients and the ILP constant.
     """
     lam = _as_lambdas(lambdas)
-    den = math.lcm(*(w.denominator for w in lam))
+    den = math.lcm(model.constant.denominator, *(w.denominator for w in lam),
+                   *{c.denominator for _, c in model.objective})
     scaled = [w.numerator * (den // w.denominator) for w in lam]
     n = model.num_vars
 
     # objective keys first: q keeps the order in which keys were first hit
-    acc: dict[tuple[int, int], int] = {(v, v): 0 for v, _ in model.objective}
+    acc: dict[tuple[int, int], int] = {}
     get = acc.get
-    offset = 0
+    for v, c in model.objective:
+        acc[(v, v)] = get((v, v), 0) + c.numerator * (den // c.denominator)
+    offset = model.constant.numerator * (den // model.constant.denominator)
 
     next_slack = n
     slack_map: dict[int, tuple[str, int]] = {}
@@ -215,75 +211,60 @@ def encode_qubo(model: IlpModel,
                 acc[key] = get(key, 0) + cross * cb
         offset += weight * constant * constant
 
-    # coefficients repeat, so build each distinct Fraction once and share it
-    exact = {value: Fraction(value, den) for value in set(acc.values())}
-    q = {key: exact[value] for key, value in acc.items()}
-    for v, c in model.objective:
-        q[(v, v)] += c
-
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
-        q={key: value for key, value in q.items() if value},
-        offset=Fraction(offset, den) + model.constant,
+        q={key: value for key, value in acc.items() if value},
+        offset=offset,
+        den=den,
         lambdas=lam,  # type: ignore[arg-type]
         slack_map=slack_map,
-        decode_hint={v: v for v in range(n)},
         penalty_rows=tuple(penalty_rows),
         capacity_vars=tuple(capacity_vars),
     )
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
-    """Exact energy of ``y``, summed in integers over the model's common
-    denominator."""
+    """Exact energy of ``y``."""
     if len(y) != model.num_vars:
         raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
-    den, offset, terms = model._scaled
-    return Fraction(offset + sum(v for i, j, v in terms if y[i] and y[j]), den)
+    total = model.offset + sum(v for (i, j), v in model.q.items() if y[i] and y[j])
+    return Fraction(total, model.den)
 
 
 def to_ising(model: QuboModel) -> IsingModel:
-    """Exact change of variables y = (s + 1) / 2 onto spins s in {-1, +1}.
-
-    Fields, couplings and offset are summed as integers in units of
-    ``1/(4 den)``, ``den`` being the LCM of the denominators in the model.
-    """
-    den = math.lcm(model.offset.denominator,
-                   *{value.denominator for value in model.q.values()})
+    """Exact change of variables y = (s + 1) / 2 onto spins s in {-1, +1},
+    in units of ``1/(4 model.den)``: an entry ``v`` of ``q`` is ``4 v``
+    quarters."""
     h: dict[int, int] = {}
     j: dict[tuple[int, int], int] = {}
     get = h.get
-    offset = 4 * model.offset.numerator * (den // model.offset.denominator)
+    offset = 4 * model.offset
 
     for (a, b), value in model.q.items():
-        quarter = value.numerator * (den // value.denominator)  # value / 4
         if a == b:
-            h[a] = get(a, 0) + 2 * quarter
-            offset += 2 * quarter
+            h[a] = get(a, 0) + 2 * value
+            offset += 2 * value
         else:
-            j[(a, b)] = quarter
-            h[a] = get(a, 0) + quarter
-            h[b] = get(b, 0) + quarter
-            offset += quarter
+            j[(a, b)] = value
+            h[a] = get(a, 0) + value
+            h[b] = get(b, 0) + value
+            offset += value
 
-    exact = {v: Fraction(v, 4 * den) for v in {*h.values(), *j.values(), offset}}
     return IsingModel(
         num_vars=model.num_vars,
-        h={k: exact[v] for k, v in h.items() if v},
-        j={k: exact[v] for k, v in j.items() if v},
-        offset=exact[offset])
+        h={k: v for k, v in h.items() if v},
+        j={k: v for k, v in j.items() if v},
+        offset=offset,
+        den=4 * model.den)
 
 
 def ising_energy(model: IsingModel, s: Sequence[int]) -> Fraction:
     if len(s) != model.num_vars:
         raise ValueError(f"spin vector length {len(s)} != {model.num_vars}")
-    total = model.offset
-    for i, value in model.h.items():
-        total += value * s[i]
-    for (i, j), value in model.j.items():
-        total += value * s[i] * s[j]
-    return total
+    total = model.offset + sum(v * s[i] for i, v in model.h.items())
+    total += sum(v * s[i] * s[j] for (i, j), v in model.j.items())
+    return Fraction(total, model.den)
 
 
 def consistent_slacks(model: QuboModel, x: Sequence[int]) -> tuple[int, ...]:
@@ -395,21 +376,27 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
 # Deterministic text exports
 
 
+def _texts(values: Iterable[int], den: int) -> dict[int, str]:
+    """The exact text of ``value / den`` for each distinct value."""
+    return {v: str(exact_number(Fraction(v, den))) for v in set(values)}
+
+
 def export_qubo_coo(model: QuboModel) -> str:
     """COO text: one `i j value` line per stored upper-triangular entry."""
+    q = model.q
+    text = _texts(q.values(), model.den)
     lines = [f"# qubo num_vars={model.num_vars} "
-             f"offset={exact_number(model.offset)}"]
-    for (i, j) in sorted(model.q):
-        lines.append(f"{i} {j} {exact_number(model.q[(i, j)])}")
+             f"offset={exact_number(Fraction(model.offset, model.den))}"]
+    lines += [f"{i} {j} {text[q[i, j]]}" for i, j in sorted(q)]
     return "\n".join(lines) + "\n"
 
 
 def export_ising_coo(model: IsingModel) -> str:
     """Same shape for the spin form; `i i value` lines carry the fields h_i."""
+    text = _texts(itertools.chain(model.h.values(), model.j.values()), model.den)
     lines = [f"# ising num_vars={model.num_vars} "
-             f"offset={exact_number(model.offset)}"]
+             f"offset={exact_number(Fraction(model.offset, model.den))}"]
     entries = [((i, i), v) for i, v in model.h.items()]
-    entries += [(key, v) for key, v in model.j.items()]
-    for (i, j), value in sorted(entries):
-        lines.append(f"{i} {j} {exact_number(value)}")
+    entries += model.j.items()
+    lines += [f"{i} {j} {text[value]}" for (i, j), value in sorted(entries)]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
+import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +8,7 @@ from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import encode_ilp
 from rollstock.model import load_instance
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import encode_qubo
+from rollstock.qubo import DEFAULT_LAMBDAS, QuboModel, encode_qubo
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TOY_PATH = REPO / "instances" / "toy.json"
@@ -51,3 +53,20 @@ def small_random_instance(seed, max_trips=12, with_couplable=True):
     cfg = GeneratorConfig(**{**cfg.__dict__,
                              "n_couplable": min(cfg.n_couplable, cfg.n_trips)})
     return generate_synthetic(cfg, seed=seed)
+
+
+def qubo_model(n, q, offset=0):
+    """A hand-made QuboModel over ``n`` decision bits from exact rational
+    entries, scaled to integers over the LCM of their denominators."""
+    q = {key: Fraction(value) for key, value in q.items()}
+    offset = Fraction(offset)
+    den = math.lcm(offset.denominator, *(v.denominator for v in q.values()))
+    return QuboModel(num_decision=n, num_slack=0,
+                     q={key: int(v * den) for key, v in q.items()},
+                     offset=int(offset * den), den=den,
+                     lambdas=DEFAULT_LAMBDAS, slack_map={})
+
+
+def lifted(values, den):
+    """Integer model entries in units of ``1/den`` as exact fractions."""
+    return {key: Fraction(v, den) for key, v in values.items()}

@@ -8,7 +8,9 @@ from rollstock.exact import solve_exact
 from rollstock.ilp import check_feasibility, encode_ilp
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import DEFAULT_LAMBDAS, QuboModel, qubo_energy
+from rollstock.qubo import qubo_energy
+
+from conftest import qubo_model
 
 GROUND = Fraction(24, 5)
 
@@ -31,9 +33,7 @@ def test_determinism(toy_qubo):
 
 
 def test_single_negative_variable_found_in_one_read():
-    model = QuboModel(num_decision=1, num_slack=0, q={(0, 0): Fraction(-3)},
-                      offset=Fraction(0), lambdas=DEFAULT_LAMBDAS,
-                      slack_map={}, decode_hint={0: 0})
+    model = qubo_model(1, {(0, 0): Fraction(-3)})
     result = anneal(model, AnnealParams(num_reads=1, sweeps=50, seed=0))
     assert result.lowest().y == (1,)
     assert result.lowest().energy == Fraction(-3)
@@ -56,8 +56,7 @@ def test_zero_sweeps_returns_initial_states(toy_qubo):
 
 
 def test_empty_model_rejected():
-    model = QuboModel(num_decision=0, num_slack=0, q={}, offset=Fraction(0),
-                      lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={})
+    model = qubo_model(0, {})
     with pytest.raises(ValueError):
         anneal(model, AnnealParams(num_reads=1, sweeps=1))
 

@@ -16,14 +16,16 @@ from rollstock.anneal import AnnealParams, SampleEntry, SampleSet, _schedule, an
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import encode_ilp
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import DEFAULT_LAMBDAS, QuboModel, encode_qubo, qubo_energy
+from rollstock.qubo import DEFAULT_LAMBDAS, encode_qubo, qubo_energy
+
+from conftest import lifted, qubo_model
 
 
 def dense_anneal(model, params):
     n = model.num_vars
     diag = np.zeros(n)
     w = np.zeros((n, n))
-    for (i, j), value in model.q.items():
+    for (i, j), value in lifted(model.q, model.den).items():
         if i == j:
             diag[i] += float(value)
         else:
@@ -54,8 +56,8 @@ def dense_anneal(model, params):
 
 
 def reference_energy(model, y):
-    total = Fraction(model.offset)
-    for (i, j), value in model.q.items():
+    total = Fraction(model.offset, model.den)
+    for (i, j), value in lifted(model.q, model.den).items():
         if y[i] and y[j]:
             total += value
     return total
@@ -64,12 +66,6 @@ def reference_energy(model, y):
 def generated_qubo(n_trips, seed, lambdas=DEFAULT_LAMBDAS, **gen):
     inst = generate_synthetic(GeneratorConfig(n_trips=n_trips, **gen), seed)
     return encode_qubo(encode_ilp(build_hypergraph(inst), inst), lambdas)
-
-
-def hand_model(n, q, offset=0):
-    return QuboModel(num_decision=n, num_slack=0, q=q, offset=Fraction(offset),
-                     lambdas=DEFAULT_LAMBDAS, slack_map={},
-                     decode_hint={v: v for v in range(n)})
 
 
 def assert_same_as_dense(model, params):
@@ -110,7 +106,7 @@ def test_degenerate_reads_and_sweeps_match_dense(toy_qubo, reads, sweeps):
 
 
 def test_diagonal_only_model_matches_dense():
-    model = hand_model(5, {(i, i): Fraction(3 - 2 * i, 4) for i in range(5)})
+    model = qubo_model(5, {(i, i): Fraction(3 - 2 * i, 4) for i in range(5)})
     assert len(_schedule(model).levels) == 1
     assert_same_as_dense(model, AnnealParams(num_reads=10, sweeps=30, seed=4))
 
@@ -118,12 +114,12 @@ def test_diagonal_only_model_matches_dense():
 def test_uncoupled_variables_match_dense():
     q = {(0, 0): Fraction(-1), (0, 3): Fraction(2), (3, 3): Fraction(-1),
          (2, 2): Fraction(1, 2), (3, 5): Fraction(-3), (5, 5): Fraction(1)}
-    model = hand_model(7, q, offset=1)  # 1, 4 and 6 appear nowhere; 2 has no neighbour
+    model = qubo_model(7, q, offset=1)  # 1, 4 and 6 appear nowhere; 2 has no neighbour
     assert_same_as_dense(model, AnnealParams(num_reads=12, sweeps=40, seed=5))
 
 
 def test_both_key_orders_of_a_pair_are_summed():
-    model = hand_model(3, {(0, 1): Fraction(2), (1, 0): Fraction(-5),
+    model = qubo_model(3, {(0, 1): Fraction(2), (1, 0): Fraction(-5),
                            (1, 2): Fraction(1), (1, 1): Fraction(1)})
     assert_same_as_dense(model, AnnealParams(num_reads=10, sweeps=30, seed=6))
 
@@ -135,7 +131,7 @@ def random_graph_model(seed):
     for _ in range(rng.randint(0, 3 * n)):
         i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
         q[(i, j)] = Fraction(rng.randint(-9, 9) or 1)
-    return hand_model(n, q)
+    return qubo_model(n, q)
 
 
 def levels_of(model):
@@ -206,7 +202,7 @@ def test_fractional_lambdas_are_deterministic_with_exact_energies():
 
 
 def test_oversized_couplings_rejected():
-    model = hand_model(2, {(0, 1): Fraction(2 ** 53)})
+    model = qubo_model(2, {(0, 1): Fraction(2 ** 53)})
     with pytest.raises(ValueError, match="too large"):
         anneal(model, AnnealParams(num_reads=1, sweeps=1))
     assert qubo_energy(model, (1, 1)) == 2 ** 53

@@ -228,3 +228,26 @@ def test_lambda_override_changes_qubo(capsys):
     base_code, base_out, _ = run(capsys, "export-qubo", TOY)
     assert base_code == 0
     assert out != base_out
+
+
+def test_negative_lambda_is_an_input_error(capsys):
+    for command in ("export-qubo", "solve-qubo", "report"):
+        code, out, err = run(capsys, command, TOY, "--lambda1", "-5")
+        assert code == 1, command
+        assert err.strip() == "error: penalty weights must be nonnegative", command
+        assert "Traceback" not in out + err
+
+
+def test_invalid_time_limit_is_an_input_error(capsys):
+    for limit in ("nan", "-1"):
+        code, out, err = run(capsys, "solve-ilp", TOY, "--time-limit", limit)
+        assert code == 1, limit
+        assert err.startswith("error: time_limit must be a number >= 0"), limit
+        assert "status=" not in out
+
+
+def test_enumerate_zero_max_count_is_an_input_error(capsys):
+    code, out, err = run(capsys, "enumerate", TOY, "--max-count", "0")
+    assert code == 1
+    assert err.strip() == "error: max_count must be >= 1, got 0"
+    assert "feasible=" not in out

@@ -145,3 +145,21 @@ def test_shrinking_delta_never_improves_optimum():
             break
         objectives.append(result.solution.objective)
     assert objectives == sorted(objectives)  # smaller windows cost more
+
+
+@pytest.mark.parametrize("limit", [float("nan"), -1.0, float("-inf")])
+def test_invalid_time_limit_rejected(toy_ilp, limit):
+    with pytest.raises(ValueError, match="time_limit"):
+        solve_exact(toy_ilp, time_limit=limit)
+
+
+def test_zero_and_infinite_time_limits_accepted(toy_ilp):
+    # the toy needs fewer nodes than the deadline check interval
+    assert solve_exact(toy_ilp, time_limit=0).status == "optimal"
+    assert solve_exact(toy_ilp, time_limit=float("inf")).status == "optimal"
+
+
+@pytest.mark.parametrize("max_count", [0, -1])
+def test_enumeration_budget_below_one_rejected(toy_ilp, max_count):
+    with pytest.raises(ValueError, match="max_count"):
+        enumerate_feasible(toy_ilp, max_count=max_count)

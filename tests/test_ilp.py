@@ -27,10 +27,9 @@ def test_toy_encoding_shape(toy_ilp):
 
 
 def test_toy_objective_coefficients(toy_ilp):
-    dense = toy_ilp.objective_dense()
     expected = [Fraction(x, 10) for x in
                 (17, 21, 17, 21, 7, 11, 7, 7, 11, 7, 14)]
-    assert dense == expected
+    assert toy_ilp.objective == tuple(enumerate(expected))
 
 
 def test_toy_constraint_rows(toy_ilp):

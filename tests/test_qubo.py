@@ -8,12 +8,12 @@ from rollstock.exact import brute_force
 from rollstock.ilp import (ConstraintRow, IlpModel, check_feasibility,
                            encode_ilp, objective_value)
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import (DEFAULT_LAMBDAS, QuboModel, consistent_slacks,
+from rollstock.qubo import (DEFAULT_LAMBDAS, consistent_slacks,
                             decode, encode_qubo, export_ising_coo,
                             export_qubo_coo, ising_energy, qubo_energy,
                             scaling_report, slack_optimized_energy, to_ising)
 
-from conftest import small_random_instance, toy_x
+from conftest import lifted, qubo_model, small_random_instance, toy_x
 
 LAMBDA = Fraction(100)
 
@@ -178,12 +178,10 @@ def test_toy_ising_energy(toy_qubo):
 
 def test_single_variable_ising_algebra():
     c = Fraction(5, 3)
-    model = QuboModel(num_decision=1, num_slack=0, q={(0, 0): c},
-                      offset=Fraction(0), lambdas=DEFAULT_LAMBDAS,
-                      slack_map={}, decode_hint={0: 0})
+    model = qubo_model(1, {(0, 0): c})
     ising = to_ising(model)
-    assert ising.h == {0: c / 2}
-    assert ising.offset == c / 2
+    assert lifted(ising.h, ising.den) == {0: c / 2}
+    assert Fraction(ising.offset, ising.den) == c / 2
     assert ising.j == {}
 
 
@@ -193,11 +191,8 @@ def random_qubo(rng, n):
         for j in range(i, n):
             if rng.random() < 0.4:
                 q[(i, j)] = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
-    return QuboModel(num_decision=n, num_slack=0,
-                     q={k: v for k, v in q.items() if v},
-                     offset=Fraction(rng.randint(-5, 5)),
-                     lambdas=DEFAULT_LAMBDAS, slack_map={},
-                     decode_hint={i: i for i in range(n)})
+    return qubo_model(n, {k: v for k, v in q.items() if v},
+                      offset=Fraction(rng.randint(-5, 5)))
 
 
 def test_ising_roundtrip_random_models():

@@ -1,22 +1,29 @@
-"""The integer QUBO/Ising construction against a plain ``Fraction`` reference.
+"""The integer QUBO/Ising models against a plain ``Fraction`` reference.
 
 ``reference_encode_qubo`` and ``reference_to_ising`` expand every term in
-``Fraction`` arithmetic, one coefficient at a time. The library's versions
-must give equal models with the same key order, hence byte-equal COO text.
+``Fraction`` arithmetic, one coefficient at a time, and the reference COO
+writers format each entry on its own. The library's integer models, lifted
+entry by entry to ``Fraction(v, den)``, must equal them with the same key
+order, and their COO text must be byte-equal.
 """
 
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from rollstock.anneal import _schedule
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import ConstraintRow, IlpModel, encode_ilp
+from rollstock.model import exact_number
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import (_FAMILY_OF_KIND, DEFAULT_LAMBDAS, IsingModel,
-                            PenaltyRow, QuboModel, _as_lambdas, encode_qubo,
-                            export_ising_coo, export_qubo_coo, qubo_energy,
-                            to_ising)
+from rollstock.qubo import (_FAMILY_OF_KIND, DEFAULT_LAMBDAS, PenaltyRow,
+                            _as_lambdas, encode_qubo, export_ising_coo,
+                            export_qubo_coo, qubo_energy, to_ising)
+
+from conftest import lifted, qubo_model
 
 
 def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
@@ -68,12 +75,17 @@ def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
                 add(va, vb, 2 * weight * ca * cb)
         offset += weight * constant * constant
 
-    return QuboModel(
-        num_decision=n, num_slack=next_slack - n,
+    return SimpleNamespace(
+        num_decision=n, num_slack=next_slack - n, num_vars=next_slack,
         q={key: val for key, val in q.items() if val != 0},
         offset=offset, lambdas=lam, slack_map=slack_map,
-        decode_hint={v: v for v in range(n)},
         penalty_rows=tuple(penalty_rows), capacity_vars=tuple(capacity_vars))
+
+
+def fractional(model):
+    """The integer QUBO model lifted to ``Fraction`` entries."""
+    return SimpleNamespace(num_vars=model.num_vars, q=lifted(model.q, model.den),
+                           offset=Fraction(model.offset, model.den))
 
 
 def reference_to_ising(model):
@@ -90,28 +102,62 @@ def reference_to_ising(model):
             h[a] = h.get(a, Fraction(0)) + quarter
             h[b] = h.get(b, Fraction(0)) + quarter
             offset += quarter
-    return IsingModel(num_vars=model.num_vars,
-                      h={k: v for k, v in h.items() if v != 0},
-                      j={k: v for k, v in j.items() if v != 0},
-                      offset=offset)
+    return SimpleNamespace(num_vars=model.num_vars,
+                           h={k: v for k, v in h.items() if v != 0},
+                           j={k: v for k, v in j.items() if v != 0},
+                           offset=offset)
+
+
+def reference_qubo_coo(model):
+    lines = [f"# qubo num_vars={model.num_vars} offset={exact_number(model.offset)}"]
+    for (i, j) in sorted(model.q):
+        lines.append(f"{i} {j} {exact_number(model.q[(i, j)])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_ising_coo(model):
+    lines = [f"# ising num_vars={model.num_vars} offset={exact_number(model.offset)}"]
+    entries = [((i, i), v) for i, v in model.h.items()]
+    entries += [(key, v) for key, v in model.j.items()]
+    for (i, j), value in sorted(entries):
+        lines.append(f"{i} {j} {exact_number(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_integer_model(values, offset, den):
+    assert type(den) is int and den >= 1
+    assert type(offset) is int
+    assert all(type(v) is int for v in values)
 
 
 def assert_same_ising(got, want):
-    assert got == want
+    assert_integer_model([*got.h.values(), *got.j.values()], got.offset, got.den)
+    assert got.num_vars == want.num_vars
     assert list(got.h) == list(want.h)
     assert list(got.j) == list(want.j)
-    assert export_ising_coo(got) == export_ising_coo(want)
+    assert lifted(got.h, got.den) == want.h
+    assert lifted(got.j, got.den) == want.j
+    assert Fraction(got.offset, got.den) == want.offset
+    assert export_ising_coo(got) == reference_ising_coo(want)
 
 
 def assert_same_as_reference(ilp, lambdas):
     got = encode_qubo(ilp, lambdas)
     want = reference_encode_qubo(ilp, lambdas)
-    assert got == want
+    assert_integer_model(got.q.values(), got.offset, got.den)
+    assert got.den == math.lcm(Fraction(ilp.constant).denominator,
+                               *(w.denominator for w in want.lambdas),
+                               *(c.denominator for _, c in ilp.objective))
     assert list(got.q) == list(want.q)
-    assert all(isinstance(v, Fraction) for v in got.q.values())
-    assert isinstance(got.offset, Fraction)
-    assert export_qubo_coo(got) == export_qubo_coo(want)
-    assert_same_ising(to_ising(got), reference_to_ising(want))
+    assert lifted(got.q, got.den) == want.q
+    assert Fraction(got.offset, got.den) == want.offset
+    for name in ("num_decision", "num_slack", "lambdas", "slack_map",
+                 "penalty_rows", "capacity_vars"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert export_qubo_coo(got) == reference_qubo_coo(want)
+    ising = to_ising(got)
+    assert ising.den == 4 * got.den
+    assert_same_ising(ising, reference_to_ising(want))
 
 
 FRACTIONAL_LAMBDAS = (Fraction(1, 3), 7, Fraction(5, 2), 0.1, 100)
@@ -173,35 +219,41 @@ def test_model_without_constraints_matches_reference():
 
 
 def test_mixed_denominators_through_to_ising():
-    model = QuboModel(
-        num_decision=4, num_slack=0,
-        q={(0, 0): Fraction(1, 3), (0, 2): Fraction(-5, 6), (1, 3): Fraction(7),
-           (2, 2): Fraction(3, 4), (1, 2): Fraction(2, 9), (3, 3): Fraction(-1, 5),
-           (0, 3): Fraction(1, 2), (1, 1): Fraction(-2, 9)},
-        offset=Fraction(11, 7), lambdas=DEFAULT_LAMBDAS, slack_map={},
-        decode_hint={})
-    assert_same_ising(to_ising(model), reference_to_ising(model))
+    model = qubo_model(4, {
+        (0, 0): Fraction(1, 3), (0, 2): Fraction(-5, 6), (1, 3): Fraction(7),
+        (2, 2): Fraction(3, 4), (1, 2): Fraction(2, 9), (3, 3): Fraction(-1, 5),
+        (0, 3): Fraction(1, 2), (1, 1): Fraction(-2, 9)}, offset=Fraction(11, 7))
+    got = to_ising(model)
+    assert_same_ising(got, reference_to_ising(fractional(model)))
+    assert export_qubo_coo(model) == reference_qubo_coo(fractional(model))
     # h_0 = (1/3)/2 + (-5/6)/4 + (1/2)/4
-    assert to_ising(model).h[0] == Fraction(1, 12)
+    assert Fraction(got.h[0], got.den) == Fraction(1, 12)
 
 
 def test_cancelling_entries_leave_no_ising_terms():
-    model = QuboModel(
-        num_decision=2, num_slack=0,
-        q={(0, 0): Fraction(-1, 2), (0, 1): Fraction(2), (1, 1): Fraction(-1)},
-        offset=Fraction(0), lambdas=DEFAULT_LAMBDAS, slack_map={},
-        decode_hint={})
+    model = qubo_model(2, {(0, 0): Fraction(-1, 2), (0, 1): Fraction(2),
+                           (1, 1): Fraction(-1)})
     got = to_ising(model)
-    assert_same_ising(got, reference_to_ising(model))
-    assert got.h == {0: Fraction(1, 4)}
+    assert_same_ising(got, reference_to_ising(fractional(model)))
+    assert lifted(got.h, got.den) == {0: Fraction(1, 4)}
 
 
 def test_empty_qubo_to_ising():
-    model = QuboModel(num_decision=0, num_slack=0, q={}, offset=Fraction(2, 3),
-                      lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={})
+    model = qubo_model(0, {}, offset=Fraction(2, 3))
     got = to_ising(model)
-    assert_same_ising(got, reference_to_ising(model))
-    assert got.offset == Fraction(2, 3) and got.h == {} and got.j == {}
+    assert_same_ising(got, reference_to_ising(fractional(model)))
+    assert Fraction(got.offset, got.den) == Fraction(2, 3)
+    assert got.h == {} and got.j == {}
+
+
+@pytest.mark.parametrize("name", ["12", "80", "80-alpha-2/3"])
+def test_schedule_denominator_stays_one_for_fractional_objectives(name):
+    # the model's den carries the objective's denominators, but with integer
+    # penalty weights every coupling is a whole number, so the annealer's
+    # local fields need no division
+    qubo = encode_qubo(generated_ilp(name))
+    assert qubo.den > 1
+    assert _schedule(qubo).den == 1
 
 
 def reference_qubo_energy(model, y):
@@ -217,10 +269,11 @@ def assert_energies_match_reference(model, samples=60, seed=0):
     n = model.num_vars
     ys = [tuple([0] * n), tuple([1] * n)]
     ys += [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(samples)]
+    want = fractional(model)
     for y in ys:
         got = qubo_energy(model, y)
         assert isinstance(got, Fraction)
-        assert got == reference_qubo_energy(model, y)
+        assert got == reference_qubo_energy(want, y)
 
 
 @pytest.mark.parametrize("lambdas", [DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS],
@@ -238,17 +291,13 @@ def test_qubo_energy_matches_reference_on_toy(toy_qubo, toy_ilp):
 def test_qubo_energy_mixed_denominators_and_empty():
     q = {(0, 0): Fraction(1, 3), (0, 1): Fraction(-5, 6), (1, 1): Fraction(7, 4),
          (1, 2): 2, (2, 2): Fraction(-1, 9), (0, 2): Fraction(3, 10)}
-    mixed = QuboModel(num_decision=3, num_slack=0, q=q, offset=Fraction(2, 7),
-                      lambdas=DEFAULT_LAMBDAS, slack_map={},
-                      decode_hint={v: v for v in range(3)})
+    mixed = qubo_model(3, q, offset=Fraction(2, 7))
     for bits in range(8):
         y = tuple((bits >> k) & 1 for k in range(3))
-        assert qubo_energy(mixed, y) == reference_qubo_energy(mixed, y)
-    empty = QuboModel(num_decision=2, num_slack=0, q={}, offset=Fraction(-3, 4),
-                      lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={0: 0, 1: 1})
+        assert qubo_energy(mixed, y) == reference_qubo_energy(fractional(mixed), y)
+    empty = qubo_model(2, {}, offset=Fraction(-3, 4))
     assert qubo_energy(empty, (1, 0)) == Fraction(-3, 4)
-    nothing = QuboModel(num_decision=0, num_slack=0, q={}, offset=Fraction(0),
-                        lambdas=DEFAULT_LAMBDAS, slack_map={}, decode_hint={})
+    nothing = qubo_model(0, {})
     assert qubo_energy(nothing, ()) == 0
     with pytest.raises(ValueError):
         qubo_energy(mixed, (0, 1))
