@@ -66,16 +66,14 @@ def _add_out_opt(p: argparse.ArgumentParser) -> None:
                    help="output directory for artifact files")
 
 
-def _load(args) -> Instance:
-    inst = load_instance(args.instance)
-    overrides = {}
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = args.alpha
-    if getattr(args, "delta_max", None) is not None:
-        overrides["delta_max"] = args.delta_max
-    if overrides:
-        inst = dataclasses.replace(inst, **overrides)
-    return inst
+def _load(args, path: Optional[str] = None) -> Instance:
+    """Load ``path`` (default ``args.instance``) with the --alpha and
+    --delta-max overrides applied."""
+    inst = load_instance(path or args.instance)
+    overrides = {name: value for name, value in (("alpha", args.alpha),
+                                                 ("delta_max", args.delta_max))
+                 if value is not None}
+    return dataclasses.replace(inst, **overrides) if overrides else inst
 
 
 def _lambdas(args) -> tuple:
@@ -276,11 +274,7 @@ def cmd_report(args) -> int:
                "Delta", "ILP vars", "QUBO vars/terms"]
     rows = []
     for path in args.instances:
-        inst = load_instance(path)
-        if args.alpha is not None:
-            inst = dataclasses.replace(inst, alpha=args.alpha)
-        if args.delta_max is not None:
-            inst = dataclasses.replace(inst, delta_max=args.delta_max)
+        inst = _load(args, path)
         graph = build_hypergraph(inst)
         model = encode_ilp(graph, inst)
         qubo = encode_qubo(model, _lambdas(args))
@@ -309,25 +303,32 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _selected_arcs(payload, graph: Hypergraph) -> list[int]:
+    """The arc ids of a solve-ilp solution, or of a portfolio's first plan,
+    checked against ``graph``; ValueError for any other payload."""
+    if not isinstance(payload, dict):
+        raise ValueError("solution file must hold a JSON object")
+    plans = payload.get("solutions")
+    if payload.get("selected_arcs") is None and isinstance(plans, list) and plans:
+        payload = plans[0] if isinstance(plans[0], dict) else {}
+    arcs = payload.get("selected_arcs")
+    if not isinstance(arcs, list):
+        raise ValueError("solution file contains no selected arcs")
+    for record in arcs:
+        if not isinstance(record, dict) or type(record.get("id")) is not int:
+            raise ValueError(f"solution arc record {record!r} has no integer id")
+        arc_id = record["id"]
+        if not 0 <= arc_id < len(graph.arcs) or record.get("emu_type") not in (
+                None, graph.arcs[arc_id].emu_type):
+            raise ValueError(f"solution arc {arc_id} does not match this instance")
+    return [record["id"] for record in arcs]
+
+
 def cmd_diagram(args) -> int:
     inst = _load(args)
     graph = build_hypergraph(inst)
     payload = json.loads(Path(args.solution).read_text(encoding="utf-8"))
-    arcs = payload.get("selected_arcs")
-    if arcs is None and payload.get("solutions"):
-        arcs = payload["solutions"][0]["selected_arcs"]
-    if arcs is None:
-        print("solution file contains no selected arcs", file=sys.stderr)
-        return EXIT_ERROR
-    selected = [a["id"] for a in arcs]
-    for record in arcs:
-        arc_id = record["id"]
-        if arc_id >= len(graph.arcs) or (
-                record.get("emu_type") is not None
-                and graph.arcs[arc_id].emu_type != record["emu_type"]):
-            print(f"solution arc {arc_id} does not match this instance",
-                  file=sys.stderr)
-            return EXIT_ERROR
+    selected = _selected_arcs(payload, graph)
     svg = render_svg(inst, graph, selected)
     ascii_art = render_ascii(inst, graph, selected)
     outdir = _outdir(args)

@@ -7,6 +7,10 @@ by any row's residual bounds, and a share-based lower bound prunes (each
 arc's objective coefficient is spread over the coverage rows it can serve,
 so the bound stays admissible for hyper-arcs covering two trips).
 
+The search sums the objective, the shares and the bound as integers over
+one denominator, so ties are pruned exactly and the first optimum found
+is kept; ``Fraction`` appears only in the returned ``Solution``s.
+
 ``brute_force`` enumerates all 2^n assignments (n <= 24) with vectorized
 feasibility checks; it is the reference oracle the search is tested
 against. ``enumerate_feasible`` reuses the same search tree without bound
@@ -15,6 +19,7 @@ pruning to list every feasible assignment.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,11 +37,6 @@ __all__ = [
     "enumerate_feasible",
     "brute_force",
 ]
-
-# Absolute optimality gap for the float-valued bound. Objectives are exact
-# fractions of decimal data, so distinct values differ by far more than this;
-# the reported optimum itself is recomputed exactly.
-_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class _Rows:
 
     def __init__(self, model: IlpModel):
         self.n = model.num_vars
-        self.lo: list[Optional[int]] = []
+        self.lo: list[int] = []
         self.hi: list[int] = []
         self.vars: list[list[int]] = []
         self.coeffs: list[list[int]] = []
@@ -98,13 +98,14 @@ class _Rows:
         self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for idx, row in enumerate(model.constraints):
             lo, hi = row.bounds()
-            self.lo.append(lo)
-            self.hi.append(hi)
             vs, cs = [], []
             for v, c in row.coeffs:
                 vs.append(v)
                 cs.append(c)
                 self.var_rows[v].append((idx, c))
+            # a `<=` row gets its least attainable lhs, which never binds
+            self.lo.append(sum(c for c in cs if c < 0) if lo is None else lo)
+            self.hi.append(hi)
             self.vars.append(vs)
             self.coeffs.append(cs)
             self.kind.append(row.kind)
@@ -123,39 +124,39 @@ class _Rows:
             self.free_count[idx] = len(self.coeffs[idx])
 
     def bounds_broken(self, idx: int) -> bool:
-        min_lhs = self.fixed[idx] + self.neg_free[idx]
-        if min_lhs > self.hi[idx]:
-            return True
-        lo = self.lo[idx]
-        return lo is not None and self.fixed[idx] + self.pos_free[idx] < lo
+        fixed = self.fixed[idx]
+        return (fixed + self.neg_free[idx] > self.hi[idx]
+                or fixed + self.pos_free[idx] < self.lo[idx])
 
 
 class _Search:
     def __init__(self, model: IlpModel, use_bound: bool):
-        self.model = model
         self.rows = _Rows(model)
         self.n = model.num_vars
         self.x = [-1] * self.n  # -1 = free
-        self.obj = [0.0] * self.n
-        for v, c in model.objective:
-            self.obj[v] += float(c)
         self.use_bound = use_bound
-        self.committed = 0.0
         self.trail: list[int] = []
         # coverage bookkeeping for branching and bounding
         self.cover_rows = [i for i, k in enumerate(self.rows.kind)
                            if k == "coverage"]
-        self.cover_of_var = [0] * self.n
+        cover_of_var = [0] * self.n
         for idx in self.cover_rows:
             for v in self.rows.vars[idx]:
-                self.cover_of_var[v] += 1
-        self.share = [self.obj[v] / max(1, self.cover_of_var[v])
-                      for v in range(self.n)]
+                cover_of_var[v] += 1
+        # objective values are integers in units of 1/(den * spread): den
+        # clears the coefficients' denominators and spread, the LCM of the
+        # coverage counts, makes every share obj[v] / cover[v] exact
+        den = math.lcm(*{c.denominator for _, c in model.objective})
+        spread = math.lcm(*{k for k in cover_of_var if k})
+        self.obj = [0] * self.n
+        for v, c in model.objective:
+            self.obj[v] += c.numerator * (den // c.denominator) * spread
+        self.share = [o // max(1, k) for o, k in zip(self.obj, cover_of_var)]
+        self.committed = 0
         self.nodes = 0
         self.incumbent: Optional[list[int]] = None
-        self.incumbent_obj = float("inf")
-        self.incumbent_exact: Optional[Fraction] = None
-        self.collected: list[tuple[Fraction, tuple[int, ...]]] = []
+        self.incumbent_obj = 0  # the value of incumbent once it is set
+        self.collected: list[tuple[int, tuple[int, ...]]] = []
         self.max_count: Optional[int] = None
         self.deadline: Optional[float] = None
         self.timed_out = False
@@ -219,12 +220,10 @@ class _Search:
                 neg_rest = neg - c if c < 0 else neg
                 forced = -1
                 # value 1 impossible?
-                if (fixed + c + neg_rest > hi
-                        or (lo is not None and fixed + c + pos_rest < lo)):
+                if fixed + c + neg_rest > hi or fixed + c + pos_rest < lo:
                     forced = 0
                 # value 0 impossible?
-                if (fixed + neg_rest > hi
-                        or (lo is not None and fixed + pos_rest < lo)):
+                if fixed + neg_rest > hi or fixed + pos_rest < lo:
                     if forced == 0:
                         return False
                     forced = 1
@@ -247,12 +246,12 @@ class _Search:
         for idx in self.cover_rows:
             if rows.fixed[idx] >= 1:
                 continue
-            best = float("inf")
+            best = math.inf
             for v in rows.vars[idx]:
                 if self.x[v] == -1 and self.share[v] < best:
                     best = self.share[v]
-            if best == float("inf"):
-                return float("inf")
+            if best == math.inf:
+                return best
             bound += best
         return bound
 
@@ -268,7 +267,7 @@ class _Search:
         if best_row >= 0:
             # cheapest covering arc first reaches good incumbents early;
             # ties break on ascending arc id
-            pick, pick_cost = -1, float("inf")
+            pick, pick_cost = -1, math.inf
             for v in rows.vars[best_row]:
                 if self.x[v] == -1 and self.obj[v] < pick_cost:
                     pick, pick_cost = v, self.obj[v]
@@ -295,10 +294,9 @@ class _Search:
 
         if self.use_bound and self.incumbent is not None:
             # ties are pruned: the first optimum found (deterministic order)
-            # is kept, and subtrees that cannot improve by more than _EPS
-            # are cut, which collapses the equal-cost symmetry of corridor
-            # instances
-            if self._lower_bound() >= self.incumbent_obj - _EPS:
+            # is kept, and subtrees that cannot improve on it are cut, which
+            # collapses the equal-cost symmetry of corridor instances
+            if self._lower_bound() >= self.incumbent_obj:
                 return
 
         branch = self._pick_branch()
@@ -316,15 +314,13 @@ class _Search:
                 return
 
     def _leaf(self) -> None:
-        x = self.x
-        exact = objective_value(self.model, x)
+        # a leaf's bound is committed (or inf), so the check in _dfs has
+        # already turned away every leaf that does not beat the incumbent
         if self.use_bound:
-            if self.incumbent_exact is None or exact < self.incumbent_exact:
-                self.incumbent = list(x)
-                self.incumbent_exact = exact
-                self.incumbent_obj = float(exact)
+            self.incumbent = list(self.x)
+            self.incumbent_obj = self.committed
         else:
-            self.collected.append((exact, tuple(x)))
+            self.collected.append((self.committed, tuple(self.x)))
             if self.max_count is not None and len(self.collected) >= self.max_count:
                 self.budget_hit = True
 
@@ -361,10 +357,10 @@ def enumerate_feasible(model: IlpModel, max_count: int = 100000
     search = _Search(model, use_bound=False)
     search.max_count = max_count
     search.run()
-    solutions = sorted(set(search.collected), key=lambda e: (e[0], e[1]))
+    # leaves are distinct assignments: no duplicates to drop
     return SolutionPortfolio(
         solutions=tuple(Solution.from_assignment(model, x)
-                        for _, x in solutions),
+                        for _, x in sorted(search.collected)),
         exhaustive=not search.budget_hit and not search.timed_out)
 
 

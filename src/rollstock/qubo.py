@@ -24,11 +24,10 @@ appear only at the boundaries: the energies returned and the COO text.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .ilp import FeasibilityReport, IlpModel, check_feasibility
 from .model import Instance, exact_number
@@ -376,27 +375,23 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
 # Deterministic text exports
 
 
-def _texts(values: Iterable[int], den: int) -> dict[int, str]:
-    """The exact text of ``value / den`` for each distinct value."""
-    return {v: str(exact_number(Fraction(v, den))) for v in set(values)}
+def _coo(kind: str, num_vars: int, offset: int, den: int, entries) -> str:
+    """A header, then one `i j value` line per ``((i, j), value)`` entry in
+    key order; values count in units of ``1/den`` and each distinct one is
+    formatted once."""
+    text = {v: str(exact_number(Fraction(v, den))) for v in {v for _, v in entries}}
+    lines = [f"# {kind} num_vars={num_vars} "
+             f"offset={exact_number(Fraction(offset, den))}"]
+    lines += [f"{i} {j} {text[v]}" for (i, j), v in sorted(entries)]
+    return "\n".join(lines) + "\n"
 
 
 def export_qubo_coo(model: QuboModel) -> str:
     """COO text: one `i j value` line per stored upper-triangular entry."""
-    q = model.q
-    text = _texts(q.values(), model.den)
-    lines = [f"# qubo num_vars={model.num_vars} "
-             f"offset={exact_number(Fraction(model.offset, model.den))}"]
-    lines += [f"{i} {j} {text[q[i, j]]}" for i, j in sorted(q)]
-    return "\n".join(lines) + "\n"
+    return _coo("qubo", model.num_vars, model.offset, model.den, model.q.items())
 
 
 def export_ising_coo(model: IsingModel) -> str:
     """Same shape for the spin form; `i i value` lines carry the fields h_i."""
-    text = _texts(itertools.chain(model.h.values(), model.j.values()), model.den)
-    lines = [f"# ising num_vars={model.num_vars} "
-             f"offset={exact_number(Fraction(model.offset, model.den))}"]
-    entries = [((i, i), v) for i, v in model.h.items()]
-    entries += model.j.items()
-    lines += [f"{i} {j} {text[value]}" for (i, j), value in sorted(entries)]
-    return "\n".join(lines) + "\n"
+    entries = [((i, i), v) for i, v in model.h.items()] + list(model.j.items())
+    return _coo("ising", model.num_vars, model.offset, model.den, entries)

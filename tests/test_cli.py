@@ -149,11 +149,15 @@ def test_diagram_from_solution(tmp_path, capsys):
 
 def test_diagram_rejects_mismatched_solution(tmp_path, capsys):
     solution = tmp_path / "solution.json"
-    solution.write_text(json.dumps({
-        "selected_arcs": [{"id": 0, "emu_type": "r9"}]}))
-    code, _, err = run(capsys, "diagram", TOY, "--solution", str(solution))
-    assert code == 1
-    assert "does not match" in err
+    for payload, reason in (
+            ({"selected_arcs": [{"id": 0, "emu_type": "r9"}]}, "does not match"),
+            ({"selected_arcs": [{"emu_type": "r1"}]}, "no integer id"),
+            ([1], "JSON object"),
+            ({"selected_arcs": [{"id": "3"}]}, "no integer id")):
+        solution.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "diagram", TOY, "--solution", str(solution))
+        assert code == 1
+        assert err.startswith("error: ") and reason in err
 
 
 def test_export_lp_stdout(capsys):

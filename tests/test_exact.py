@@ -70,6 +70,25 @@ def test_uncoverable_trip_gives_empty_exhaustive_portfolio():
     assert solve_exact(model).status == "infeasible"
 
 
+def test_plans_a_billionth_apart_are_told_apart():
+    # {0, 3} is found first at 3/2; {1, 2} beats it by 10^-9, so the
+    # bound 1 + (1/2 - 10^-9) on the x0 = 0 branch must not be pruned
+    cover = [ConstraintRow(kind="coverage", relation="=", rhs=1,
+                           coeffs=((a, 1), (b, 1)), tag=f"cover[{a}{b}]")
+             for a, b in ((0, 1), (2, 3))]
+    model = IlpModel(
+        num_vars=4,
+        objective=((0, Fraction(1)), (1, Fraction(1)),
+                   (2, Fraction(1, 2) - Fraction(1, 10**9)), (3, Fraction(1, 2))),
+        constraints=(*cover, ConstraintRow(kind="out_degree", relation="<=", rhs=1,
+                                           coeffs=((0, 1), (2, 1)), tag="out[02]")))
+    result = solve_exact(model)
+    assert result.status == "optimal"
+    assert result.solution.objective == Fraction(1499999999, 1000000000)
+    assert result.solution.decoded == (1, 2)
+    assert result.solution == brute_force(model).solutions[0]
+
+
 def test_brute_force_toy(toy_ilp):
     portfolio = brute_force(toy_ilp)
     assert portfolio.exhaustive
