@@ -113,9 +113,6 @@ class SampleSet:
     def lowest(self) -> SampleEntry:
         return self.entries[0]
 
-    def energies(self) -> tuple[Fraction, ...]:
-        return tuple(e.energy for e in self.entries)
-
 
 _UNIFORM_BLOCK = 4  # sweeps of uniforms drawn per read in one call
 
@@ -272,13 +269,8 @@ class PortfolioRun:
     portfolio: SolutionPortfolio
     rejected: tuple[RejectedSample, ...]
     samples: SampleSet
-    ground_energy: Optional[Fraction]
     success_rate: float  # fraction of reads ending at the lowest sampled energy
     timings: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def num_feasible_samples(self) -> int:
-        return len(self.portfolio.solutions)
 
 
 def sample_portfolio(instance: Instance,
@@ -331,6 +323,5 @@ def sample_portfolio(instance: Instance,
         portfolio=portfolio,
         rejected=tuple(rejected),
         samples=samples,
-        ground_energy=lowest,
         success_rate=hits / samples.num_reads if samples.num_reads else 0.0,
         timings=timings)

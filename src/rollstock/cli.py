@@ -29,8 +29,6 @@ from .netbuild import Hypergraph, build_hypergraph, to_dot
 from .qubo import (DEFAULT_LAMBDAS, encode_qubo, export_ising_coo,
                    export_qubo_coo, scaling_report, to_ising)
 
-log = logging.getLogger("rollstock")
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
@@ -190,9 +188,7 @@ def cmd_solve_ilp(args) -> int:
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
     build_secs = time.monotonic() - tic
-    tic = time.monotonic()
     result = solve_exact(model, time_limit=args.time_limit)
-    solve_secs = time.monotonic() - tic
 
     outdir = _outdir(args)
     _write(outdir, "solution.json", _solution_json(inst, graph, model, result))
@@ -202,7 +198,7 @@ def cmd_solve_ilp(args) -> int:
         _write(outdir, "hypergraph.dot", to_dot(graph))
 
     print(f"arcs={len(graph.arcs)} rows={len(model.constraints)} "
-          f"build={build_secs:.3f}s solve={solve_secs:.3f}s nodes={result.nodes}")
+          f"build={build_secs:.3f}s solve={result.elapsed:.3f}s nodes={result.nodes}")
     if result.solution is not None:
         print(f"status={result.status} objective={float(result.solution.objective)}")
     else:

@@ -5,11 +5,16 @@ variables: coverage rows drive the branching (most constrained uncovered
 trip first, then ascending arc id), unit propagation fixes variables forced
 by any row's residual bounds, and a share-based lower bound prunes (each
 arc's objective coefficient is spread over the coverage rows it can serve,
-so the bound stays admissible for hyper-arcs covering two trips).
+so the bound stays admissible for hyper-arcs covering two trips). The bound
+holds for nonnegative objective coefficients, which ``solve_exact``
+requires, and counts only coverage rows with a lower bound of at least 1.
 
-The search sums the objective, the shares and the bound as integers over
-one denominator, so ties are pruned exactly and the first optimum found
-is kept; ``Fraction`` appears only in the returned ``Solution``s.
+The search is one loop over one assignment trail: a stack of frames, each
+holding the trail mark, the branched variable and the values left to try,
+so its depth is not limited by Python's recursion limit. It sums the
+objective, the shares and the bound as integers over one denominator, so
+ties are pruned exactly and the first optimum found is kept; ``Fraction``
+appears only in the returned ``Solution``s.
 
 ``brute_force`` enumerates all 2^n assignments (n <= 24) with vectorized
 feasibility checks; it is the reference oracle the search is tested
@@ -23,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -85,135 +90,127 @@ class SolveResult:
         return self.status == "optimal"
 
 
-class _Rows:
-    """Dense-ish row bookkeeping for propagation during the search."""
+class _Search:
+    """Row totals (fixed sum, free positive and negative coefficient mass),
+    the assignment, its trail and the incumbent or the collected leaves."""
 
-    def __init__(self, model: IlpModel):
-        self.n = model.num_vars
+    def __init__(self, model: IlpModel, deadline: Optional[float] = None,
+                 max_count: Optional[int] = None):
+        n = self.n = model.num_vars
+        # max_count selects enumeration: no bound, stop at max_count leaves;
+        # otherwise branch and bound, stopped only by the deadline
+        self.use_bound = max_count is None
+        self.deadline = deadline
+        self.max_count = max_count
         self.lo: list[int] = []
         self.hi: list[int] = []
         self.vars: list[list[int]] = []
         self.coeffs: list[list[int]] = []
-        self.kind: list[str] = []
-        self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.pos_free: list[int] = []
+        self.neg_free: list[int] = []
+        self.free_count: list[int] = []
+        # coverage rows that need a selected arc while uncovered; the share
+        # bound and the branching rule read only these
+        self.cover_rows: list[int] = []
         for idx, row in enumerate(model.constraints):
+            cs = [c for _, c in row.coeffs]
+            neg = sum(c for c in cs if c < 0)
             lo, hi = row.bounds()
-            vs, cs = [], []
+            if lo is None:  # a `<=` row gets its least attainable lhs,
+                lo = neg    # which never binds
             for v, c in row.coeffs:
-                vs.append(v)
-                cs.append(c)
                 self.var_rows[v].append((idx, c))
-            # a `<=` row gets its least attainable lhs, which never binds
-            self.lo.append(sum(c for c in cs if c < 0) if lo is None else lo)
+            self.lo.append(lo)
             self.hi.append(hi)
-            self.vars.append(vs)
+            self.vars.append([v for v, _ in row.coeffs])
             self.coeffs.append(cs)
-            self.kind.append(row.kind)
-        self.m = len(self.lo)
-        # mutable search state
-        self.fixed = [0] * self.m
-        self.pos_free = [0] * self.m
-        self.neg_free = [0] * self.m
-        self.free_count = [0] * self.m
-        for idx in range(self.m):
-            for c in self.coeffs[idx]:
-                if c > 0:
-                    self.pos_free[idx] += c
-                else:
-                    self.neg_free[idx] += c
-            self.free_count[idx] = len(self.coeffs[idx])
-
-    def bounds_broken(self, idx: int) -> bool:
-        fixed = self.fixed[idx]
-        return (fixed + self.neg_free[idx] > self.hi[idx]
-                or fixed + self.pos_free[idx] < self.lo[idx])
-
-
-class _Search:
-    def __init__(self, model: IlpModel, use_bound: bool):
-        self.rows = _Rows(model)
-        self.n = model.num_vars
-        self.x = [-1] * self.n  # -1 = free
-        self.use_bound = use_bound
-        self.trail: list[int] = []
-        # coverage bookkeeping for branching and bounding
-        self.cover_rows = [i for i, k in enumerate(self.rows.kind)
-                           if k == "coverage"]
-        cover_of_var = [0] * self.n
+            self.pos_free.append(sum(c for c in cs if c > 0))
+            self.neg_free.append(neg)
+            self.free_count.append(len(cs))
+            if row.kind == "coverage" and lo >= 1:
+                self.cover_rows.append(idx)
+        self.fixed = [0] * len(self.lo)
+        cover_of_var = [0] * n
         for idx in self.cover_rows:
-            for v in self.rows.vars[idx]:
+            for v in self.vars[idx]:
                 cover_of_var[v] += 1
         # objective values are integers in units of 1/(den * spread): den
         # clears the coefficients' denominators and spread, the LCM of the
         # coverage counts, makes every share obj[v] / cover[v] exact
         den = math.lcm(*{c.denominator for _, c in model.objective})
         spread = math.lcm(*{k for k in cover_of_var if k})
-        self.obj = [0] * self.n
+        self.obj = [0] * n
         for v, c in model.objective:
             self.obj[v] += c.numerator * (den // c.denominator) * spread
+        negative = [v for v, o in enumerate(self.obj) if o < 0]
+        if self.use_bound and negative:
+            raise ValueError("branch and bound needs nonnegative objective "
+                             f"coefficients; variable {negative[0]} has one < 0")
         self.share = [o // max(1, k) for o, k in zip(self.obj, cover_of_var)]
+        self.x = [-1] * n  # -1 = free
+        self.trail: list[int] = []
         self.committed = 0
         self.nodes = 0
         self.incumbent: Optional[list[int]] = None
         self.incumbent_obj = 0  # the value of incumbent once it is set
         self.collected: list[tuple[int, tuple[int, ...]]] = []
-        self.max_count: Optional[int] = None
-        self.deadline: Optional[float] = None
-        self.timed_out = False
-        self.budget_hit = False
+        self.stopped = False  # deadline passed or max_count leaves collected
 
     # -- assignment trail ---------------------------------------------------
 
+    def _bounds_broken(self, idx: int) -> bool:
+        fixed = self.fixed[idx]
+        return (fixed + self.neg_free[idx] > self.hi[idx]
+                or fixed + self.pos_free[idx] < self.lo[idx])
+
     def _assign(self, v: int, val: int) -> bool:
         """Fix variable v; returns False on immediate row violation."""
-        rows = self.rows
         self.x[v] = val
         self.trail.append(v)
         if val:
             self.committed += self.obj[v]
         ok = True
-        for idx, c in rows.var_rows[v]:
-            rows.free_count[idx] -= 1
+        for idx, c in self.var_rows[v]:
+            self.free_count[idx] -= 1
             if c > 0:
-                rows.pos_free[idx] -= c
+                self.pos_free[idx] -= c
             else:
-                rows.neg_free[idx] -= c
+                self.neg_free[idx] -= c
             if val:
-                rows.fixed[idx] += c
-            if rows.bounds_broken(idx):
+                self.fixed[idx] += c
+            if self._bounds_broken(idx):
                 ok = False
         return ok
 
     def _undo(self, mark: int) -> None:
-        rows = self.rows
         while len(self.trail) > mark:
             v = self.trail.pop()
             val = self.x[v]
             self.x[v] = -1
             if val:
                 self.committed -= self.obj[v]
-            for idx, c in rows.var_rows[v]:
-                rows.free_count[idx] += 1
+            for idx, c in self.var_rows[v]:
+                self.free_count[idx] += 1
                 if c > 0:
-                    rows.pos_free[idx] += c
+                    self.pos_free[idx] += c
                 else:
-                    rows.neg_free[idx] += c
+                    self.neg_free[idx] += c
                 if val:
-                    rows.fixed[idx] -= c
+                    self.fixed[idx] -= c
 
     def _propagate(self, queue: list[int]) -> bool:
         """Unit-propagate forced values from the queued rows outward."""
-        rows = self.rows
         head = 0
         while head < len(queue):
             idx = queue[head]
             head += 1
-            if rows.bounds_broken(idx):
+            if self._bounds_broken(idx):
                 return False
-            lo, hi = rows.lo[idx], rows.hi[idx]
-            fixed = rows.fixed[idx]
-            pos, neg = rows.pos_free[idx], rows.neg_free[idx]
-            for v, c in zip(rows.vars[idx], rows.coeffs[idx]):
+            lo, hi = self.lo[idx], self.hi[idx]
+            fixed = self.fixed[idx]
+            pos, neg = self.pos_free[idx], self.neg_free[idx]
+            for v, c in zip(self.vars[idx], self.coeffs[idx]):
                 if self.x[v] != -1:
                     continue
                 pos_rest = pos - c if c > 0 else pos
@@ -230,24 +227,23 @@ class _Search:
                 if forced != -1:
                     if not self._assign(v, forced):
                         return False
-                    for jdx, _ in rows.var_rows[v]:
+                    for jdx, _ in self.var_rows[v]:
                         if jdx != idx:
                             queue.append(jdx)
                     # row state changed; refresh its totals and scan on
-                    fixed = rows.fixed[idx]
-                    pos, neg = rows.pos_free[idx], rows.neg_free[idx]
+                    fixed = self.fixed[idx]
+                    pos, neg = self.pos_free[idx], self.neg_free[idx]
         return True
 
     # -- bounding and branching ----------------------------------------------
 
     def _lower_bound(self) -> float:
         bound = self.committed
-        rows = self.rows
         for idx in self.cover_rows:
-            if rows.fixed[idx] >= 1:
+            if self.fixed[idx] >= 1:
                 continue
             best = math.inf
-            for v in rows.vars[idx]:
+            for v in self.vars[idx]:
                 if self.x[v] == -1 and self.share[v] < best:
                     best = self.share[v]
             if best == math.inf:
@@ -256,19 +252,18 @@ class _Search:
         return bound
 
     def _pick_branch(self) -> Optional[tuple[int, tuple[int, int]]]:
-        rows = self.rows
         best_row, best_free = -1, 1 << 30
         for idx in self.cover_rows:
-            if rows.fixed[idx] >= 1:
+            if self.fixed[idx] >= 1:
                 continue
-            free = rows.free_count[idx]
+            free = self.free_count[idx]
             if 0 < free < best_free:
                 best_row, best_free = idx, free
         if best_row >= 0:
             # cheapest covering arc first reaches good incumbents early;
             # ties break on ascending arc id
             pick, pick_cost = -1, math.inf
-            for v in rows.vars[best_row]:
+            for v in self.vars[best_row]:
                 if self.x[v] == -1 and self.obj[v] < pick_cost:
                     pick, pick_cost = v, self.obj[v]
             return pick, (1, 0)
@@ -277,76 +272,75 @@ class _Search:
                 return v, (0, 1)
         return None
 
-    # -- main recursion -------------------------------------------------------
+    # -- main loop ------------------------------------------------------------
 
     def run(self) -> None:
-        if self._propagate(list(range(self.rows.m))):
-            self._dfs()
-
-    def _dfs(self) -> None:
-        if self.timed_out or self.budget_hit:
+        """Visit every node whose assignment and propagation succeed, depth
+        first; the loop body handles one node, then descends or backtracks."""
+        if not self._propagate(list(range(len(self.lo)))):
             return
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 512 == 0:
-            if time.monotonic() > self.deadline:
-                self.timed_out = True
+        frames: list[tuple[int, int, Iterator[int]]] = []  # (mark, var, values)
+        while True:
+            self.nodes += 1
+            if (self.deadline is not None and self.nodes % 512 == 0
+                    and time.monotonic() > self.deadline):
+                self.stopped = True
                 return
-
-        if self.use_bound and self.incumbent is not None:
             # ties are pruned: the first optimum found (deterministic order)
             # is kept, and subtrees that cannot improve on it are cut, which
             # collapses the equal-cost symmetry of corridor instances
-            if self._lower_bound() >= self.incumbent_obj:
+            if not (self.use_bound and self.incumbent is not None
+                    and self._lower_bound() >= self.incumbent_obj):
+                branch = self._pick_branch()
+                if branch is not None:
+                    v, order = branch
+                    frames.append((len(self.trail), v, iter(order)))
+                elif self.use_bound:
+                    # a leaf's bound is committed, so the check above has
+                    # turned away every leaf that does not beat the incumbent
+                    self.incumbent = list(self.x)
+                    self.incumbent_obj = self.committed
+                else:
+                    self.collected.append((self.committed, tuple(self.x)))
+                    if len(self.collected) >= self.max_count:
+                        self.stopped = True
+                        return
+            while frames:
+                mark, v, values = frames[-1]
+                self._undo(mark)
+                val = next(values, None)
+                if val is None:
+                    frames.pop()
+                elif self._assign(v, val) and self._propagate(
+                        [idx for idx, _ in self.var_rows[v]]):
+                    break
+            else:
                 return
-
-        branch = self._pick_branch()
-        if branch is None:
-            self._leaf()
-            return
-        v, order = branch
-        for val in order:
-            mark = len(self.trail)
-            if self._assign(v, val) and self._propagate(
-                    [idx for idx, _ in self.rows.var_rows[v]]):
-                self._dfs()
-            self._undo(mark)
-            if self.timed_out or self.budget_hit:
-                return
-
-    def _leaf(self) -> None:
-        # a leaf's bound is committed (or inf), so the check in _dfs has
-        # already turned away every leaf that does not beat the incumbent
-        if self.use_bound:
-            self.incumbent = list(self.x)
-            self.incumbent_obj = self.committed
-        else:
-            self.collected.append((self.committed, tuple(self.x)))
-            if self.max_count is not None and len(self.collected) >= self.max_count:
-                self.budget_hit = True
 
 
 def solve_exact(model: IlpModel,
                 time_limit: Optional[float] = None) -> SolveResult:
-    """Find a provably optimal feasible assignment by branch and bound."""
+    """Find a provably optimal feasible assignment by branch and bound.
+
+    Every variable's summed objective coefficient must be nonnegative
+    (``ValueError`` otherwise): the share bound is valid only then.
+    """
     if time_limit is not None and not time_limit >= 0:  # also rejects NaN
         raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
     start = time.monotonic()
-    search = _Search(model, use_bound=True)
-    if time_limit is not None:
-        search.deadline = start + time_limit
+    search = _Search(model, deadline=None if time_limit is None
+                     else start + time_limit)
     search.run()
     elapsed = time.monotonic() - start
-    if search.incumbent is not None:
-        status = "time_limit" if search.timed_out else "optimal"
-        return SolveResult(
-            status=status,
-            solution=Solution.from_assignment(model, search.incumbent),
-            nodes=search.nodes, elapsed=elapsed)
-    if search.timed_out:
-        return SolveResult(status="time_limit", solution=None,
-                           nodes=search.nodes, elapsed=elapsed)
-    return SolveResult(status="infeasible", solution=None,
-                       nodes=search.nodes, elapsed=elapsed)
+    if search.stopped:
+        status = "time_limit"
+    else:
+        status = "infeasible" if search.incumbent is None else "optimal"
+    return SolveResult(
+        status=status,
+        solution=(None if search.incumbent is None
+                  else Solution.from_assignment(model, search.incumbent)),
+        nodes=search.nodes, elapsed=elapsed)
 
 
 def enumerate_feasible(model: IlpModel, max_count: int = 100000
@@ -354,14 +348,13 @@ def enumerate_feasible(model: IlpModel, max_count: int = 100000
     """All feasible assignments (up to max_count), sorted by objective."""
     if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count!r}")
-    search = _Search(model, use_bound=False)
-    search.max_count = max_count
+    search = _Search(model, max_count=max_count)
     search.run()
     # leaves are distinct assignments: no duplicates to drop
     return SolutionPortfolio(
         solutions=tuple(Solution.from_assignment(model, x)
                         for _, x in sorted(search.collected)),
-        exhaustive=not search.budget_hit and not search.timed_out)
+        exhaustive=not search.stopped)
 
 
 def brute_force(model: IlpModel) -> SolutionPortfolio:

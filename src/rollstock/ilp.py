@@ -42,11 +42,7 @@ __all__ = [
     "objective_value",
     "check_feasibility",
     "export_lp",
-    "CONSTRAINT_KINDS",
 ]
-
-CONSTRAINT_KINDS = ("coverage", "flow_balance", "out_degree", "depot_out",
-                    "depot_in", "capacity_forbid", "driver")
 
 
 @dataclass(frozen=True)

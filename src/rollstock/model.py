@@ -144,9 +144,6 @@ class Trip:
     bike_tolerance_single: Optional[int] = None
     bike_tolerance_coupled: Optional[int] = None
 
-    def duration(self) -> int:
-        return self.arrive - self.depart
-
 
 @dataclass(frozen=True)
 class EmuType:
@@ -224,9 +221,6 @@ class Instance:
     def trip_by_id(self, trip_id: str) -> Trip:
         return self._trip_index[trip_id]
 
-    def depot_by_id(self, depot_id: str) -> Depot:
-        return self._depot_index[depot_id]
-
     @property
     def obligatory_trips(self) -> tuple[Trip, ...]:
         return tuple(t for t in self.trips if t.obligatory)
@@ -269,7 +263,6 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "_trip_index", {t.id: t for t in self.trips})
         object.__setattr__(self, "_type_index", {r.id: r for r in self.emu_types})
-        object.__setattr__(self, "_depot_index", {d.id: d for d in self.depots})
         _validate(self)
 
 

@@ -102,11 +102,6 @@ class HyperArc:
     def bike_shortage(self) -> int:
         return max(self.bike_shortages, default=0)
 
-    def label(self) -> str:
-        src = ",".join(self.sources)
-        dst = ",".join(self.targets)
-        return f"h[{src}->{dst};{self.emu_type}]"
-
 
 @dataclass(frozen=True)
 class Hypergraph:

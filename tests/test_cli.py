@@ -255,3 +255,18 @@ def test_enumerate_zero_max_count_is_an_input_error(capsys):
     assert code == 1
     assert err.strip() == "error: max_count must be >= 1, got 0"
     assert "feasible=" not in out
+
+
+def test_solve_ilp_time_limit_exit_code(tmp_path, capsys):
+    # this instance needs 3,331 nodes to prove optimality, so the first
+    # deadline check, at node 512, stops a zero time limit
+    target = tmp_path / "t160.json"
+    code, _, _ = run(capsys, "generate", str(target), "--trips", "160",
+                     "--couplable", "32", "--types", "3", "--depots", "4",
+                     "--seed", "160")
+    assert code == 0
+    code, out, _ = run(capsys, "solve-ilp", str(target), "--time-limit", "0",
+                       "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "status=time_limit" in out
+    assert "nodes=512" in out

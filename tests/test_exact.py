@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,43 @@ def test_zero_and_infinite_time_limits_accepted(toy_ilp):
 def test_enumeration_budget_below_one_rejected(toy_ilp, max_count):
     with pytest.raises(ValueError, match="max_count"):
         enumerate_feasible(toy_ilp, max_count=max_count)
+
+
+def test_share_bound_skips_coverage_rows_without_a_lower_bound():
+    # x0 + x1 <= 1 needs no arc, so the empty plan (objective 0) is optimal
+    model = IlpModel(
+        num_vars=2,
+        objective=((0, Fraction(1)), (1, Fraction(2))),
+        constraints=(ConstraintRow(kind="coverage", relation="<=", rhs=1,
+                                   coeffs=((0, 1), (1, 1)), tag="cover[01]"),))
+    result = solve_exact(model)
+    assert result.status == "optimal"
+    assert result.solution == brute_force(model).solutions[0]
+    assert result.solution.objective == 0
+
+
+def test_negative_objective_coefficient_rejected():
+    # the share bound is a lower bound only for nonnegative costs: here
+    # the search would return x0 (objective 1) and miss {x1, x2} at -5
+    model = IlpModel(
+        num_vars=3,
+        objective=((0, Fraction(1)), (1, Fraction(5)), (2, Fraction(-10))),
+        constraints=(
+            ConstraintRow(kind="coverage", relation="=", rhs=1,
+                          coeffs=((0, 1), (1, 1)), tag="cover[01]"),
+            ConstraintRow(kind="out_degree", relation="<=", rhs=1,
+                          coeffs=((0, 1), (2, 1)), tag="out[02]")))
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_exact(model)
+    assert brute_force(model).solutions[0].objective == -5
+
+
+def test_search_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    model = IlpModel(num_vars=n, objective=(), constraints=())
+    result = solve_exact(model)
+    assert result.status == "optimal"
+    assert result.solution.x == (0,) * n
+    portfolio = enumerate_feasible(model, max_count=3)
+    assert len(portfolio.solutions) == 3
+    assert not portfolio.exhaustive
