@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -129,9 +130,7 @@ def _solution_json(instance: Instance, graph: Hypergraph, model: IlpModel,
         payload["objective_float"] = float(sol.objective)
         payload["selected_arcs"] = [_arc_record(graph, a) for a in sol.decoded]
         payload["feasible"] = sol.report.feasible
-        payload["constraints"] = {
-            row.kind: sum(1 for r in model.constraints if r.kind == row.kind)
-            for row in model.constraints}
+        payload["constraints"] = Counter(row.kind for row in model.constraints)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,13 +1,19 @@
 """Exact optimization and exhaustive feasible-set enumeration at desk scale.
 
 ``solve_exact`` runs a depth-first branch and bound over the binary arc
-variables: coverage rows drive the branching (most constrained uncovered
-trip first, then ascending arc id), unit propagation fixes variables forced
-by any row's residual bounds, and a share-based lower bound prunes (each
-arc's objective coefficient is spread over the coverage rows it can serve,
-so the bound stays admissible for hyper-arcs covering two trips). The bound
-holds for nonnegative objective coefficients, which ``solve_exact``
-requires, and counts only coverage rows with a lower bound of at least 1.
+variables. Each row ``lo <= a . x <= hi`` is kept as two activity bounds:
+its least and its most attainable lhs, with every free variable at the
+value that lowers, or raises, it. A row is broken when ``least > hi`` or
+``most < lo``, and unit propagation fixes a free variable whose one value
+would break it. Coverage rows drive the branching (most constrained
+uncovered trip first, then ascending arc id), and a share-based lower bound
+prunes (each arc's objective coefficient is spread over the coverage rows
+it can serve, so the bound stays admissible for hyper-arcs covering two
+trips). The bound holds for nonnegative objective coefficients, which
+``solve_exact`` requires. Bounding and branching read only coverage rows
+with ``lo >= 1`` and no negative coefficient: on those, ``least`` sums
+only the variables already set, so a row with ``least >= 1`` is covered.
+A mixed-sign coverage row is still propagated.
 
 The search is one loop over one assignment trail: a stack of frames, each
 holding the trail mark, the branched variable and the values left to try,
@@ -91,8 +97,8 @@ class SolveResult:
 
 
 class _Search:
-    """Row totals (fixed sum, free positive and negative coefficient mass),
-    the assignment, its trail and the incumbent or the collected leaves."""
+    """Row activity bounds, the assignment, its trail and the incumbent or
+    the collected leaves."""
 
     def __init__(self, model: IlpModel, deadline: Optional[float] = None,
                  max_count: Optional[int] = None):
@@ -102,38 +108,29 @@ class _Search:
         self.use_bound = max_count is None
         self.deadline = deadline
         self.max_count = max_count
+        self.rows = [row.coeffs for row in model.constraints]
         self.lo: list[int] = []
         self.hi: list[int] = []
-        self.vars: list[list[int]] = []
-        self.coeffs: list[list[int]] = []
+        self.least: list[int] = []  # lhs with every free variable lowering it
+        self.most: list[int] = []  # lhs with every free variable raising it
         self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.pos_free: list[int] = []
-        self.neg_free: list[int] = []
-        self.free_count: list[int] = []
         # coverage rows that need a selected arc while uncovered; the share
         # bound and the branching rule read only these
         self.cover_rows: list[int] = []
         for idx, row in enumerate(model.constraints):
-            cs = [c for _, c in row.coeffs]
-            neg = sum(c for c in cs if c < 0)
             lo, hi = row.bounds()
-            if lo is None:  # a `<=` row gets its least attainable lhs,
-                lo = neg    # which never binds
-            for v, c in row.coeffs:
-                self.var_rows[v].append((idx, c))
             self.lo.append(lo)
             self.hi.append(hi)
-            self.vars.append([v for v, _ in row.coeffs])
-            self.coeffs.append(cs)
-            self.pos_free.append(sum(c for c in cs if c > 0))
-            self.neg_free.append(neg)
-            self.free_count.append(len(cs))
-            if row.kind == "coverage" and lo >= 1:
+            self.least.append(sum(c for _, c in row.coeffs if c < 0))
+            self.most.append(sum(c for _, c in row.coeffs if c > 0))
+            for v, c in row.coeffs:
+                self.var_rows[v].append((idx, c))
+            if (row.kind == "coverage" and lo >= 1
+                    and all(c >= 0 for _, c in row.coeffs)):
                 self.cover_rows.append(idx)
-        self.fixed = [0] * len(self.lo)
         cover_of_var = [0] * n
         for idx in self.cover_rows:
-            for v in self.vars[idx]:
+            for v, _ in self.rows[idx]:
                 cover_of_var[v] += 1
         # objective values are integers in units of 1/(den * spread): den
         # clears the coefficients' denominators and spread, the LCM of the
@@ -159,29 +156,18 @@ class _Search:
 
     # -- assignment trail ---------------------------------------------------
 
-    def _bounds_broken(self, idx: int) -> bool:
-        fixed = self.fixed[idx]
-        return (fixed + self.neg_free[idx] > self.hi[idx]
-                or fixed + self.pos_free[idx] < self.lo[idx])
-
-    def _assign(self, v: int, val: int) -> bool:
-        """Fix variable v; returns False on immediate row violation."""
+    def _assign(self, v: int, val: int) -> None:
+        """Fix variable v: the value raising a row's lhs (1 for c > 0)
+        raises its least by |c|; the other lowers its most by |c|."""
         self.x[v] = val
         self.trail.append(v)
         if val:
             self.committed += self.obj[v]
-        ok = True
         for idx, c in self.var_rows[v]:
-            self.free_count[idx] -= 1
-            if c > 0:
-                self.pos_free[idx] -= c
+            if val == (c > 0):
+                self.least[idx] += abs(c)
             else:
-                self.neg_free[idx] -= c
-            if val:
-                self.fixed[idx] += c
-            if self._bounds_broken(idx):
-                ok = False
-        return ok
+                self.most[idx] -= abs(c)
 
     def _undo(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -191,48 +177,41 @@ class _Search:
             if val:
                 self.committed -= self.obj[v]
             for idx, c in self.var_rows[v]:
-                self.free_count[idx] += 1
-                if c > 0:
-                    self.pos_free[idx] += c
+                if val == (c > 0):
+                    self.least[idx] -= abs(c)
                 else:
-                    self.neg_free[idx] += c
-                if val:
-                    self.fixed[idx] -= c
+                    self.most[idx] += abs(c)
 
     def _propagate(self, queue: list[int]) -> bool:
-        """Unit-propagate forced values from the queued rows outward."""
+        """Unit-propagate forced values from the queued rows outward; False
+        once a row is broken. Rows only tighten, so a row broken by a forced
+        value is still broken when its turn in the queue comes."""
         head = 0
         while head < len(queue):
             idx = queue[head]
             head += 1
-            if self._bounds_broken(idx):
-                return False
             lo, hi = self.lo[idx], self.hi[idx]
-            fixed = self.fixed[idx]
-            pos, neg = self.pos_free[idx], self.neg_free[idx]
-            for v, c in zip(self.vars[idx], self.coeffs[idx]):
+            least, most = self.least[idx], self.most[idx]
+            if least > hi or most < lo:
+                return False
+            for v, c in self.rows[idx]:
                 if self.x[v] != -1:
                     continue
-                pos_rest = pos - c if c > 0 else pos
-                neg_rest = neg - c if c < 0 else neg
-                forced = -1
-                # value 1 impossible?
-                if fixed + c + neg_rest > hi or fixed + c + pos_rest < lo:
-                    forced = 0
-                # value 0 impossible?
-                if fixed + neg_rest > hi or fixed + pos_rest < lo:
-                    if forced == 0:
+                raising = int(c > 0)  # the value that raises the lhs
+                if least + abs(c) > hi:
+                    if most - abs(c) < lo:
                         return False
-                    forced = 1
-                if forced != -1:
-                    if not self._assign(v, forced):
-                        return False
-                    for jdx, _ in self.var_rows[v]:
-                        if jdx != idx:
-                            queue.append(jdx)
-                    # row state changed; refresh its totals and scan on
-                    fixed = self.fixed[idx]
-                    pos, neg = self.pos_free[idx], self.neg_free[idx]
+                    forced = 1 - raising
+                elif most - abs(c) < lo:
+                    forced = raising
+                else:
+                    continue
+                self._assign(v, forced)
+                for jdx, _ in self.var_rows[v]:
+                    if jdx != idx:
+                        queue.append(jdx)
+                # row state changed; refresh its bounds and scan on
+                least, most = self.least[idx], self.most[idx]
         return True
 
     # -- bounding and branching ----------------------------------------------
@@ -240,10 +219,10 @@ class _Search:
     def _lower_bound(self) -> float:
         bound = self.committed
         for idx in self.cover_rows:
-            if self.fixed[idx] >= 1:
+            if self.least[idx] >= 1:
                 continue
             best = math.inf
-            for v in self.vars[idx]:
+            for v, _ in self.rows[idx]:
                 if self.x[v] == -1 and self.share[v] < best:
                     best = self.share[v]
             if best == math.inf:
@@ -254,16 +233,17 @@ class _Search:
     def _pick_branch(self) -> Optional[tuple[int, tuple[int, int]]]:
         best_row, best_free = -1, 1 << 30
         for idx in self.cover_rows:
-            if self.fixed[idx] >= 1:
+            least = self.least[idx]
+            if least >= 1:
                 continue
-            free = self.free_count[idx]
+            free = self.most[idx] - least  # the free count on a unit row
             if 0 < free < best_free:
                 best_row, best_free = idx, free
         if best_row >= 0:
             # cheapest covering arc first reaches good incumbents early;
             # ties break on ascending arc id
             pick, pick_cost = -1, math.inf
-            for v in self.vars[best_row]:
+            for v, _ in self.rows[best_row]:
                 if self.x[v] == -1 and self.obj[v] < pick_cost:
                     pick, pick_cost = v, self.obj[v]
             return pick, (1, 0)
@@ -277,7 +257,7 @@ class _Search:
     def run(self) -> None:
         """Visit every node whose assignment and propagation succeed, depth
         first; the loop body handles one node, then descends or backtracks."""
-        if not self._propagate(list(range(len(self.lo)))):
+        if not self._propagate(list(range(len(self.rows)))):
             return
         frames: list[tuple[int, int, Iterator[int]]] = []  # (mark, var, values)
         while True:
@@ -311,8 +291,9 @@ class _Search:
                 val = next(values, None)
                 if val is None:
                     frames.pop()
-                elif self._assign(v, val) and self._propagate(
-                        [idx for idx, _ in self.var_rows[v]]):
+                    continue
+                self._assign(v, val)
+                if self._propagate([idx for idx, _ in self.var_rows[v]]):
                     break
             else:
                 return
@@ -363,14 +344,11 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
     if n > 24:
         raise ValueError(f"brute_force supports at most 24 variables, got {n}")
     m = len(model.constraints)
-    lo = np.full(m, -(1 << 40), dtype=np.int64)
+    lo = np.zeros(m, dtype=np.int64)
     hi = np.zeros(m, dtype=np.int64)
     a = np.zeros((m, max(n, 1)), dtype=np.int64)
     for i, row in enumerate(model.constraints):
-        row_lo, row_hi = row.bounds()
-        if row_lo is not None:
-            lo[i] = row_lo
-        hi[i] = row_hi
+        lo[i], hi[i] = row.bounds()
         for v, c in row.coeffs:
             a[i, v] += c
 

@@ -118,7 +118,6 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Instance:
             rot.corridor = i  # private far station keeps chain ends terminal
 
     n_corridors = max(rot.corridor for rot in rotations) + 1
-    corridor_depot = {rot.corridor: rot.depot for rot in rotations}
     leg_time = {c: int(rng.integers(cfg.leg_minutes[0], cfg.leg_minutes[1] + 1))
                 for c in range(n_corridors)}
     leg_km = {c: int(rng.integers(20, 61)) for c in range(n_corridors)}

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .model import Instance
 from .netbuild import Hypergraph
@@ -47,7 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """A sparse integer row: coeffs . x  (= rhs | <= rhs | in [lo, hi])."""
+    """A sparse integer row ``lo <= coeffs . x <= hi``.
+
+    It is built as ``= rhs``, ``<= rhs`` or a ``range`` over ``[lo, hi]``.
+    Every consumer reads the two ints of ``bounds()``, except ``export_lp``,
+    which writes the row as it was built.
+    """
 
     kind: str
     coeffs: tuple[tuple[int, int], ...]  # (var index, integer coefficient)
@@ -57,11 +62,14 @@ class ConstraintRow:
     hi: int = 0
     tag: str = ""
 
-    def bounds(self) -> tuple[Optional[int], int]:
+    def bounds(self) -> tuple[int, int]:
+        """``(lo, hi)`` with ``lo <= coeffs . x <= hi``. A ``<=`` row's lo is
+        its least attainable lhs, the sum of its negative coefficients, so
+        it never binds."""
         if self.relation == "=":
             return self.rhs, self.rhs
         if self.relation == "<=":
-            return None, self.rhs
+            return sum(c for _, c in self.coeffs if c < 0), self.rhs
         return self.lo, self.hi
 
     def lhs(self, x: Sequence[int]) -> int:
@@ -82,7 +90,7 @@ class IlpModel:
 class Violation:
     tag: str
     lhs: int
-    lo: Optional[int]
+    lo: int
     hi: int
 
 
@@ -247,7 +255,7 @@ def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:
     for row in model.constraints:
         lhs = row.lhs(x)
         lo, hi = row.bounds()
-        if (lo is not None and lhs < lo) or lhs > hi:
+        if not lo <= lhs <= hi:
             violations.setdefault(row.kind, []).append(
                 Violation(tag=row.tag, lhs=lhs, lo=lo, hi=hi))
     return FeasibilityReport({k: tuple(v) for k, v in violations.items()})

@@ -16,6 +16,7 @@ means exactly 1/100.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational as _Rational
@@ -59,6 +60,9 @@ def _frac(value: Any, path: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        # JSON NaN and Infinity load as floats; no Fraction holds them
+        if not math.isfinite(value):
+            raise InstanceError(path, f"expected a finite number, got {value}")
         # str() of a float is the shortest round-tripping decimal, so this
         # converts "what was written in the file" exactly.
         return Fraction(str(value))

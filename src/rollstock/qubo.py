@@ -146,6 +146,10 @@ def encode_qubo(model: IlpModel,
                 lambdas: Sequence[Rational] = DEFAULT_LAMBDAS) -> QuboModel:
     """Compile the ILP into an unconstrained quadratic form.
 
+    Each row ``lo <= a . x <= hi`` (from ``bounds()``), capacity aside,
+    adds ``lambda * (a . x - lo - sum of s)^2`` over ``hi - lo`` unary
+    slack bits ``s``.
+
     The objective and the expanded penalty rows are summed as integers in
     units of ``1/den``, ``den`` being the LCM of the denominators of the
     penalty weights, the objective coefficients and the ILP constant.
@@ -181,16 +185,11 @@ def encode_qubo(model: IlpModel,
                 acc[(v, v)] = get((v, v), 0) + weight
             continue
 
-        if row.relation == "=":
-            constant = -row.rhs
-            width = 0
-        elif row.relation == "<=":
-            constant = 0
-            width = row.rhs
-        else:
-            constant = -row.lo
-            width = row.hi - row.lo
-
+        lo, hi = row.bounds()
+        if hi < lo:  # no x meets the row, and a slack chain cannot be < 0 long
+            raise ValueError(f"row {row.tag!r} has lo {lo} > hi {hi}")
+        constant = -lo
+        width = hi - lo
         slacks = tuple(range(next_slack, next_slack + width))
         for pos, s in enumerate(slacks):
             slack_map[s] = (row.tag, pos)

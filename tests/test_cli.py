@@ -270,3 +270,14 @@ def test_solve_ilp_time_limit_exit_code(tmp_path, capsys):
     assert code == 3
     assert "status=time_limit" in out
     assert "nodes=512" in out
+
+
+def test_solution_json_counts_rows_per_kind(tmp_path, capsys, toy_ilp):
+    code, _, _ = run(capsys, "solve-ilp", TOY, "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "solution.json").read_text())
+    kinds = [row.kind for row in toy_ilp.constraints]
+    assert payload["constraints"] == {kind: kinds.count(kind) for kind in kinds}
+    assert payload["constraints"] == {
+        "coverage": 3, "flow_balance": 4, "out_degree": 2, "depot_out": 2,
+        "capacity_forbid": 1, "driver": 2}

@@ -223,3 +223,20 @@ def test_search_deeper_than_the_recursion_limit():
     portfolio = enumerate_feasible(model, max_count=3)
     assert len(portfolio.solutions) == 3
     assert not portfolio.exhaustive
+
+
+def test_mixed_sign_coverage_row_agrees_with_brute_force():
+    # -x0 + x1 + x2 + x3 in [1, 2] is met by x1 alone (objective 1); taking
+    # `least >= 1` as covered on this row would lift the share bound to 2
+    model = IlpModel(
+        num_vars=4,
+        objective=tuple((v, Fraction(c)) for v, c in enumerate((4, 1, 1, 4))),
+        constraints=(ConstraintRow(
+            kind="coverage", relation="range", lo=1, hi=2,
+            coeffs=((0, -1), (1, 1), (2, 1), (3, 1)), tag="cover[mixed]"),))
+    result = solve_exact(model)
+    assert result.status == "optimal"
+    assert result.solution.report.feasible
+    assert result.solution.objective == brute_force(model).best().objective == 1
+    assert ({s.x for s in enumerate_feasible(model).solutions}
+            == {s.x for s in brute_force(model).solutions})

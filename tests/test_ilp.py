@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from rollstock.exact import brute_force
-from rollstock.ilp import (IlpModel, check_feasibility, encode_ilp,
-                           export_lp, objective_value)
+from rollstock.exact import brute_force, enumerate_feasible, solve_exact
+from rollstock.ilp import (ConstraintRow, IlpModel, Violation,
+                           check_feasibility, encode_ilp, export_lp,
+                           objective_value)
 from rollstock.model import DriverWindow, Instance
 from rollstock.netbuild import build_hypergraph
 from rollstock.qubo import encode_qubo, export_qubo_coo
@@ -374,11 +375,11 @@ def parse_lp(text: str):
     return num_vars, objective, constraints
 
 
-def test_exported_lp_solves_to_toy_optimum_with_external_milp(toy_ilp):
+def milp_on_lp(text: str):
+    """Solve an exported LP file with scipy's HiGHS MILP solver."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     import numpy as np
-    n, objective, constraints = parse_lp(export_lp(toy_ilp))
-    assert n == 11
+    n, objective, constraints = parse_lp(text)
     c = np.zeros(n)
     for v, coeff in objective.items():
         c[v] = coeff
@@ -395,7 +396,55 @@ def test_exported_lp_solves_to_toy_optimum_with_external_milp(toy_ilp):
         constraints=scipy_opt.LinearConstraint(np.array(rows), lower, upper),
         integrality=np.ones(n),
         bounds=scipy_opt.Bounds(np.zeros(n), np.ones(n)))
+    return n, result
+
+
+def test_exported_lp_solves_to_toy_optimum_with_external_milp(toy_ilp):
+    n, result = milp_on_lp(export_lp(toy_ilp))
+    assert n == 11
     assert result.success
     assert abs(result.fun - 4.8) < 1e-9
     chosen = {i for i in range(n) if result.x[i] > 0.5}
     assert chosen == {0, 2, 10}
+
+
+def test_lp_range_row_with_positive_lower_bound(toy_instance, toy_graph):
+    windows = (dataclasses.replace(toy_instance.driver_windows[0],
+                                   min_drivers=1),
+               *toy_instance.driver_windows[1:])
+    inst = dataclasses.replace(toy_instance, driver_windows=windows)
+    model = encode_ilp(toy_graph, inst)
+    lp = export_lp(model)
+    assert " driver_depA_485__lo: 1 x0 + 1 x1 >= 1\n" in lp
+    assert " driver_depA_485__hi: 1 x0 + 1 x1 <= 2\n" in lp
+    _, result = milp_on_lp(lp)
+    assert result.success
+    assert abs(result.fun - float(solve_exact(model).solution.objective)) < 1e-9
+
+
+def test_bicycle_shortage_forbids_arcs(toy_instance):
+    r1 = dataclasses.replace(toy_instance.type_by_id("r1"), bike_slots=2)
+    t3 = dataclasses.replace(toy_instance.trip_by_id("t3"), bicycles=3)
+    inst = dataclasses.replace(
+        toy_instance,
+        emu_types=tuple(r1 if r.id == "r1" else r for r in toy_instance.emu_types),
+        trips=tuple(t3 if t.id == "t3" else t for t in toy_instance.trips))
+    model = encode_ilp(build_hypergraph(inst), inst)
+    rows = {r.tag: r for r in model.constraints}
+    # seats already forbid the r1 singles 4 and 7; bicycles add the r2
+    # transfers 5 and 8, while the coupled pair 10 carries 4 >= 3 bikes
+    assert rows["capacity"].coeffs == ((4, 1), (5, 1), (7, 1), (8, 1))
+    portfolio = enumerate_feasible(model)
+    assert portfolio.exhaustive
+    assert [s.objective for s in portfolio.solutions] == [Fraction(24, 5)]
+    assert solve_exact(model).solution.decoded == (0, 2, 10)
+
+
+def test_le_row_lower_bound_is_its_least_lhs():
+    row = ConstraintRow(kind="out_degree", relation="<=", rhs=0,
+                        coeffs=((0, 1), (1, -1)), tag="le")
+    assert row.bounds() == (-1, 0)
+    model = IlpModel(num_vars=2, objective=(), constraints=(row,))
+    assert check_feasibility(model, (0, 1)).feasible
+    assert check_feasibility(model, (1, 0)).violations == {
+        "out_degree": (Violation(tag="le", lhs=1, lo=-1, hi=0),)}

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rollstock.generate import GeneratorConfig, GeneratorError, generate_synthetic
 from rollstock.model import (Depot, EmuType, Instance, InstanceError, Trip,
@@ -232,3 +233,64 @@ def test_driver_depot_defaults():
     # single depot: every trip is assigned to it implicitly
     for trip in inst.trips:
         assert inst.driver_depot_of(trip) == "depA"
+
+
+@pytest.mark.parametrize("field,value,path", [
+    ("alpha", "NaN", "/alpha"),
+    ("alpha", "Infinity", "/alpha"),
+    ("distance", "-Infinity", "/trips/0/distance"),
+    ("cost_per_km", "NaN", "/emu_types/0/cost_per_km"),
+])
+def test_non_finite_numbers_rejected_at_their_path(field, value, path):
+    data = json.loads(TOY_PATH.read_text())
+    owner = {"alpha": data, "distance": data["trips"][0],
+             "cost_per_km": data["emu_types"][0]}[field]
+    owner[field] = "@"
+    text = json.dumps(data).replace('"@"', value)
+    with pytest.raises(InstanceError) as err:
+        loads_instance(text)
+    assert err.value.path == path
+
+
+_TOY = json.loads(TOY_PATH.read_text())
+
+
+def _json_paths(value, path=()):
+    """Every position inside a JSON document, as a tuple of keys."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _json_paths(item, path + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _loads_or_instance_error(text):
+    try:
+        assert isinstance(loads_instance(text), Instance)
+    except InstanceError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_arbitrary_json_loads_or_raises_instance_error(doc):
+    _loads_or_instance_error(json.dumps(doc))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(_json_paths(_TOY), key=str)), _json_values)
+@example(("alpha",), float("nan"))
+def test_toy_with_one_field_replaced_loads_or_raises_instance_error(path, value):
+    data = json.loads(json.dumps(_TOY))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    _loads_or_instance_error(json.dumps(data))

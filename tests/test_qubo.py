@@ -303,3 +303,35 @@ def test_coo_exports_are_deterministic_and_complete(toy_qubo):
 
     ising_text = export_ising_coo(to_ising(toy_qubo))
     assert ising_text.splitlines()[0].startswith("# ising num_vars=20")
+
+
+def _le_row_with_negative_coefficient():
+    # x0 - x1 <= 0: its least attainable lhs is -1, so it reads -1 <= lhs <= 0
+    return IlpModel(
+        num_vars=2,
+        objective=((0, Fraction(1)), (1, Fraction(2))),
+        constraints=(ConstraintRow(kind="out_degree", relation="<=", rhs=0,
+                                   coeffs=((0, 1), (1, -1)), tag="le"),))
+
+
+def test_le_row_with_negative_coefficient_penalizes_only_violations():
+    model = _le_row_with_negative_coefficient()
+    qubo = encode_qubo(model)
+    feasible = brute_force(model).solutions
+    assert [s.x for s in feasible] == [(0, 0), (0, 1), (1, 1)]
+    for s in feasible:
+        assert slack_optimized_energy(qubo, s.x) == objective_value(model, s.x)
+    assert slack_optimized_energy(qubo, (0, 1)) == 2
+    assert slack_optimized_energy(qubo, (1, 0)) == 1 + LAMBDA
+
+
+@pytest.mark.parametrize("row", [
+    ConstraintRow(kind="driver", relation="range", lo=2, hi=1,
+                  coeffs=((0, 1),), tag="empty"),
+    ConstraintRow(kind="out_degree", relation="<=", rhs=-1,
+                  coeffs=((0, 1),), tag="empty"),
+])
+def test_row_without_solutions_rejected(row):
+    model = IlpModel(num_vars=1, objective=(), constraints=(row,))
+    with pytest.raises(ValueError, match="lo"):
+        encode_qubo(model)
