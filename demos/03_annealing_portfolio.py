@@ -18,8 +18,6 @@ run = sample_portfolio(
     params=AnnealParams(num_reads=100, sweeps=1000,
                         beta_min=0.05, beta_max=10.0, seed=1))
 
-print("stage timings:",
-      {stage: f"{secs:.3f}s" for stage, secs in run.timings.items()})
 print(f"distinct samples: {len(run.samples.entries)} "
       f"from {run.samples.num_reads} reads")
 print(f"share of reads at the lowest sampled energy: {run.success_rate:.2f}")

@@ -42,8 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -270,7 +269,6 @@ class PortfolioRun:
     rejected: tuple[RejectedSample, ...]
     samples: SampleSet
     success_rate: float  # fraction of reads ending at the lowest sampled energy
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def sample_portfolio(instance: Instance,
@@ -280,25 +278,16 @@ def sample_portfolio(instance: Instance,
                      graph: Optional[Hypergraph] = None,
                      ilp: Optional[IlpModel] = None,
                      qubo: Optional[QuboModel] = None) -> PortfolioRun:
-    """Build -> encode -> anneal -> decode -> post-filter."""
-    timings: dict[str, float] = {}
-    tic = time.monotonic()
+    """Build -> encode -> anneal -> decode -> post-filter; stages passed
+    in as ``graph``, ``ilp`` or ``qubo`` are used as given."""
     if graph is None:
         graph = build_hypergraph(instance)
-    timings["build"] = time.monotonic() - tic
-
-    tic = time.monotonic()
     if ilp is None:
         ilp = encode_ilp(graph, instance, driver_weighting=driver_weighting)
     if qubo is None:
         qubo = encode_qubo(ilp, lambdas)
-    timings["encode"] = time.monotonic() - tic
-
-    tic = time.monotonic()
     samples = anneal(qubo, params)
-    timings["anneal"] = time.monotonic() - tic
 
-    tic = time.monotonic()
     feasible: dict[tuple[int, ...], DecodedSample] = {}
     rejected: list[RejectedSample] = []
     for entry in samples.entries:
@@ -315,7 +304,6 @@ def sample_portfolio(instance: Instance,
         (Solution.from_assignment(ilp, x) for x in feasible),
         key=lambda s: (s.objective, s.x))
     portfolio = SolutionPortfolio(solutions=tuple(solutions), exhaustive=False)
-    timings["decode"] = time.monotonic() - tic
 
     lowest = samples.entries[0].energy if samples.entries else None
     hits = sum(e.multiplicity for e in samples.entries if e.energy == lowest)
@@ -323,5 +311,4 @@ def sample_portfolio(instance: Instance,
         portfolio=portfolio,
         rejected=tuple(rejected),
         samples=samples,
-        success_rate=hits / samples.num_reads if samples.num_reads else 0.0,
-        timings=timings)
+        success_rate=hits / samples.num_reads if samples.num_reads else 0.0)

@@ -89,7 +89,6 @@ class SolveResult:
     status: str  # "optimal" | "infeasible" | "time_limit"
     solution: Optional[Solution]
     nodes: int
-    elapsed: float
 
     @property
     def optimal(self) -> bool:
@@ -308,11 +307,9 @@ def solve_exact(model: IlpModel,
     """
     if time_limit is not None and not time_limit >= 0:  # also rejects NaN
         raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
-    start = time.monotonic()
     search = _Search(model, deadline=None if time_limit is None
-                     else start + time_limit)
+                     else time.monotonic() + time_limit)
     search.run()
-    elapsed = time.monotonic() - start
     if search.stopped:
         status = "time_limit"
     else:
@@ -321,7 +318,7 @@ def solve_exact(model: IlpModel,
         status=status,
         solution=(None if search.incumbent is None
                   else Solution.from_assignment(model, search.incumbent)),
-        nodes=search.nodes, elapsed=elapsed)
+        nodes=search.nodes)
 
 
 def enumerate_feasible(model: IlpModel, max_count: int = 100000

@@ -19,7 +19,7 @@ seeded by the caller, and instances carry no timestamps, so equal
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
 
@@ -32,6 +32,10 @@ class GeneratorError(ValueError):
     """Raised for parameter combinations that cannot yield an instance."""
 
 
+_LEG_MINUTES = (35, 70)  # one-way leg time per corridor drawn from here
+_DRIVER_WINDOW_MINUTES = 120  # spacing of driver checkpoints
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_trips: int
@@ -41,13 +45,11 @@ class GeneratorConfig:
     delta_min: int = 5
     delta_max: int = 60
     rotation_legs: tuple[int, int] = (4, 8)  # even leg counts drawn from here
-    leg_minutes: tuple[int, int] = (35, 70)
     demand_fill: tuple[float, float] = (0.35, 0.9)  # share of own type's seats
     bike_fill: tuple[float, float] = (0.0, 0.0)
     cross_type_prob: float = 0.3
     alpha: Fraction = Fraction(1, 100)
     with_return_bounds: bool = True
-    driver_window_minutes: int = 120
     name: str = ""
 
     def __post_init__(self):
@@ -118,7 +120,7 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Instance:
             rot.corridor = i  # private far station keeps chain ends terminal
 
     n_corridors = max(rot.corridor for rot in rotations) + 1
-    leg_time = {c: int(rng.integers(cfg.leg_minutes[0], cfg.leg_minutes[1] + 1))
+    leg_time = {c: int(rng.integers(_LEG_MINUTES[0], _LEG_MINUTES[1] + 1))
                 for c in range(n_corridors)}
     leg_km = {c: int(rng.integers(20, 61)) for c in range(n_corridors)}
 
@@ -173,11 +175,15 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Instance:
         schedule_rotation(rot, start)
         trip_owner.extend([rot] * (len(trips) - before))
 
+    # couplable subset: latest departures first (they have feeders available)
+    by_depart = sorted(range(len(trips)), key=lambda i: (-trips[i].depart, i))
+    couple_ids = set(by_depart[:cfg.n_couplable])
+
     # demands and admissible types
     lo_fill, hi_fill = cfg.demand_fill
     lo_bike, hi_bike = cfg.bike_fill
     final = []
-    for trip, rot in zip(trips, trip_owner):
+    for i, (trip, rot) in enumerate(zip(trips, trip_owner)):
         own = emu_types[rot.emu_type]
         allowed = {own.id}
         for other in emu_types:
@@ -185,26 +191,10 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Instance:
                 allowed.add(other.id)
         passengers = int(rng.uniform(lo_fill, hi_fill) * own.seats)
         bicycles = int(rng.uniform(lo_bike, hi_bike) * own.bike_slots)
-        final.append(Trip(
-            id=trip.id, origin=trip.origin, destination=trip.destination,
-            depart=trip.depart, arrive=trip.arrive,
-            passengers=passengers, bicycles=bicycles,
-            couplable=False, allowed_types=frozenset(allowed),
-            distance=trip.distance, obligatory=True,
-            driver_depot=trip.driver_depot))
+        final.append(replace(trip, passengers=passengers, bicycles=bicycles,
+                             couplable=i in couple_ids,
+                             allowed_types=frozenset(allowed)))
     trips = final
-
-    # couplable subset: latest departures first (they have feeders available)
-    by_depart = sorted(range(len(trips)), key=lambda i: (-trips[i].depart, i))
-    couple_ids = set(by_depart[:cfg.n_couplable])
-    trips = [
-        t if i not in couple_ids else Trip(
-            id=t.id, origin=t.origin, destination=t.destination,
-            depart=t.depart, arrive=t.arrive, passengers=t.passengers,
-            bicycles=t.bicycles, couplable=True,
-            allowed_types=t.allowed_types, distance=t.distance,
-            obligatory=True, driver_depot=t.driver_depot)
-        for i, t in enumerate(trips)]
 
     # depot bounds sized to the constructed rotations
     out_count: dict[tuple[int, int], int] = {}
@@ -231,12 +221,12 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Instance:
     for d in range(cfg.n_depots):
         if rotations_at[d] == 0:
             continue
-        at = first + cfg.driver_window_minutes // 2
+        at = first + _DRIVER_WINDOW_MINUTES // 2
         while at < last:
             windows.append(DriverWindow(
                 depot=f"dep{d}", at=at, min_drivers=0,
                 max_drivers=2 * rotations_at[d]))
-            at += cfg.driver_window_minutes
+            at += _DRIVER_WINDOW_MINUTES
 
     name = cfg.name or f"synthetic-T{cfg.n_trips}-R{cfg.n_types}-D{cfg.n_depots}"
     return Instance(

@@ -32,6 +32,12 @@ def test_determinism(toy_qubo):
     assert a != c
 
 
+def test_portfolio_run_is_a_value(toy_instance):
+    params = AnnealParams(num_reads=30, sweeps=200, seed=2)
+    assert (sample_portfolio(toy_instance, params=params)
+            == sample_portfolio(toy_instance, params=params))
+
+
 def test_single_negative_variable_found_in_one_read():
     model = qubo_model(1, {(0, 0): Fraction(-3)})
     result = anneal(model, AnnealParams(num_reads=1, sweeps=50, seed=0))

@@ -26,6 +26,27 @@ def test_missing_file_names_path(capsys):
     assert "nope.json" in err
 
 
+def assert_clean_error(code, out, err):
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+def test_directory_as_instance_is_an_input_error(capsys):
+    assert_clean_error(*run(capsys, "validate", str(TOY_PATH.parent)))
+
+
+def test_file_as_out_directory_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert_clean_error(*run(capsys, "solve-ilp", TOY, "--out", str(taken)))
+
+
+def test_directory_as_solution_is_an_input_error(capsys):
+    assert_clean_error(*run(capsys, "diagram", TOY, "--solution",
+                            str(TOY_PATH.parent)))
+
+
 def test_invalid_instance_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alpha": 0, "delta_min": 5, "delta_max": 1, '
@@ -70,6 +91,7 @@ def test_solve_qubo_toy(tmp_path, capsys):
                        "--out", str(tmp_path))
     assert code == 0
     assert "best objective=4.8" in out
+    assert "sample=" in out
     portfolio = json.loads((tmp_path / "portfolio.json").read_text())
     assert [s["objective_float"] for s in portfolio["solutions"]] == [4.8, 5.6, 5.6]
     rejected = json.loads((tmp_path / "rejected.json").read_text())

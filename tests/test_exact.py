@@ -26,6 +26,15 @@ def test_toy_optimum(toy_ilp):
     assert result.solution.report.feasible
 
 
+def test_results_are_values(toy_ilp):
+    # equal inputs give equal results: no wall-clock field rides along
+    assert solve_exact(toy_ilp) == solve_exact(toy_ilp)
+    inst = generate_synthetic(GeneratorConfig(
+        n_trips=100, n_couplable=20, n_types=3, n_depots=4), seed=100)
+    model = encode_ilp(build_hypergraph(inst), inst)
+    assert solve_exact(model) == solve_exact(model)
+
+
 def test_toy_alpha_sweep(toy_instance):
     assert solve_exact(reweighted(toy_instance, "0")).solution.objective == 2
     low = solve_exact(reweighted(toy_instance, "0.0001")).solution.objective
