@@ -459,10 +459,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         # the library rejects bad input with ValueError: InstanceError,
         # GeneratorError and every out-of-range parameter; OSError covers
-        # missing files, directories given as files and unwritable outputs
+        # missing files, directories given as files and unwritable outputs;
+        # OverflowError a rational too large for the float text of a
+        # summary line or an LP file
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_ERROR
 

@@ -43,7 +43,6 @@ def trace_rotations(graph: Hypergraph, instance: Instance,
 
     Coupling joins two rotations on the shared trip (both polylines carry
     it, flagged coupled); decoupling sends the two units their own
-
     ways again.
     """
     chosen = sorted(set(int(a) for a in selected))
@@ -51,7 +50,6 @@ def trace_rotations(graph: Hypergraph, instance: Instance,
     for a in chosen:
         if not 0 <= a < len(arcs):
             raise DiagramError(f"arc id {a} outside the model ({len(arcs)} arcs)")
-    chosen_set = set(chosen)
 
     # selected outgoing arc per trip node (out-degree <= 1 in feasible plans)
     out_of: dict[str, int] = {}

@@ -21,16 +21,29 @@ Nodes without outgoing arcs are day-end rests and get no balance row.
 
 Driver rows weight arcs by en-route EMUs (``per_emu``) or en-route trains
 (``per_train``); both readings keep the reference instances' optima intact.
+
+Each row is one incidence set of the hypergraph: H(tau) for coverage,
+H(v)^in_r and H(v)^out_r for flow balance and out-degree, H(v_d)_r for the
+depot rows and H(t, d) for the driver rows. ``encode_ilp`` alone decides
+membership: one pass over the arcs in id order files each arc into the rows
+it enters (coverage, flow with ``+k``, driver per en-route checkpoint for
+every trip it points to; flow with ``-k'`` and out-degree for every trip it
+leaves; its depot's row for a depot arc), so every row's coefficients come
+out sorted by arc id. A trip's en-route checkpoints are found once, by
+bisecting its driver depot's sorted checkpoint times. The pass costs
+O(arcs x (endpoints + en-route checkpoints)); the rows are then emitted in
+the family order above.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .model import Instance
+from .model import Depot, Instance
 from .netbuild import Hypergraph
 
 __all__ = [
@@ -124,6 +137,22 @@ def driver_row_weight(arc_k: int, running: int, weighting: str) -> int:
     raise ValueError(f"unknown driver weighting {weighting!r}")
 
 
+def _en_route(instance: Instance) -> dict[str, list[tuple[str, int]]]:
+    """Per trip id, the checkpoints ``(depot, at)`` of its driver depot with
+    ``depart <= at < arrive``, found by bisecting that depot's sorted
+    checkpoint times."""
+    times: dict[str, list[int]] = {}
+    for depot_id, at in sorted({(w.depot, w.at) for w in instance.driver_windows}):
+        times.setdefault(depot_id, []).append(at)
+    en_route = {}
+    for t in instance.trips:
+        depot_id = instance.driver_depot_of(t)
+        ats = times.get(depot_id, [])
+        lo, hi = bisect_left(ats, t.depart), bisect_left(ats, t.arrive)
+        en_route[t.id] = [(depot_id, at) for at in ats[lo:hi]]
+    return en_route
+
+
 def encode_ilp(graph: Hypergraph, instance: Instance,
                driver_weighting: str = "per_emu") -> IlpModel:
     """Encode the hypergraph as a binary linear program."""
@@ -136,83 +165,90 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
         if coeff:
             objective.append((arc.id, coeff))
 
+    # One pass in id order files every arc into the rows it enters, so each
+    # row's (arc id, coefficient) list comes out sorted.
+    trip_of = {n.id: n.trip for n in graph.nodes}
+    en_route = _en_route(instance)
+    cover: dict[str, list[tuple[int, int]]] = {}
+    flow: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    outdeg: dict[str, list[tuple[int, int]]] = {}
+    depot_rows: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+    driver: dict[tuple[str, int], list[tuple[int, int]]] = {}  # (arc, running)
+    over_capacity: list[int] = []
+    for arc in arcs:
+        a, r = arc.id, arc.emu_type
+        heads = [trip_of[t] for t in arc.targets]
+        running: dict[tuple[str, int], int] = {}
+        for trip_id in heads:
+            if trip_id is None:  # depot sink
+                continue
+            cover.setdefault(trip_id, []).append((a, 1))
+            flow.setdefault((trip_id, r), []).append((a, arc.k))
+            for key in en_route[trip_id]:
+                running[key] = running.get(key, 0) + 1
+        for source in arc.sources:
+            trip_id = trip_of[source]
+            if trip_id is None:  # depot source
+                continue
+            flow.setdefault((trip_id, r), []).append((a, -arc.k_prime))
+            outdeg.setdefault(trip_id, []).append((a, 1))
+        if arc.kind == "depot_out":
+            key = ("depot_out", graph.node(arc.sources[0]).depot, r)
+            depot_rows.setdefault(key, []).append((a, arc.k_prime))
+        elif arc.kind == "depot_in":
+            key = ("depot_in", graph.node(arc.targets[0]).depot, r)
+            depot_rows.setdefault(key, []).append((a, arc.k))
+        for key, count in running.items():
+            driver.setdefault(key, []).append((a, count))
+        for trip_id, seats, bikes in zip(heads, arc.seat_shortages,
+                                         arc.bike_shortages):
+            trip = instance.trip_by_id(trip_id) if trip_id else None
+            if (seats > instance.seat_tolerance(arc.k, trip)
+                    or bikes > instance.bike_tolerance(arc.k, trip)):
+                over_capacity.append(a)
+                break
+
     rows: list[ConstraintRow] = []
 
     for trip in instance.trips:
-        if not trip.obligatory:
-            continue
-        support = graph.idx_cover.get(trip.id, ())
-        rows.append(ConstraintRow(
-            kind="coverage", relation="=", rhs=1,
-            coeffs=tuple((a, 1) for a in support),
-            tag=f"cover[{trip.id}]"))
+        if trip.obligatory:
+            rows.append(ConstraintRow(
+                kind="coverage", relation="=", rhs=1,
+                coeffs=tuple(cover.get(trip.id, ())),
+                tag=f"cover[{trip.id}]"))
 
     for trip in instance.trips:
-        node_id = graph.trip_node_id(trip.id)
-        if not graph.outgoing(node_id):
+        if trip.id not in outdeg:
             continue  # terminal node: EMUs rest here at day end
         for emu in instance.emu_types:
-            incoming = graph.idx_in.get((node_id, emu.id), ())
-            outgoing = graph.idx_out.get((node_id, emu.id), ())
-            if not incoming and not outgoing:
-                continue
-            coeffs: dict[int, int] = {}
-            for a in incoming:
-                coeffs[a] = coeffs.get(a, 0) + arcs[a].k
-            for a in outgoing:
-                coeffs[a] = coeffs.get(a, 0) - arcs[a].k_prime
-            coeffs = {a: c for a, c in coeffs.items() if c}
-            rows.append(ConstraintRow(
-                kind="flow_balance", relation="=", rhs=0,
-                coeffs=tuple(sorted(coeffs.items())),
-                tag=f"flow[{trip.id},{emu.id}]"))
+            coeffs = flow.get((trip.id, emu.id))
+            if coeffs:
+                rows.append(ConstraintRow(
+                    kind="flow_balance", relation="=", rhs=0,
+                    coeffs=tuple(coeffs),
+                    tag=f"flow[{trip.id},{emu.id}]"))
 
     for trip in instance.trips:
-        node_id = graph.trip_node_id(trip.id)
-        outgoing = graph.outgoing(node_id)
-        if not outgoing:
-            continue
-        rows.append(ConstraintRow(
-            kind="out_degree", relation="<=", rhs=1,
-            coeffs=tuple((a, 1) for a in outgoing),
-            tag=f"outdeg[{trip.id}]"))
-
-    for depot in instance.depots:
-        for emu in instance.emu_types:
-            support = graph.idx_depot_out.get((depot.id, emu.id), ())
-            lo, hi = depot.out_bounds(emu.id)
-            if not support and lo == 0:
-                continue
+        if trip.id in outdeg:
             rows.append(ConstraintRow(
-                kind="depot_out", relation="range", lo=lo, hi=hi,
-                coeffs=tuple((a, arcs[a].k_prime) for a in support),
-                tag=f"depot_out[{depot.id},{emu.id}]"))
+                kind="out_degree", relation="<=", rhs=1,
+                coeffs=tuple(outdeg[trip.id]),
+                tag=f"outdeg[{trip.id}]"))
 
-    for depot in instance.depots:
-        if not depot.has_sink:
-            continue
-        for emu in instance.emu_types:
-            support = graph.idx_depot_in.get((depot.id, emu.id), ())
-            lo, hi = depot.in_bounds(emu.id)
-            if not support and lo == 0:
-                continue
-            rows.append(ConstraintRow(
-                kind="depot_in", relation="range", lo=lo, hi=hi,
-                coeffs=tuple((a, arcs[a].k) for a in support),
-                tag=f"depot_in[{depot.id},{emu.id}]"))
+    # a depot without sink has no depot_in arcs and in_bounds (0, 0)
+    for kind, bounds in (("depot_out", Depot.out_bounds),
+                         ("depot_in", Depot.in_bounds)):
+        for depot in instance.depots:
+            for emu in instance.emu_types:
+                coeffs = depot_rows.get((kind, depot.id, emu.id), ())
+                lo, hi = bounds(depot, emu.id)
+                if not coeffs and lo == 0:
+                    continue
+                rows.append(ConstraintRow(
+                    kind=kind, relation="range", lo=lo, hi=hi,
+                    coeffs=tuple(coeffs),
+                    tag=f"{kind}[{depot.id},{emu.id}]"))
 
-    def exceeds_tolerance(arc) -> bool:
-        target_trips = [graph.node(t).trip for t in arc.targets]
-        for trip_id, seats, bikes in zip(target_trips, arc.seat_shortages,
-                                         arc.bike_shortages):
-            trip = instance.trip_by_id(trip_id) if trip_id else None
-            if seats > instance.seat_tolerance(arc.k, trip):
-                return True
-            if bikes > instance.bike_tolerance(arc.k, trip):
-                return True
-        return False
-
-    over_capacity = sorted(arc.id for arc in arcs if exceeds_tolerance(arc))
     if over_capacity:
         rows.append(ConstraintRow(
             kind="capacity_forbid", relation="=", rhs=0,
@@ -222,7 +258,7 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
     # unlicensed windows first, then licensed ones, each in input order
     for window in sorted(instance.driver_windows,
                          key=lambda w: w.license is not None):
-        members = graph.driver_members.get((window.depot, window.at), ())
+        members = driver.get((window.depot, window.at), ())
         tag = f"{window.depot},{window.at}"
         if window.license is not None:
             covered = instance.license_types(window.license)

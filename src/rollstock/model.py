@@ -354,6 +354,10 @@ def _validate(inst: Instance) -> None:
         if not 0 <= w.min_drivers <= w.max_drivers:
             raise InstanceError(f"{path}/min_drivers",
                                 "need 0 <= min_drivers <= max_drivers")
+        if (w.license is not None and w.license not in inst.licenses
+                and w.license not in type_ids):
+            # it would cover no EMU type, so its row could never hold min_drivers
+            raise InstanceError(f"{path}/license", f"unknown license {w.license!r}")
         key = (w.depot, w.at, w.license)
         if key in seen_windows:
             raise InstanceError(f"{path}/at", f"duplicate window {key}")
@@ -509,9 +513,12 @@ def exact_number(value: Rational) -> Union[int, float, str]:
     both the JSON value and its ``str()`` parse back to the same number."""
     if value.denominator == 1:
         return value.numerator
-    as_float = float(value)
-    if Fraction(str(as_float)) == value:
-        return as_float
+    try:
+        as_float = float(value)
+        if Fraction(str(as_float)) == value:
+            return as_float
+    except OverflowError:  # beyond the float range
+        pass
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -27,19 +27,18 @@ bisecting ``[arrive + delta_min, arrive + delta_max]`` in its destination's
 list and sorted back into input order, and predecessor lists are built from
 them in input order. Transfers, coupled transfers and decouple heads read
 the successor lists, couple feeders the predecessor lists. Each kind is
-emitted directly in id order, so no arc sort is needed. Driver demand is
-looked up per trip too: bisecting its driver depot's sorted checkpoint
-times gives the checkpoints with ``depart <= at < arrive``, and every arc
-adds one member per such checkpoint, counting its distinct en-route
-pointed-to trips. Prices ``k * cost_per_km * distance`` are computed once
-per (trip, type, k). The cost is linear in trips times turnaround-window
-hits, plus arcs times en-route checkpoints.
+emitted directly in id order, so no arc sort is needed. Prices
+``k * cost_per_km * distance`` are computed once per (trip, type, k). The
+cost is linear in trips times turnaround-window hits.
+
+The graph is its nodes and arcs only: which rows of the ILP an arc enters
+is decided by ``ilp.encode_ilp``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -105,48 +104,16 @@ class HyperArc:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Immutable hypergraph with the incidence indexes the encoders consume.
-
-    idx_cover   trip id -> arc ids pointing to it (H(tau))
-    idx_in      (node id, type) -> incoming arc ids (H(v)^in_r)
-    idx_out     (node id, type) -> outgoing arc ids (H(v)^out_r)
-    idx_depot_out / idx_depot_in  (depot, type) -> arc ids (H(v_d)_r)
-    driver_members  (depot, checkpoint) -> (arc id, en-route trip count)
-    idx_driver  (depot, checkpoint) -> arc ids (H(t, d)), derived from
-                driver_members
-    """
+    """Immutable hypergraph: the nodes, and the arcs in id order."""
 
     nodes: tuple[Node, ...]
     arcs: tuple[HyperArc, ...]
-    idx_cover: dict[str, tuple[int, ...]]
-    idx_in: dict[tuple[str, str], tuple[int, ...]]
-    idx_out: dict[tuple[str, str], tuple[int, ...]]
-    idx_depot_out: dict[tuple[str, str], tuple[int, ...]]
-    idx_depot_in: dict[tuple[str, str], tuple[int, ...]]
-    driver_members: dict[tuple[str, int], tuple[tuple[int, int], ...]] = field(
-        default_factory=dict)
 
     def node(self, node_id: str) -> Node:
         return self._node_index[node_id]
 
-    def trip_node_id(self, trip_id: str) -> str:
-        return f"trip:{trip_id}"
-
-    def outgoing(self, node_id: str) -> tuple[int, ...]:
-        return self._out_all.get(node_id, ())
-
-    @property
-    def idx_driver(self) -> dict[tuple[str, int], tuple[int, ...]]:
-        return {key: tuple(a for a, _ in members)
-                for key, members in self.driver_members.items()}
-
     def __post_init__(self):
         object.__setattr__(self, "_node_index", {n.id: n for n in self.nodes})
-        out_all: dict[str, list[int]] = {}
-        for (node_id, _), arc_ids in self.idx_out.items():
-            out_all.setdefault(node_id, []).extend(arc_ids)
-        object.__setattr__(self, "_out_all",
-                           {k: tuple(sorted(v)) for k, v in out_all.items()})
 
 
 def _turnaround_lists(instance: Instance) -> tuple[list[list[int]], list[list[int]]]:
@@ -176,23 +143,6 @@ def _turnaround_lists(instance: Instance) -> tuple[list[list[int]], list[list[in
     return succ, pred
 
 
-def _en_route(instance: Instance) -> tuple[list[tuple[str, int]],
-                                           list[list[tuple[str, int]]]]:
-    """Sorted driver checkpoints and, per trip position, the checkpoints of
-    its driver depot with ``depart <= at < arrive``."""
-    checkpoints = sorted({(w.depot, w.at) for w in instance.driver_windows})
-    times: dict[str, list[int]] = {}
-    for depot_id, at in checkpoints:
-        times.setdefault(depot_id, []).append(at)
-    en_route = []
-    for t in instance.trips:
-        depot_id = instance.driver_depot_of(t)
-        ats = times.get(depot_id, [])
-        lo, hi = bisect_left(ats, t.depart), bisect_left(ats, t.arrive)
-        en_route.append([(depot_id, at) for at in ats[lo:hi]])
-    return checkpoints, en_route
-
-
 def build_hypergraph(instance: Instance) -> Hypergraph:
     """Construct the full candidate-arc hypergraph for one instance."""
     trips, types = instance.trips, instance.emu_types
@@ -211,23 +161,14 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
     trip_node = [f"trip:{t.id}" for t in trips]
     allowed = [t.allowed_types for t in trips]
     succ, pred = _turnaround_lists(instance)
-    checkpoints, en_route = _en_route(instance)
 
     arcs: list[HyperArc] = []
-    idx_cover: dict[str, list[int]] = {t.id: [] for t in trips}
-    idx_in: dict[tuple[str, str], list[int]] = {}
-    idx_out: dict[tuple[str, str], list[int]] = {}
-    idx_depot: dict[str, dict[tuple[str, str], list[int]]] = {
-        "depot_out": {}, "depot_in": {}}
-    driver_members: dict[tuple[str, int], list[tuple[int, int]]] = {}
     prices: dict[tuple[int, str, int], Fraction] = {}
 
     def add(kind: str, sources: tuple[str, ...], targets: tuple[str, ...],
-            emu: EmuType, k: int, k_prime: int, heads: tuple[int, ...] = (),
-            depot_id: Optional[str] = None) -> None:
+            emu: EmuType, k: int, k_prime: int, heads: tuple[int, ...] = ()) -> None:
         """Append the next arc; ``heads`` are the positions of the (distinct)
-        trips it points to, ``depot_id`` the depot of a depot arc."""
-        arc_id = len(arcs)
+        trips it points to."""
         costs = []
         for pos in heads:
             # multiplicity on the pointed-to trip prices every unit that runs it
@@ -236,28 +177,14 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
                 cost = prices[pos, emu.id, k] = (
                     Fraction(k) * emu.cost_per_km * trips[pos].distance)
             costs.append(cost)
-            idx_cover[trips[pos].id].append(arc_id)
         arcs.append(HyperArc(
-            id=arc_id, kind=kind, sources=sources, targets=targets,
+            id=len(arcs), kind=kind, sources=sources, targets=targets,
             emu_type=emu.id, k=k, k_prime=k_prime,
             cost=costs[0] if len(costs) == 1 else sum(costs, Fraction(0)),
             seat_shortages=tuple(max(0, trips[p].passengers - k * emu.seats)
                                  for p in heads),
             bike_shortages=tuple(max(0, trips[p].bicycles - k * emu.bike_slots)
                                  for p in heads)))
-        for target in targets:
-            idx_in.setdefault((target, emu.id), []).append(arc_id)
-        for source in sources:
-            idx_out.setdefault((source, emu.id), []).append(arc_id)
-        if depot_id is not None:
-            idx_depot[kind].setdefault((depot_id, emu.id), []).append(arc_id)
-        # driver demand: en-route pointed-to trips per checkpoint
-        running: dict[tuple[str, int], int] = {}
-        for pos in heads:
-            for key in en_route[pos]:
-                running[key] = running.get(key, 0) + 1
-        for key, count in running.items():
-            driver_members.setdefault(key, []).append((arc_id, count))
 
     # Each kind is emitted in id order: sources, then targets, type and k.
     for d in instance.depots:
@@ -269,10 +196,9 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
                 _, out_max = d.out_bounds(r.id)
                 if out_max <= 0 or r.id not in t.allowed_types:
                     continue
-                add("depot_out", (source,), (trip_node[pos],), r, 1, 1, (pos,), d.id)
+                add("depot_out", (source,), (trip_node[pos],), r, 1, 1, (pos,))
                 if out_max >= 2 and t.couplable and r.couplable:
-                    add("depot_out", (source,), (trip_node[pos],), r, 2, 2, (pos,),
-                        d.id)
+                    add("depot_out", (source,), (trip_node[pos],), r, 2, 2, (pos,))
 
     for a, heads in enumerate(succ):
         for b in heads:
@@ -324,27 +250,11 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
                 _, in_max = d.in_bounds(r.id)
                 if in_max <= 0 or r.id not in t.allowed_types:
                     continue
-                add("depot_in", (trip_node[pos],), (f"snk:{d.id}",), r, 1, 1,
-                    depot_id=d.id)
+                add("depot_in", (trip_node[pos],), (f"snk:{d.id}",), r, 1, 1)
                 if in_max >= 2 and t.couplable and r.couplable:
-                    add("depot_in", (trip_node[pos],), (f"snk:{d.id}",), r, 2, 2,
-                        depot_id=d.id)
+                    add("depot_in", (trip_node[pos],), (f"snk:{d.id}",), r, 2, 2)
 
-    def freeze(mapping):
-        return {k: tuple(v) for k, v in mapping.items() if v}
-
-    return Hypergraph(
-        nodes=tuple(nodes),
-        arcs=tuple(arcs),
-        idx_cover=freeze(idx_cover) | {t.id: () for t in trips
-                                       if not idx_cover[t.id]},
-        idx_in=freeze(idx_in),
-        idx_out=freeze(idx_out),
-        idx_depot_out=freeze(idx_depot["depot_out"]),
-        idx_depot_in=freeze(idx_depot["depot_in"]),
-        driver_members={key: tuple(driver_members[key]) for key in checkpoints
-                        if key in driver_members},
-    )
+    return Hypergraph(nodes=tuple(nodes), arcs=tuple(arcs))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import json
 
+import pytest
+
 from rollstock.cli import main
 from rollstock.model import load_instance
 
-from conftest import TOY_PATH
+from conftest import REPO, TOY_PATH
 
 TOY = str(TOY_PATH)
+GOLDEN_TOY = REPO / "tests" / "golden" / "toy"
 
 
 def run(capsys, *argv):
@@ -199,13 +202,33 @@ def test_export_qubo_files(tmp_path, capsys):
 def test_artifacts_are_byte_stable(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for target in (a, b):
-        run(capsys, "solve-ilp", TOY, "--out", str(target), "--emit-lp")
+        run(capsys, "solve-ilp", TOY, "--out", str(target), "--emit-lp",
+            "--emit-dot")
         run(capsys, "solve-qubo", TOY, "--seed", "3", "--out", str(target))
         run(capsys, "diagram", TOY, "--solution", str(target / "solution.json"),
             "--out", str(target))
-    for name in ("solution.json", "model.lp", "portfolio.json",
-                 "rejected.json", "diagram.svg", "diagram.txt"):
+        run(capsys, "export-qubo", TOY, "--out", str(target))
+    for name in ("solution.json", "model.lp", "hypergraph.dot", "portfolio.json",
+                 "rejected.json", "diagram.svg", "diagram.txt", "qubo.coo",
+                 "ising.coo"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the toy artifacts recorded in tests/golden/toy
+    golden = sorted(GOLDEN_TOY.iterdir())
+    assert [path.name for path in golden] == [
+        "diagram.svg", "diagram.txt", "hypergraph.dot", "ising.coo",
+        "model.lp", "qubo.coo", "solution.json"]
+    for path in golden:
+        assert (a / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("command", ["solve-ilp", "export-lp"])
+def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys, command):
+    # the objective summary and the LP text are floats; 10^400/3 has none
+    data = json.loads(TOY_PATH.read_text())
+    data["trips"][0]["distance"] = "1" + "0" * 400 + "/3"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert_clean_error(*run(capsys, command, str(path)))
 
 
 def test_report_var_counts_monotone_over_generated_sweep(tmp_path, capsys):

@@ -125,9 +125,9 @@ def direct_feasible(inst: Instance, graph, x) -> bool:
         if covers != 1:
             return False
 
+    departing = {trip_id for arc in arcs for trip_id in sources_of(arc)}
     for trip in inst.trips:
-        node_id = f"trip:{trip.id}"
-        if not graph.outgoing(node_id):
+        if trip.id not in departing:
             continue
         for emu in inst.emu_types:
             arriving = sum(a.k for a in selected

@@ -72,6 +72,10 @@ def test_negative_delta_min_rejected():
      "/driver_windows/0/min_drivers"),
     (lambda d: d["trips"][0].pop("depart"), "/trips/0/depart"),
     (lambda d: d["emu_types"][0].update(seats=0), "/emu_types/0/seats"),
+    # neither a licenses key nor an EMU type id: the window would cover no type
+    (lambda d: d["driver_windows"].append(
+        {"depot": "depA", "at": 600, "min_drivers": 1, "max_drivers": 3,
+         "license": "rX"}), "/driver_windows/2/license"),
 ])
 def test_invariant_violations_report_paths(mutate, path):
     data = json.loads(TOY_PATH.read_text())
@@ -191,6 +195,16 @@ def test_fraction_values_survive_roundtrip():
     assert again.alpha == Fraction(1, 7)
     assert again.trips[0].distance == Fraction(1, 3)
     assert again.emu_types[0].cost_per_km == Fraction(7, 3)
+
+
+def test_rational_beyond_float_range_roundtrips():
+    # float() of this distance overflows, so it is written as "n/d" text
+    data = json.loads(TOY_PATH.read_text())
+    data["trips"][0]["distance"] = "1" + "0" * 400 + "/3"
+    inst = loads_instance(json.dumps(data))
+    text = serialize_instance(inst)
+    assert json.loads(text)["trips"][0]["distance"] == "1" + "0" * 400 + "/3"
+    assert loads_instance(text) == inst
 
 
 def test_generator_is_deterministic():

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from rollstock.ilp import encode_ilp
 from rollstock.model import Depot, EmuType, Instance, Trip
 from rollstock.netbuild import build_hypergraph, size_bounds, to_dot
 
@@ -39,20 +40,28 @@ def test_toy_costs_and_shortages(toy_graph):
     assert all(a.bike_shortage == 0 for a in toy_graph.arcs)
 
 
-def test_toy_index_sets(toy_graph):
-    g = toy_graph
-    assert g.idx_cover["t1"] == (0, 1)
-    assert g.idx_cover["t2"] == (2, 3)
-    assert g.idx_cover["t3"] == (4, 5, 7, 8, 10)
-    assert g.idx_cover["t4"] == (6, 9)
-    assert g.idx_in[("trip:t3", "r1")] == (4, 7, 10)
-    assert g.idx_out[("trip:t1", "r1")] == (4, 6, 10)
-    assert g.idx_out[("trip:t2", "r1")] == (7, 9, 10)
-    assert g.idx_depot_out[("depA", "r1")] == (0, 2)
-    assert g.idx_depot_out[("depA", "r2")] == (1, 3)
-    assert g.idx_driver[("depA", 485)] == (0, 1)
-    assert g.idx_driver[("depA", 600)] == (4, 5, 6, 7, 8, 9, 10)
-    assert not g.idx_depot_in
+def row_support(model) -> dict[str, tuple[int, ...]]:
+    """Row tag -> the arc ids the row holds, in row order."""
+    return {row.tag: tuple(a for a, _ in row.coeffs) for row in model.constraints}
+
+
+def test_toy_index_sets(toy_ilp):
+    rows = row_support(toy_ilp)
+    assert rows["cover[t1]"] == (0, 1)
+    assert rows["cover[t2]"] == (2, 3)
+    assert rows["cover[t3]"] == (4, 5, 7, 8, 10)
+    assert "cover[t4]" not in rows  # the optional service trip
+    assert rows["flow[t1,r1]"] == (0, 4, 6, 10)
+    assert rows["flow[t2,r1]"] == (2, 7, 9, 10)
+    (flow_t1,) = [r for r in toy_ilp.constraints if r.tag == "flow[t1,r1]"]
+    assert flow_t1.coeffs == ((0, 1), (4, -1), (6, -1), (10, -1))
+    assert rows["outdeg[t1]"] == (4, 5, 6, 10)
+    assert rows["outdeg[t2]"] == (7, 8, 9, 10)
+    assert rows["depot_out[depA,r1]"] == (0, 2)
+    assert rows["depot_out[depA,r2]"] == (1, 3)
+    assert rows["driver[depA,485]"] == (0, 1)
+    assert rows["driver[depA,600]"] == (4, 5, 6, 7, 8, 9, 10)
+    assert not any(tag.startswith("depot_in") for tag in rows)
 
 
 def test_minimal_instance_single_depot_arc():
@@ -66,7 +75,7 @@ def test_minimal_instance_single_depot_arc():
     g = build_hypergraph(inst)
     assert len(g.arcs) == 1
     assert g.arcs[0].kind == "depot_out"
-    assert g.idx_cover["t"] == (0,)
+    assert row_support(encode_ilp(g, inst))["cover[t]"] == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +214,10 @@ def test_turnaround_windows_and_coupling_rules(seed):
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_every_obligatory_trip_coverable(seed):
     inst = small_random_instance(seed)
-    g = build_hypergraph(inst)
+    rows = row_support(encode_ilp(build_hypergraph(inst), inst))
     for trip in inst.trips:
         if trip.obligatory:
-            assert g.idx_cover[trip.id], trip.id
+            assert rows[f"cover[{trip.id}]"], trip.id
 
 
 @pytest.mark.parametrize("seed", [2, 5, 9])
@@ -222,19 +231,26 @@ def test_arc_count_monotone_in_delta_max(seed):
     assert counts == sorted(counts)
 
 
-def test_index_sets_are_incidence_inverses(toy_graph):
+def test_index_sets_are_incidence_inverses(toy_graph, toy_ilp):
     g = toy_graph
-    for (node_id, type_id), arc_ids in g.idx_in.items():
-        for a in arc_ids:
-            arc = g.arcs[a]
-            assert node_id in arc.targets and arc.emu_type == type_id
-    for (node_id, type_id), arc_ids in g.idx_out.items():
-        for a in arc_ids:
-            arc = g.arcs[a]
-            assert node_id in arc.sources and arc.emu_type == type_id
-    for trip_id, arc_ids in g.idx_cover.items():
-        for a in arc_ids:
-            assert f"trip:{trip_id}" in g.arcs[a].targets
+    for row in toy_ilp.constraints:
+        if row.kind == "coverage":
+            trip_id = row.tag[len("cover["):-1]
+            assert [a for a, _ in row.coeffs] == [
+                arc.id for arc in g.arcs if f"trip:{trip_id}" in arc.targets]
+        if row.kind == "flow_balance":
+            trip_id, type_id = row.tag[len("flow["):-1].split(",")
+            node_id = f"trip:{trip_id}"
+            for a, coeff in row.coeffs:
+                arc = g.arcs[a]
+                assert arc.emu_type == type_id
+                if coeff > 0:
+                    assert node_id in arc.targets and coeff == arc.k
+                else:
+                    assert node_id in arc.sources and -coeff == arc.k_prime
+            assert {a for a, _ in row.coeffs} == {
+                arc.id for arc in g.arcs if arc.emu_type == type_id
+                and node_id in arc.sources + arc.targets}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""The indexed ``build_hypergraph`` against the all-pairs scan it replaced.
+"""``build_hypergraph`` and ``encode_ilp`` against the scans they replaced.
 
-``scan_build_hypergraph`` below is the former builder, kept verbatim as the
+``scan_build_hypergraph`` below is the former builder, kept as the
 reference: it tests every trip pair for a turnaround, scans all trips for
 the feeders of a coupling and the heads of a decoupling, sorts the raw arcs
-into id order, and counts driver demand checkpoint by checkpoint over every
-arc. The indexed builder must return the same graph field by field: the same
-nodes, the same arcs in the same id order with ``Fraction`` costs, and the
-same keys in the same order in every index and in ``driver_members``.
+into id order, files every arc into incidence indexes, and counts driver
+demand checkpoint by checkpoint over every arc. ``reference_encode_ilp`` is
+the former encoder, which read its rows off those indexes. The builder must
+return the same nodes and the same arcs in the same id order with
+``Fraction`` costs, and ``encode_ilp``, which files arcs into rows in one
+pass, must return the reference model for both driver weightings.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from typing import Iterable
 import pytest
 
 from rollstock.generate import GeneratorConfig, generate_synthetic
+from rollstock.ilp import ConstraintRow, IlpModel, driver_row_weight, encode_ilp
 from rollstock.model import (Depot, DriverWindow, EmuType, Instance, Trip,
                              load_instance)
 from rollstock.netbuild import (ARC_KINDS, HyperArc, Hypergraph, Node,
@@ -41,7 +44,9 @@ def _shortages(targets: Iterable[Trip], emu: EmuType,
             tuple(max(0, t.bicycles - k * emu.bike_slots) for t in targets))
 
 
-def scan_build_hypergraph(instance: Instance) -> Hypergraph:
+def scan_build_hypergraph(instance: Instance) -> tuple[Hypergraph, dict]:
+    """The graph and its incidence indexes by name: idx_cover, idx_in,
+    idx_out, idx_depot_out, idx_depot_in and driver_members."""
     nodes: list[Node] = []
     for d in instance.depots:
         nodes.append(Node(id=f"src:{d.id}", index=len(nodes),
@@ -197,9 +202,7 @@ def scan_build_hypergraph(instance: Instance) -> Hypergraph:
     def freeze(mapping):
         return {k: tuple(sorted(set(v))) for k, v in mapping.items() if v}
 
-    return Hypergraph(
-        nodes=tuple(nodes),
-        arcs=tuple(arcs),
+    return Hypergraph(nodes=tuple(nodes), arcs=tuple(arcs)), dict(
         idx_cover=freeze(idx_cover) | {t.id: () for t in instance.trips
                                        if not idx_cover[t.id]},
         idx_in=freeze(idx_in),
@@ -210,10 +213,132 @@ def scan_build_hypergraph(instance: Instance) -> Hypergraph:
     )
 
 
+def reference_encode_ilp(graph: Hypergraph, idx: dict, instance: Instance,
+                         driver_weighting: str) -> IlpModel:
+    arcs = graph.arcs
+    out_all: dict[str, list[int]] = {}
+    for (node_id, _), arc_ids in idx["idx_out"].items():
+        out_all.setdefault(node_id, []).extend(arc_ids)
+    out_all = {k: tuple(sorted(v)) for k, v in out_all.items()}
+
+    objective: list[tuple[int, Fraction]] = []
+    for arc in arcs:
+        coeff = instance.alpha * arc.cost
+        if arc.kind == "depot_out":
+            coeff += arc.k_prime
+        if coeff:
+            objective.append((arc.id, coeff))
+
+    rows: list[ConstraintRow] = []
+
+    for trip in instance.trips:
+        if not trip.obligatory:
+            continue
+        support = idx["idx_cover"].get(trip.id, ())
+        rows.append(ConstraintRow(
+            kind="coverage", relation="=", rhs=1,
+            coeffs=tuple((a, 1) for a in support),
+            tag=f"cover[{trip.id}]"))
+
+    for trip in instance.trips:
+        node_id = f"trip:{trip.id}"
+        if not out_all.get(node_id, ()):
+            continue  # terminal node: EMUs rest here at day end
+        for emu in instance.emu_types:
+            incoming = idx["idx_in"].get((node_id, emu.id), ())
+            outgoing = idx["idx_out"].get((node_id, emu.id), ())
+            if not incoming and not outgoing:
+                continue
+            coeffs: dict[int, int] = {}
+            for a in incoming:
+                coeffs[a] = coeffs.get(a, 0) + arcs[a].k
+            for a in outgoing:
+                coeffs[a] = coeffs.get(a, 0) - arcs[a].k_prime
+            coeffs = {a: c for a, c in coeffs.items() if c}
+            rows.append(ConstraintRow(
+                kind="flow_balance", relation="=", rhs=0,
+                coeffs=tuple(sorted(coeffs.items())),
+                tag=f"flow[{trip.id},{emu.id}]"))
+
+    for trip in instance.trips:
+        outgoing = out_all.get(f"trip:{trip.id}", ())
+        if not outgoing:
+            continue
+        rows.append(ConstraintRow(
+            kind="out_degree", relation="<=", rhs=1,
+            coeffs=tuple((a, 1) for a in outgoing),
+            tag=f"outdeg[{trip.id}]"))
+
+    for depot in instance.depots:
+        for emu in instance.emu_types:
+            support = idx["idx_depot_out"].get((depot.id, emu.id), ())
+            lo, hi = depot.out_bounds(emu.id)
+            if not support and lo == 0:
+                continue
+            rows.append(ConstraintRow(
+                kind="depot_out", relation="range", lo=lo, hi=hi,
+                coeffs=tuple((a, arcs[a].k_prime) for a in support),
+                tag=f"depot_out[{depot.id},{emu.id}]"))
+
+    for depot in instance.depots:
+        if not depot.has_sink:
+            continue
+        for emu in instance.emu_types:
+            support = idx["idx_depot_in"].get((depot.id, emu.id), ())
+            lo, hi = depot.in_bounds(emu.id)
+            if not support and lo == 0:
+                continue
+            rows.append(ConstraintRow(
+                kind="depot_in", relation="range", lo=lo, hi=hi,
+                coeffs=tuple((a, arcs[a].k) for a in support),
+                tag=f"depot_in[{depot.id},{emu.id}]"))
+
+    def exceeds_tolerance(arc) -> bool:
+        target_trips = [graph.node(t).trip for t in arc.targets]
+        for trip_id, seats, bikes in zip(target_trips, arc.seat_shortages,
+                                         arc.bike_shortages):
+            trip = instance.trip_by_id(trip_id) if trip_id else None
+            if seats > instance.seat_tolerance(arc.k, trip):
+                return True
+            if bikes > instance.bike_tolerance(arc.k, trip):
+                return True
+        return False
+
+    over_capacity = sorted(arc.id for arc in arcs if exceeds_tolerance(arc))
+    if over_capacity:
+        rows.append(ConstraintRow(
+            kind="capacity_forbid", relation="=", rhs=0,
+            coeffs=tuple((a, 1) for a in over_capacity),
+            tag="capacity"))
+
+    # unlicensed windows first, then licensed ones, each in input order
+    for window in sorted(instance.driver_windows,
+                         key=lambda w: w.license is not None):
+        members = idx["driver_members"].get((window.depot, window.at), ())
+        tag = f"{window.depot},{window.at}"
+        if window.license is not None:
+            covered = instance.license_types(window.license)
+            members = [(a, running) for a, running in members
+                       if arcs[a].emu_type in covered]
+            tag += f",{window.license}"
+        if not members and window.min_drivers == 0:
+            continue
+        coeffs = tuple(
+            (a, driver_row_weight(arcs[a].k, running, driver_weighting))
+            for a, running in members)
+        rows.append(ConstraintRow(
+            kind="driver", relation="range",
+            lo=window.min_drivers, hi=window.max_drivers,
+            coeffs=coeffs,
+            tag=f"driver[{tag}]"))
+
+    return IlpModel(num_vars=len(arcs), objective=tuple(objective),
+                    constraints=tuple(rows))
+
+
 # ---------------------------------------------------------------------------
 
-INDEXES = ("idx_cover", "idx_in", "idx_out", "idx_depot_out", "idx_depot_in",
-           "driver_members")
+WEIGHTINGS = ("per_emu", "per_train")
 
 
 def arc_fields(arc: HyperArc) -> tuple:
@@ -223,14 +348,23 @@ def arc_fields(arc: HyperArc) -> tuple:
 
 
 def assert_same_graph(inst: Instance) -> Hypergraph:
-    got, want = build_hypergraph(inst), scan_build_hypergraph(inst)
+    got = build_hypergraph(inst)
+    want, idx = scan_build_hypergraph(inst)
     assert got.nodes == want.nodes
     assert [arc_fields(a) for a in got.arcs] == [arc_fields(a) for a in want.arcs]
     assert all(type(a.cost) is Fraction for a in got.arcs)
-    for name in INDEXES:
-        got_items, want_items = getattr(got, name).items(), getattr(want, name).items()
-        assert list(got_items) == list(want_items), name
+    for weighting in WEIGHTINGS:
+        assert encode_ilp(got, inst, weighting) == reference_encode_ilp(
+            want, idx, inst, weighting), weighting
     return got
+
+
+def driver_rows(graph: Hypergraph, inst: Instance) -> dict[str, tuple]:
+    """Driver row tag -> ``(arc id, en-route trip count)`` pairs, read off
+    the ``per_train`` encoding, whose driver weights are those counts."""
+    return {row.tag: row.coeffs
+            for row in encode_ilp(graph, inst, "per_train").constraints
+            if row.kind == "driver"}
 
 
 def test_toy_matches_scan():
@@ -334,44 +468,57 @@ def test_zero_width_window():
 def test_checkpoints_at_depart_count_and_at_arrive_do_not():
     depots = (Depot(id="dA", station="A", out_max={"r1": 2, "r2": 1}),
               Depot(id="dB", station="B", out_max={"r1": 1}))
-    g = assert_same_graph(instance(
+    inst = instance(
         [trip("a", "A", "B", 500, 600, depot="dA"),
          trip("b", "B", "A", 620, 700, depot="dA"),
          trip("c", "A", "C", 615, 690)],  # no driver depot
         depots=depots,
         windows=[DriverWindow("dA", 500, 0, 3), DriverWindow("dA", 600, 0, 3),
                  DriverWindow("dA", 620, 0, 3), DriverWindow("dA", 700, 0, 3),
-                 DriverWindow("dB", 650, 0, 3)]))  # dB serves no trip
-    assert list(g.driver_members) == [("dA", 500), ("dA", 620)]
-    assert g.idx_cover["c"]
-    for key, trip_id in ((("dA", 500), "trip:a"), (("dA", 620), "trip:b")):
-        members = g.driver_members[key]
-        assert all(trip_id in g.arcs[a].targets and n == 1 for a, n in members)
+                 DriverWindow("dB", 650, 0, 3)])  # dB serves no trip
+    g = assert_same_graph(inst)
+    rows = driver_rows(g, inst)
+    assert list(rows) == ["driver[dA,500]", "driver[dA,620]"]
+    assert any(row.tag == "cover[c]" and row.coeffs
+               for row in encode_ilp(g, inst).constraints)
+    for tag, trip_id in (("driver[dA,500]", "trip:a"), ("driver[dA,620]", "trip:b")):
+        assert all(trip_id in g.arcs[a].targets and n == 1 for a, n in rows[tag])
     assert not any("trip:c" in g.arcs[a].targets
-                   for members in g.driver_members.values() for a, _ in members)
+                   for coeffs in rows.values() for a, _ in coeffs)
 
 
 def test_decouple_with_both_heads_en_route_counts_two():
-    g = assert_same_graph(instance(
+    inst = instance(
         [trip("a", "A", "B", 500, 600),
          trip("b", "B", "A", 615, 700, types=("r1",)),
          trip("c", "B", "C", 620, 690, couplable=False, types=("r1",))],
-        windows=[DriverWindow("dA", 650, 0, 4)]))
+        windows=[DriverWindow("dA", 650, 0, 4)])
+    g = assert_same_graph(inst)
     (decouple,) = [a for a in g.arcs if a.kind == "decouple"]
     assert decouple.targets == ("trip:b", "trip:c")
-    assert (decouple.id, 2) in g.driver_members[("dA", 650)]
+    assert (decouple.id, 2) in driver_rows(g, inst)["driver[dA,650]"]
     assert decouple.cost == 2 * Fraction(3, 2) * Fraction(7, 3)
 
 
 def test_licensed_and_unlicensed_windows_share_a_checkpoint():
-    g = assert_same_graph(instance(
+    inst = instance(
         [trip("a", "A", "B", 500, 600), trip("b", "B", "A", 620, 700)],
         windows=[DriverWindow("dA", 650, 0, 2, license="r1"),
                  DriverWindow("dA", 650, 0, 1),
-                 DriverWindow("dA", 550, 0, 1, license="r2")]))
-    assert list(g.driver_members) == [("dA", 550), ("dA", 650)]
+                 DriverWindow("dA", 550, 0, 1, license="r2")])
+    g = assert_same_graph(inst)
+    rows = driver_rows(g, inst)
+    # unlicensed rows first, then licensed ones in input order
+    assert list(rows) == ["driver[dA,650]", "driver[dA,650,r1]",
+                          "driver[dA,550,r2]"]
+    assert {g.arcs[a].emu_type for a, _ in rows["driver[dA,650]"]} == {"r1", "r2"}
+    assert rows["driver[dA,650,r1]"] == tuple(
+        (a, n) for a, n in rows["driver[dA,650]"] if g.arcs[a].emu_type == "r1")
+    assert {g.arcs[a].emu_type for a, _ in rows["driver[dA,550,r2]"]} == {"r2"}
 
 
 def test_empty_instance():
-    g = assert_same_graph(Instance(trips=(), emu_types=(), depots=()))
-    assert g.arcs == () and g.nodes == () and g.driver_members == {}
+    inst = Instance(trips=(), emu_types=(), depots=())
+    g = assert_same_graph(inst)
+    assert g.arcs == () and g.nodes == ()
+    assert encode_ilp(g, inst).constraints == ()
