@@ -24,12 +24,22 @@ is built. ``den`` is the model's ``den`` over its gcd with the integer
 couplings (1 when they are whole numbers), and ``q_ii`` is the model's
 integer over its ``den``, one correctly rounded division. The acceptance
 test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))`` with
-``s = 1 - 2 y_i``. When the off-diagonal couplings are integers, as
+``s = 1 - 2 y_i``, computed without the ``max``: a delta ``<= 0`` still
+gives ``exp >= 1 > u``. When the off-diagonal couplings are integers, as
 in every model built with integer penalty weights, this is bit for bit
 the per-site sweep over a dense float matrix; otherwise the field is
 exact and rounded once. Each read's uniforms for a few sweeps come from
 one ``random((sweeps, n))`` call, the same stream as one call per sweep.
 Energies are exact (:func:`rollstock.qubo.qubo_energy`).
+
+Most sweeps of a cooling schedule flip nothing, so each sweep first runs
+the acceptance test on all ``n x reads`` sites at once, against the
+sweep-start state and the sweep's uniforms. If no site accepts, no level
+would flip and the sweep is skipped. Otherwise the level loop resumes at
+the level of the first accepting site, reusing that level's test. Every
+level before it flipped nothing, so the state each level sees is the one
+the full loop would show it, and the test is the same elementwise
+routine on the same values: the samples do not change.
 
 ``sample_portfolio`` is the full pipeline: build the hypergraph, encode
 ILP and QUBO, anneal, decode every distinct sample, keep the feasible
@@ -39,6 +49,7 @@ constraint families.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -76,7 +87,7 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_reads", "sweeps"):
+        for name in ("num_reads", "sweeps", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -89,6 +100,8 @@ class AnnealParams:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 0:
             raise ValueError("sweeps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.beta_min > self.beta_max:
             raise ValueError("beta_min must be <= beta_max")
         if self.beta_min <= 0:
@@ -182,6 +195,22 @@ def _schedule(model: QuboModel) -> _Schedule:
     return _Schedule(order, diag[order], den, tuple(levels))
 
 
+def _accept(f, d, s, u, neg_beta, den, x, out):
+    """``out = u < exp(-beta * delta)``, ``delta = s * (f / den + d)``,
+    elementwise on any shape with ``x`` as scratch. ``delta <= 0`` gives
+    ``exp >= 1 > u``, the accept of ``max(delta, 0)``, so the clamp is left
+    out; the overflow to ``inf`` this allows is the caller's to silence."""
+    if den == 1:  # f / 1 == f, so integer couplings skip the division
+        np.add(f, d, out=x)
+    else:
+        np.divide(f, den, out=x)
+        np.add(x, d, out=x)
+    np.multiply(x, s, out=x)
+    np.multiply(x, neg_beta, out=x)
+    np.exp(x, out=x)
+    return np.less(u, x, out=out)
+
+
 def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet:
     """Run num_reads independent Metropolis chains; deterministic per seed."""
     n = model.num_vars
@@ -201,43 +230,45 @@ def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet
         field[lv.rows] += lv.block @ y[lv.start:lv.stop]
     diag = np.repeat(plan.diag[:, None], reads, axis=1)
     scratch = np.empty((n, reads))
+    accept = np.empty((n, reads), dtype=bool)
+    flat = accept.ravel()  # a view: row-major, so site p, read r is p * reads + r
+    starts = [lv.start for lv in plan.levels]
     steps = [(slice(lv.start, lv.stop), spin[lv.start:lv.stop],
               field[lv.start:lv.stop], diag[lv.start:lv.stop],
-              scratch[lv.start:lv.stop], lv.rows, lv.block)
+              scratch[lv.start:lv.stop], accept[lv.start:lv.stop], lv.rows, lv.block)
              for lv in plan.levels]
 
     betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
     draws = np.empty((reads, min(_UNIFORM_BLOCK, params.sweeps), n))
     uniforms = np.empty((draws.shape[1], n, reads))  # sweep, level order, read
-    for first in range(0, params.sweeps, _UNIFORM_BLOCK):
-        count = min(_UNIFORM_BLOCK, params.sweeps - first)
-        for rng, out in zip(rngs, draws):
-            rng.random(out=out[:count])
-        np.take(draws[:, :count].transpose(1, 2, 0), order, axis=1,
-                out=uniforms[:count], mode="clip")
-        for beta, u in zip(betas[first:first + count], uniforms):
-            neg_beta = -beta
-            for sl, s, f, d, x, rows, block in steps:
-                # x = exp(-beta * max(delta, 0)), delta = s * (f / den + d);
-                # f / 1 == f, so integer couplings skip the division
-                if den == 1:
-                    np.add(f, d, out=x)
-                else:
-                    np.divide(f, den, out=x)
-                    np.add(x, d, out=x)
-                np.multiply(x, s, out=x)
-                np.maximum(x, 0.0, out=x)
-                np.multiply(x, neg_beta, out=x)
-                np.exp(x, out=x)
-                accept = np.less(u[sl], x)
-                if not accept.any():
+    with np.errstate(over="ignore"):  # a downhill delta may overflow exp to inf
+        for first in range(0, params.sweeps, _UNIFORM_BLOCK):
+            count = min(_UNIFORM_BLOCK, params.sweeps - first)
+            batch = draws[:, :count]
+            for rng, out in zip(rngs, batch):
+                rng.random(out=out)
+            np.take(batch.transpose(1, 2, 0), order, axis=1,
+                    out=uniforms[:count], mode="clip")
+            for beta, u in zip(betas[first:first + count], uniforms):
+                neg_beta = -beta
+                # all sites against the sweep-start state, which holds up to
+                # the level of the first accepting site (module docstring)
+                _accept(field, diag, spin, u, neg_beta, den, scratch, accept)
+                site = int(flat.argmax())
+                if not flat[site]:
                     continue
-                np.multiply(accept, s, out=x)  # x = change of y
-                near = field.take(rows, axis=0)  # rows are distinct
-                near += block @ x
-                field[rows] = near
-                s -= x  # twice: s - 2 s flips the accepted spins
-                s -= x
+                resume = bisect.bisect_right(starts, site // reads) - 1
+                for k in range(resume, len(steps)):
+                    sl, s, f, d, x, a, rows, block = steps[k]
+                    if k > resume:
+                        _accept(f, d, s, u[sl], neg_beta, den, x, a)
+                        if not np.count_nonzero(a):
+                            continue
+                    np.multiply(a, s, out=x)  # x = change of y
+                    near = field.take(rows, axis=0)  # rows are distinct
+                    near += block @ x
+                    field[rows] = near
+                    np.negative(s, out=s, where=a)
 
     counts: dict[tuple[int, ...], int] = {}
     final = np.empty((n, reads), dtype=int)

@@ -3,7 +3,10 @@
 ``dense_anneal`` is the sampler the level schedule replaced: an n x n float
 coupling matrix and one Metropolis step per site per sweep, sites in index
 order. With integer off-diagonal couplings the two must return equal
-``SampleSet``s, energies and multiplicities included.
+``SampleSet``s, energies and multiplicities included. ``dense_run`` also
+counts the spins each sweep flips, so a case can show that its schedule
+has sweeps that flip nothing, which ``anneal`` skips, followed by sweeps
+that flip, which it resumes.
 """
 
 import random
@@ -21,7 +24,8 @@ from rollstock.qubo import DEFAULT_LAMBDAS, encode_qubo, qubo_energy
 from conftest import lifted, qubo_model
 
 
-def dense_anneal(model, params):
+def dense_run(model, params):
+    """``dense_anneal``'s ``SampleSet`` and the flips of each sweep."""
     n = model.num_vars
     diag = np.zeros(n)
     w = np.zeros((n, n))
@@ -35,16 +39,19 @@ def dense_anneal(model, params):
                 np.random.PCG64(np.random.SeedSequence([params.seed, r])))
             for r in range(params.num_reads)]
     states = np.stack([rng.integers(0, 2, size=n) for rng in rngs]).astype(float)
+    flips = []
     if params.sweeps > 0:
         betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
         for beta in betas:
             uniforms = np.stack([rng.random(n) for rng in rngs])
+            flips.append(0)
             for i in range(n):
                 field_i = states @ w[i] + diag[i]
                 delta = (1.0 - 2.0 * states[:, i]) * field_i
                 accept = (delta <= 0.0) | (
                     uniforms[:, i] < np.exp(-beta * np.maximum(delta, 0.0)))
                 states[accept, i] = 1.0 - states[accept, i]
+                flips[-1] += int(accept.sum())
     counts = {}
     for row in states.astype(int):
         y = tuple(int(v) for v in row)
@@ -52,7 +59,11 @@ def dense_anneal(model, params):
     entries = [SampleEntry(y=y, energy=reference_energy(model, y), multiplicity=c)
                for y, c in counts.items()]
     entries.sort(key=lambda e: (e.energy, e.y))
-    return SampleSet(entries=tuple(entries), num_reads=params.num_reads)
+    return SampleSet(entries=tuple(entries), num_reads=params.num_reads), flips
+
+
+def dense_anneal(model, params):
+    return dense_run(model, params)[0]
 
 
 def reference_energy(model, y):
@@ -97,6 +108,54 @@ def test_anneal_portfolio_sized_instances_match_dense():
 def test_integer_non_default_lambdas_match_dense():
     model = generated_qubo(12, 3, lambdas=(3, 7, 2, 1, 11), n_types=2)
     assert_same_as_dense(model, AnnealParams(num_reads=20, sweeps=100, seed=2))
+
+
+def assert_skips_and_resumes_like_dense(model, params):
+    """Equal to ``dense_anneal`` on a schedule where a sweep that flips
+    nothing is followed by one that flips, so both paths run."""
+    expected, flips = dense_run(model, params)
+    assert any(not a and b for a, b in zip(flips, flips[1:])), flips
+    got = anneal(model, params)
+    assert got == expected
+    assert sum(e.multiplicity for e in got.entries) == params.num_reads
+
+
+@pytest.mark.parametrize("reads,seed", [(4, 2), (1, 3)])
+def test_toy_with_idle_sweeps_matches_dense(toy_qubo, reads, seed):
+    assert_skips_and_resumes_like_dense(
+        toy_qubo, AnnealParams(num_reads=reads, sweeps=300, seed=seed))
+
+
+def test_anneal_portfolio_sized_instance_with_idle_sweeps_matches_dense():
+    model = generated_qubo(12, 5000, n_types=1, n_depots=1)
+    assert_skips_and_resumes_like_dense(
+        model, AnnealParams(num_reads=30, sweeps=400, seed=5000))
+
+
+def test_constant_cold_beta_with_idle_sweeps_matches_dense(toy_qubo):
+    assert_skips_and_resumes_like_dense(
+        toy_qubo, AnnealParams(num_reads=4, sweeps=200, beta_min=1.0,
+                               beta_max=1.0, seed=1))
+
+
+def test_constant_frozen_beta_with_idle_sweeps_matches_dense():
+    # at beta 50 the toy freezes; here setting a bit with no set neighbour
+    # costs 1/25, so a chain at rest now and then lifts one bit and drops it
+    q = {(i, i): Fraction(1, 25) for i in range(6)}
+    q.update({(i, i + 1): Fraction(1) for i in range(5)})
+    model = qubo_model(6, q)
+    assert len(_schedule(model).levels) == 6
+    assert_skips_and_resumes_like_dense(
+        model, AnnealParams(num_reads=1, sweeps=200, beta_min=50.0,
+                            beta_max=50.0, seed=0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_weights_and_beta_raise_no_warning(toy_ilp):
+    # downhill deltas near 10**6 at beta 10**6 overflow exp to inf
+    model = encode_qubo(toy_ilp, (10 ** 6,) * 5)
+    params = AnnealParams(num_reads=10, sweeps=50, beta_max=1e6, seed=1)
+    assert anneal(model, params) == dense_anneal(model, params)
 
 
 @pytest.mark.parametrize("reads,sweeps", [(7, 0), (1, 50), (1, 0)])

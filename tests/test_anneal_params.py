@@ -23,9 +23,14 @@ from rollstock.anneal import AnnealParams
     dict(sweeps=100.0),
     dict(sweeps=None),
     dict(sweeps=False),
+    dict(seed=-1),
+    dict(seed=1.5),
+    dict(seed=None),
+    dict(seed=True),
+    dict(seed="3"),
 ], ids=repr)
 def test_params_reject_non_finite_betas_and_non_int_counts(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         AnnealParams(**kwargs)
 
 

@@ -50,6 +50,12 @@ def test_directory_as_solution_is_an_input_error(capsys):
                             str(TOY_PATH.parent)))
 
 
+def test_negative_seed_is_an_input_error(capsys):
+    code, out, err = run(capsys, "solve-qubo", TOY, "--seed", "-1")
+    assert_clean_error(code, out, err)
+    assert err.startswith("error: seed")
+
+
 def test_invalid_instance_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alpha": 0, "delta_min": 5, "delta_max": 1, '
@@ -216,7 +222,7 @@ def test_artifacts_are_byte_stable(tmp_path, capsys):
     golden = sorted(GOLDEN_TOY.iterdir())
     assert [path.name for path in golden] == [
         "diagram.svg", "diagram.txt", "hypergraph.dot", "ising.coo",
-        "model.lp", "qubo.coo", "solution.json"]
+        "model.lp", "portfolio.json", "qubo.coo", "rejected.json", "solution.json"]
     for path in golden:
         assert (a / path.name).read_bytes() == path.read_bytes(), path.name
 
