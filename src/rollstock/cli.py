@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .anneal import AnnealParams, sample_portfolio
 from .diagram import render_ascii, render_svg
@@ -104,6 +104,15 @@ def _num_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _as_float(value: Fraction, or_text: bool = False) -> Union[float, str, None]:
+    """``float(value)``; beyond the float range, None (a ``*_float`` field
+    writes null) or, with ``or_text``, the exact ``n/d`` of a summary line."""
+    try:
+        return float(value)
+    except OverflowError:
+        return _num_str(value) if or_text else None
+
+
 def _arc_record(graph: Hypergraph, arc_id: int) -> dict:
     arc = graph.arcs[arc_id]
     return {
@@ -129,7 +138,7 @@ def _solution_json(instance: Instance, graph: Hypergraph, model: IlpModel,
     if result.solution is not None:
         sol = result.solution
         payload["objective"] = _num_str(sol.objective)
-        payload["objective_float"] = float(sol.objective)
+        payload["objective_float"] = _as_float(sol.objective)
         payload["selected_arcs"] = [_arc_record(graph, a) for a in sol.decoded]
         payload["feasible"] = sol.report.feasible
         payload["constraints"] = Counter(row.kind for row in model.constraints)
@@ -144,7 +153,7 @@ def _portfolio_json(instance: Instance, graph: Hypergraph,
         "solutions": [
             {
                 "objective": _num_str(s.objective),
-                "objective_float": float(s.objective),
+                "objective_float": _as_float(s.objective),
                 "selected_arcs": [_arc_record(graph, a) for a in s.decoded],
             }
             for s in portfolio.solutions
@@ -201,10 +210,10 @@ def cmd_solve_ilp(args) -> int:
 
     print(f"arcs={len(graph.arcs)} rows={len(model.constraints)} "
           f"build={built - tic:.3f}s solve={solved - built:.3f}s nodes={result.nodes}")
+    summary = f"status={result.status}"
     if result.solution is not None:
-        print(f"status={result.status} objective={float(result.solution.objective)}")
-    else:
-        print(f"status={result.status}")
+        summary += f" objective={_as_float(result.solution.objective, or_text=True)}"
+    print(summary)
     if result.status == "optimal":
         return EXIT_OK
     if result.status == "infeasible":
@@ -231,7 +240,7 @@ def cmd_solve_qubo(args) -> int:
         {
             "x": list(r.x),
             "energy": str(r.energy),
-            "energy_float": float(r.energy),
+            "energy_float": _as_float(r.energy),
             "multiplicity": r.multiplicity,
             "violated_families": list(r.violated_families),
             "slack_consistent": r.slack_consistent,
@@ -248,7 +257,8 @@ def cmd_solve_qubo(args) -> int:
           f"sampled energy)")
     if run.portfolio.solutions:
         best = run.portfolio.solutions[0]
-        print(f"best objective={float(best.objective)} arcs={list(best.decoded)}")
+        print(f"best objective={_as_float(best.objective, or_text=True)} "
+              f"arcs={list(best.decoded)}")
     else:
         print("no feasible sample; increase --reads/--sweeps")
     return EXIT_OK
@@ -263,7 +273,8 @@ def cmd_enumerate(args) -> int:
            _portfolio_json(inst, graph, portfolio))
     print(f"feasible={len(portfolio.solutions)} exhaustive={portfolio.exhaustive}")
     for sol in portfolio.solutions[:args.show]:
-        print(f"  objective={float(sol.objective)} arcs={list(sol.decoded)}")
+        print(f"  objective={_as_float(sol.objective, or_text=True)} "
+              f"arcs={list(sol.decoded)}")
     return EXIT_OK
 
 
@@ -463,8 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the library rejects bad input with ValueError: InstanceError,
         # GeneratorError and every out-of-range parameter; OSError covers
         # missing files, directories given as files and unwritable outputs;
-        # OverflowError a rational too large for the float text of a
-        # summary line or an LP file
+        # OverflowError a rational too large for the float text of an LP file
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_ERROR
 

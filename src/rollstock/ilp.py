@@ -9,7 +9,7 @@ flow_balance    per (trip node, type): EMUs delivered equal EMUs removed
 out_degree      at most one arc leaves a trip node (all types combined)
 depot_out       per (depot, type): dispatched EMU count within bounds
 depot_in        per (depot, type): returned EMU count within bounds
-capacity_forbid arcs whose seat/bike shortage exceeds tolerance sum to zero
+capacity_forbid arcs that leave a trip they point to overcrowded sum to zero
 driver          per (depot, checkpoint[, license]): en-route EMUs within bounds;
                 a licensed window only counts arcs of the types its license
                 covers, and its rows follow all unlicensed ones
@@ -22,17 +22,22 @@ Nodes without outgoing arcs are day-end rests and get no balance row.
 Driver rows weight arcs by en-route EMUs (``per_emu``) or en-route trains
 (``per_train``); both readings keep the reference instances' optima intact.
 
+An arc overcrowds a trip t it points to when its k units of type r leave
+``passengers - k*seats > seat_tol`` or ``bicycles - k*bike_slots > bike_tol``,
+the tolerances being t's ``*_coupled`` overrides for k = 2, its ``*_single``
+ones otherwise, else the instance-wide values; decided once per (t, r, k).
+
 Each row is one incidence set of the hypergraph: H(tau) for coverage,
 H(v)^in_r and H(v)^out_r for flow balance and out-degree, H(v_d)_r for the
 depot rows and H(t, d) for the driver rows. ``encode_ilp`` alone decides
 membership: one pass over the arcs in id order files each arc into the rows
 it enters (coverage, flow with ``+k``, driver per en-route checkpoint for
-every trip it points to; flow with ``-k'`` and out-degree for every trip it
-leaves; its depot's row for a depot arc), so every row's coefficients come
-out sorted by arc id. A trip's en-route checkpoints are found once, by
-bisecting its driver depot's sorted checkpoint times. The pass costs
-O(arcs x (endpoints + en-route checkpoints)); the rows are then emitted in
-the family order above.
+every trip it points to, capacity if it overcrowds one; flow with ``-k'``
+and out-degree for every trip it leaves; its depot's row for a depot arc),
+so every row's coefficients come out sorted by arc id. A trip's en-route
+checkpoints are found once, by bisecting its driver depot's sorted
+checkpoint times. The pass costs O(arcs x (endpoints + en-route
+checkpoints)); the rows are then emitted in the family order above.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .model import Depot, Instance
+from .model import Depot, EmuType, Instance, Trip
 from .netbuild import Hypergraph
 
 __all__ = [
@@ -153,6 +158,12 @@ def _en_route(instance: Instance) -> dict[str, list[tuple[str, int]]]:
     return en_route
 
 
+def _overcrowded(instance: Instance, trip: Trip, emu: EmuType, k: int) -> bool:
+    """k units of emu leave trip more seats or bicycles short than tolerated."""
+    return (trip.passengers - k * emu.seats > instance.seat_tolerance(k, trip)
+            or trip.bicycles - k * emu.bike_slots > instance.bike_tolerance(k, trip))
+
+
 def encode_ilp(graph: Hypergraph, instance: Instance,
                driver_weighting: str = "per_emu") -> IlpModel:
     """Encode the hypergraph as a binary linear program."""
@@ -174,6 +185,7 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
     outdeg: dict[str, list[tuple[int, int]]] = {}
     depot_rows: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
     driver: dict[tuple[str, int], list[tuple[int, int]]] = {}  # (arc, running)
+    crowded: dict[tuple[str, str, int], bool] = {}  # (trip, type, k)
     over_capacity: list[int] = []
     for arc in arcs:
         a, r = arc.id, arc.emu_type
@@ -186,6 +198,10 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
             flow.setdefault((trip_id, r), []).append((a, arc.k))
             for key in en_route[trip_id]:
                 running[key] = running.get(key, 0) + 1
+            key = (trip_id, r, arc.k)
+            if key not in crowded:
+                crowded[key] = _overcrowded(instance, instance.trip_by_id(trip_id),
+                                            instance.type_by_id(r), arc.k)
         for source in arc.sources:
             trip_id = trip_of[source]
             if trip_id is None:  # depot source
@@ -200,13 +216,8 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
             depot_rows.setdefault(key, []).append((a, arc.k))
         for key, count in running.items():
             driver.setdefault(key, []).append((a, count))
-        for trip_id, seats, bikes in zip(heads, arc.seat_shortages,
-                                         arc.bike_shortages):
-            trip = instance.trip_by_id(trip_id) if trip_id else None
-            if (seats > instance.seat_tolerance(arc.k, trip)
-                    or bikes > instance.bike_tolerance(arc.k, trip)):
-                over_capacity.append(a)
-                break
+        if any(crowded[t, r, arc.k] for t in heads if t is not None):
+            over_capacity.append(a)
 
     rows: list[ConstraintRow] = []
 

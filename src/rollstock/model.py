@@ -229,20 +229,18 @@ class Instance:
     def obligatory_trips(self) -> tuple[Trip, ...]:
         return tuple(t for t in self.trips if t.obligatory)
 
-    def seat_tolerance(self, k: int, trip: Optional[Trip] = None) -> int:
-        if trip is not None:
-            override = (trip.seat_tolerance_coupled if k == 2
-                        else trip.seat_tolerance_single)
-            if override is not None:
-                return override
+    def seat_tolerance(self, k: int, trip: Trip) -> int:
+        override = (trip.seat_tolerance_coupled if k == 2
+                    else trip.seat_tolerance_single)
+        if override is not None:
+            return override
         return self.seat_tolerance_coupled if k == 2 else self.seat_tolerance_single
 
-    def bike_tolerance(self, k: int, trip: Optional[Trip] = None) -> int:
-        if trip is not None:
-            override = (trip.bike_tolerance_coupled if k == 2
-                        else trip.bike_tolerance_single)
-            if override is not None:
-                return override
+    def bike_tolerance(self, k: int, trip: Trip) -> int:
+        override = (trip.bike_tolerance_coupled if k == 2
+                    else trip.bike_tolerance_single)
+        if override is not None:
+            return override
         return self.bike_tolerance_coupled if k == 2 else self.bike_tolerance_single
 
     def driver_depot_of(self, trip: Trip) -> Optional[str]:

@@ -31,8 +31,9 @@ emitted directly in id order, so no arc sort is needed. Prices
 ``k * cost_per_km * distance`` are computed once per (trip, type, k). The
 cost is linear in trips times turnaround-window hits.
 
-The graph is its nodes and arcs only: which rows of the ILP an arc enters
-is decided by ``ilp.encode_ilp``.
+The graph is its nodes and arcs, and an arc is a movement and its price.
+``ilp.encode_ilp`` decides which ILP rows an arc enters, the capacity row
+included; the build reads no demand and no capacity.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ ARC_KINDS = ("depot_out", "transfer", "couple", "coupled_transfer", "decouple",
 @dataclass(frozen=True)
 class Node:
     id: str
-    index: int
     kind: str  # trip | service_trip | depot_source | depot_sink
     trip: Optional[str] = None
     depot: Optional[str] = None
@@ -74,13 +74,10 @@ class Node:
 
 @dataclass(frozen=True)
 class HyperArc:
-    """One candidate EMU movement; ``id`` doubles as the ILP variable index.
-
-    ``k`` is the EMU count on each trip the arc points to, ``k_prime`` the
-    count on each trip it originates from. ``seat_shortages``/``bike_shortages``
-    hold the per-trip shortfalls (aligned with ``targets``); the properties
-    ``seat_shortage``/``bike_shortage`` derive their maximum (0 without trips).
-    """
+    """One candidate EMU movement and its price; ``id`` doubles as the ILP
+    variable index. ``k`` is the EMU count on each trip the arc points to,
+    ``k_prime`` the count on each trip it originates from, and ``cost`` the
+    operating cost of running ``k`` units over the trips it points to."""
 
     id: int
     kind: str
@@ -90,16 +87,6 @@ class HyperArc:
     k: int
     k_prime: int
     cost: Fraction
-    seat_shortages: tuple[int, ...] = ()
-    bike_shortages: tuple[int, ...] = ()
-
-    @property
-    def seat_shortage(self) -> int:
-        return max(self.seat_shortages, default=0)
-
-    @property
-    def bike_shortage(self) -> int:
-        return max(self.bike_shortages, default=0)
 
 
 @dataclass(frozen=True)
@@ -148,16 +135,14 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
     trips, types = instance.trips, instance.emu_types
     nodes: list[Node] = []
     for d in instance.depots:
-        nodes.append(Node(id=f"src:{d.id}", index=len(nodes),
-                          kind="depot_source", depot=d.id))
+        nodes.append(Node(id=f"src:{d.id}", kind="depot_source", depot=d.id))
     for t in trips:
-        nodes.append(Node(id=f"trip:{t.id}", index=len(nodes),
+        nodes.append(Node(id=f"trip:{t.id}",
                           kind="trip" if t.obligatory else "service_trip",
                           trip=t.id))
     for d in instance.depots:
         if d.has_sink:
-            nodes.append(Node(id=f"snk:{d.id}", index=len(nodes),
-                              kind="depot_sink", depot=d.id))
+            nodes.append(Node(id=f"snk:{d.id}", kind="depot_sink", depot=d.id))
     trip_node = [f"trip:{t.id}" for t in trips]
     allowed = [t.allowed_types for t in trips]
     succ, pred = _turnaround_lists(instance)
@@ -180,11 +165,7 @@ def build_hypergraph(instance: Instance) -> Hypergraph:
         arcs.append(HyperArc(
             id=len(arcs), kind=kind, sources=sources, targets=targets,
             emu_type=emu.id, k=k, k_prime=k_prime,
-            cost=costs[0] if len(costs) == 1 else sum(costs, Fraction(0)),
-            seat_shortages=tuple(max(0, trips[p].passengers - k * emu.seats)
-                                 for p in heads),
-            bike_shortages=tuple(max(0, trips[p].bicycles - k * emu.bike_slots)
-                                 for p in heads)))
+            cost=costs[0] if len(costs) == 1 else sum(costs, Fraction(0))))
 
     # Each kind is emitted in id order: sources, then targets, type and k.
     for d in instance.depots:
@@ -280,9 +261,7 @@ class SizeBounds:
         return self.actual_arcs - self.depot_arcs
 
 
-def size_bounds(instance: Instance, graph: Optional[Hypergraph] = None) -> SizeBounds:
-    if graph is None:
-        graph = build_hypergraph(instance)
+def size_bounds(instance: Instance, graph: Hypergraph) -> SizeBounds:
     obligatory = [t for t in instance.trips if t.obligatory]
     n = len(obligatory)
     n2 = sum(1 for t in obligatory if t.couplable)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .ilp import FeasibilityReport, IlpModel, check_feasibility
 from .model import Instance, exact_number
@@ -337,8 +337,7 @@ class ScalingReport:
 
 
 def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
-                   qubo: Optional[QuboModel] = None,
-                   name: str = "") -> ScalingReport:
+                   qubo: QuboModel, name: str = "") -> ScalingReport:
     bounds = size_bounds(instance, graph)
     t = bounds.n_trips
     r = bounds.n_types
@@ -359,9 +358,9 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
         delta_max=instance.delta_max,
         ilp_vars=ilp.num_vars,
         ilp_constraints=len(ilp.constraints),
-        qubo_vars=qubo.num_vars if qubo else 0,
-        qubo_slacks=qubo.num_slack if qubo else 0,
-        qubo_terms=qubo.num_terms() if qubo else 0,
+        qubo_vars=qubo.num_vars,
+        qubo_slacks=qubo.num_slack,
+        qubo_terms=qubo.num_terms(),
         arc_var_bound=bounds.var_bound,
         coverage_term_bound=t ** 5 * r ** 2,
         continuity_term_bound=2 * r ** 3 * t ** 5,

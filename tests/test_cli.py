@@ -3,7 +3,10 @@ import json
 import pytest
 
 from rollstock.cli import main
+from rollstock.exact import solve_exact
+from rollstock.ilp import encode_ilp
 from rollstock.model import load_instance
+from rollstock.netbuild import build_hypergraph
 
 from conftest import REPO, TOY_PATH
 
@@ -227,14 +230,37 @@ def test_artifacts_are_byte_stable(tmp_path, capsys):
         assert (a / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-@pytest.mark.parametrize("command", ["solve-ilp", "export-lp"])
-def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys, command):
-    # the objective summary and the LP text are floats; 10^400/3 has none
+def huge_toy(tmp_path):
+    """The toy with trip t1 10^400/3 long, so every plan's objective lies
+    beyond the float range."""
     data = json.loads(TOY_PATH.read_text())
     data["trips"][0]["distance"] = "1" + "0" * 400 + "/3"
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
-    assert_clean_error(*run(capsys, command, str(path)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["export-lp"])
+def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys, command):
+    # LP text writes floats; 10^400/3 has none
+    assert_clean_error(*run(capsys, command, str(huge_toy(tmp_path))))
+
+
+@pytest.mark.parametrize("command,artifact", [("solve-ilp", "solution.json"),
+                                              ("enumerate", "portfolio.json")])
+def test_result_beyond_float_range_is_written_exactly(tmp_path, capsys, command,
+                                                      artifact):
+    path = huge_toy(tmp_path)
+    code, out, err = run(capsys, command, str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    inst = load_instance(str(path))
+    best = solve_exact(encode_ilp(build_hypergraph(inst), inst)).solution.objective
+    exact = f"{best.numerator}/{best.denominator}"
+    payload = json.loads((tmp_path / artifact).read_text())
+    plans = [payload] if command == "solve-ilp" else payload["solutions"]
+    assert plans[0]["objective"] == exact
+    assert all(plan["objective_float"] is None for plan in plans)
+    assert out.split("objective=")[1].split()[0] == exact
 
 
 def test_report_var_counts_monotone_over_generated_sweep(tmp_path, capsys):

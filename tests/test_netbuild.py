@@ -32,12 +32,15 @@ def test_toy_arcs_match_reference_set(toy_graph):
     assert [a.id for a in toy_graph.arcs] == list(range(11))
 
 
-def test_toy_costs_and_shortages(toy_graph):
+def test_toy_costs_and_shortages(toy_instance, toy_graph):
     costs = [a.cost for a in toy_graph.arcs]
     assert costs == [70, 110, 70, 110, 70, 110, 70, 70, 110, 70, 140]
-    shortages = [a.seat_shortage for a in toy_graph.arcs]
+    # every toy arc points at one trip
+    runs = [(a.k, toy_instance.trip_by_id(toy_graph.node(a.targets[0]).trip),
+             toy_instance.type_by_id(a.emu_type)) for a in toy_graph.arcs]
+    shortages = [max(0, t.passengers - k * r.seats) for k, t, r in runs]
     assert shortages == [0, 0, 0, 0, 30, 0, 0, 30, 0, 0, 0]
-    assert all(a.bike_shortage == 0 for a in toy_graph.arcs)
+    assert all(t.bicycles <= k * r.bike_slots for k, t, r in runs)
 
 
 def row_support(model) -> dict[str, tuple[int, ...]]:
@@ -269,7 +272,7 @@ def test_toy_size_bounds(toy_instance, toy_graph):
 
 def test_bound_reduces_without_coupling():
     inst = small_random_instance(4, with_couplable=False)
-    b = size_bounds(inst)
+    b = size_bounds(inst, build_hypergraph(inst))
     assert b.n_couplable == 0
     assert b.var_bound == b.n_single_only ** 2 * b.n_types
 
@@ -277,7 +280,7 @@ def test_bound_reduces_without_coupling():
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_generated_arcs_within_bound_plus_depot(seed):
     inst = small_random_instance(seed, max_trips=10)
-    b = size_bounds(inst)
+    b = size_bounds(inst, build_hypergraph(inst))
     assert b.actual_arcs <= b.var_bound + b.depot_arcs
 
 

@@ -5,14 +5,17 @@ reference: it tests every trip pair for a turnaround, scans all trips for
 the feeders of a coupling and the heads of a decoupling, sorts the raw arcs
 into id order, files every arc into incidence indexes, and counts driver
 demand checkpoint by checkpoint over every arc. ``reference_encode_ilp`` is
-the former encoder, which read its rows off those indexes. The builder must
+the former encoder, which read its rows off those indexes and worked out
+each arc's seat and bicycle shortfalls from trip demand, ``k`` and the
+type's capacity, against tolerances it resolves itself. The builder must
 return the same nodes and the same arcs in the same id order with
 ``Fraction`` costs, and ``encode_ilp``, which files arcs into rows in one
 pass, must return the reference model for both driver weightings.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
-from typing import Iterable
 
 import pytest
 
@@ -38,10 +41,18 @@ def _trip_cost(trip: Trip, emu: EmuType) -> Fraction:
     return emu.cost_per_km * trip.distance
 
 
-def _shortages(targets: Iterable[Trip], emu: EmuType,
-               k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (tuple(max(0, t.passengers - k * emu.seats) for t in targets),
-            tuple(max(0, t.bicycles - k * emu.bike_slots) for t in targets))
+def _tolerance(inst: Instance, trip: Trip, k: int, kind: str) -> int:
+    """The trip's ``{kind}_tolerance_coupled`` for k = 2, else its
+    ``_single`` one, falling back to the instance-wide field."""
+    name = f"{kind}_tolerance_{'coupled' if k == 2 else 'single'}"
+    override = getattr(trip, name)
+    return getattr(inst, name) if override is None else override
+
+
+def _shortfalls(trip: Trip, emu: EmuType, k: int) -> tuple[int, int]:
+    """Seats and bicycle slots that ``k`` units of ``emu`` leave ``trip`` short."""
+    return (max(0, trip.passengers - k * emu.seats),
+            max(0, trip.bicycles - k * emu.bike_slots))
 
 
 def scan_build_hypergraph(instance: Instance) -> tuple[Hypergraph, dict]:
@@ -49,17 +60,15 @@ def scan_build_hypergraph(instance: Instance) -> tuple[Hypergraph, dict]:
     idx_out, idx_depot_out, idx_depot_in and driver_members."""
     nodes: list[Node] = []
     for d in instance.depots:
-        nodes.append(Node(id=f"src:{d.id}", index=len(nodes),
-                          kind="depot_source", depot=d.id))
+        nodes.append(Node(id=f"src:{d.id}", kind="depot_source", depot=d.id))
     for t in instance.trips:
-        nodes.append(Node(id=f"trip:{t.id}", index=len(nodes),
+        nodes.append(Node(id=f"trip:{t.id}",
                           kind="trip" if t.obligatory else "service_trip",
                           trip=t.id))
     for d in instance.depots:
         if d.has_sink:
-            nodes.append(Node(id=f"snk:{d.id}", index=len(nodes),
-                              kind="depot_sink", depot=d.id))
-    node_index = {n.id: n.index for n in nodes}
+            nodes.append(Node(id=f"snk:{d.id}", kind="depot_sink", depot=d.id))
+    node_index = {n.id: i for i, n in enumerate(nodes)}
 
     type_order = {r.id: i for i, r in enumerate(instance.emu_types)}
 
@@ -150,12 +159,10 @@ def scan_build_hypergraph(instance: Instance) -> tuple[Hypergraph, dict]:
 
     arcs: list[HyperArc] = []
     for arc_id, (kind, sources, targets, emu, k, k_prime, tts) in enumerate(raw):
-        seats, bikes = _shortages(tts, emu, k)
         cost = sum((Fraction(k) * _trip_cost(t, emu) for t in tts), Fraction(0))
         arcs.append(HyperArc(
             id=arc_id, kind=kind, sources=sources, targets=targets,
-            emu_type=emu.id, k=k, k_prime=k_prime, cost=cost,
-            seat_shortages=seats, bike_shortages=bikes))
+            emu_type=emu.id, k=k, k_prime=k_prime, cost=cost))
 
     idx_cover: dict[str, list[int]] = {t.id: [] for t in instance.trips}
     idx_in: dict[tuple[str, str], list[int]] = {}
@@ -294,13 +301,16 @@ def reference_encode_ilp(graph: Hypergraph, idx: dict, instance: Instance,
                 tag=f"depot_in[{depot.id},{emu.id}]"))
 
     def exceeds_tolerance(arc) -> bool:
-        target_trips = [graph.node(t).trip for t in arc.targets]
-        for trip_id, seats, bikes in zip(target_trips, arc.seat_shortages,
-                                         arc.bike_shortages):
-            trip = instance.trip_by_id(trip_id) if trip_id else None
-            if seats > instance.seat_tolerance(arc.k, trip):
+        emu = instance.type_by_id(arc.emu_type)
+        for target in arc.targets:
+            trip_id = graph.node(target).trip
+            if trip_id is None:
+                continue
+            trip = instance.trip_by_id(trip_id)
+            seats, bikes = _shortfalls(trip, emu, arc.k)
+            if seats > _tolerance(instance, trip, arc.k, "seat"):
                 return True
-            if bikes > instance.bike_tolerance(arc.k, trip):
+            if bikes > _tolerance(instance, trip, arc.k, "bike"):
                 return True
         return False
 
@@ -343,8 +353,7 @@ WEIGHTINGS = ("per_emu", "per_train")
 
 def arc_fields(arc: HyperArc) -> tuple:
     return (arc.id, arc.kind, arc.sources, arc.targets, arc.emu_type, arc.k,
-            arc.k_prime, arc.cost, type(arc.cost), arc.seat_shortages,
-            arc.bike_shortages)
+            arc.k_prime, arc.cost, type(arc.cost))
 
 
 def assert_same_graph(inst: Instance) -> Hypergraph:
@@ -395,6 +404,70 @@ def test_generated_instances_match_scan(n_trips, n_couplable, n_types, n_depots,
                                   with_return_bounds=returns,
                                   cross_type_prob=0.5)
             assert_same_graph(generate_synthetic(cfg, seed))
+
+
+TOLERANCES = ("seat_tolerance_single", "seat_tolerance_coupled",
+              "bike_tolerance_single", "bike_tolerance_coupled")
+
+
+def crowded_instance(n_trips: int, n_couplable: int, n_types: int, seed: int,
+                     bike_fill: tuple[float, float]) -> Instance:
+    """A generated instance with bicycles on board (``bike_fill`` times the
+    12 slots of a unit), up to 2.5 times its own type's seats in passengers,
+    and each trip's four tolerances overridden at random or left to the
+    instance-wide 10, 20, 2 and 4."""
+    cfg = GeneratorConfig(n_trips=n_trips, n_couplable=n_couplable,
+                          n_types=n_types, n_depots=2, cross_type_prob=0.5,
+                          demand_fill=(0.5, 2.5), bike_fill=bike_fill)
+    inst = generate_synthetic(cfg, seed)
+    rng = random.Random(seed)
+    choices = {"seat": (None, 0, 5, 15, 40), "bike": (None, 0, 1, 3, 8)}
+    trips = tuple(dataclasses.replace(t, **{
+        name: rng.choice(choices[name[:4]]) for name in TOLERANCES})
+        for t in inst.trips)
+    return dataclasses.replace(inst, trips=trips)
+
+
+# up to 1.5 bicycles per slot never leaves a coupled pair short, up to 2.5 does
+CROWDED = [(12, 4, 2, seed, (0.5, 1.5)) for seed in range(3)] + [
+    (40, 12, 3, seed, (0.5, 1.5)) for seed in range(3)] + [
+    (40, 12, 3, seed, (0.5, 2.5)) for seed in range(3)] + [
+    (100, 30, 3, 7, (0.5, 1.5)), (100, 30, 3, 8, (0.5, 2.5))]
+
+
+@pytest.mark.parametrize("n_trips,n_couplable,n_types,seed,bike_fill", CROWDED)
+def test_crowded_instances_match_scan(n_trips, n_couplable, n_types, seed,
+                                      bike_fill):
+    inst = crowded_instance(n_trips, n_couplable, n_types, seed, bike_fill)
+    assert any(t.bicycles for t in inst.trips)
+    assert_same_graph(inst)
+
+
+def test_crowded_instances_forbid_by_bicycles_and_by_coupled_overrides():
+    """Some arc is forbidden by bicycles alone, and some coupled arc only
+    because a trip's ``*_coupled`` override is below the instance-wide
+    tolerance, so neither cause can go unnoticed by the scan comparison."""
+    by_bicycles = by_override = 0
+    for params in CROWDED:
+        inst = crowded_instance(*params)
+        graph = build_hypergraph(inst)
+        (row,) = [r for r in encode_ilp(graph, inst).constraints
+                  if r.kind == "capacity_forbid"]
+        for a, _ in row.coeffs:
+            arc = graph.arcs[a]
+            emu = inst.type_by_id(arc.emu_type)
+            heads = [inst.trip_by_id(graph.node(t).trip) for t in arc.targets
+                     if graph.node(t).trip is not None]
+            short = [_shortfalls(t, emu, arc.k) for t in heads]
+            seat_ok = all(s <= _tolerance(inst, t, arc.k, "seat")
+                          for t, (s, _) in zip(heads, short))
+            by_bicycles += seat_ok
+            if arc.k == 2:
+                by_override += all(
+                    s <= inst.seat_tolerance_coupled
+                    and b <= inst.bike_tolerance_coupled
+                    for s, b in short)
+    assert by_bicycles and by_override
 
 
 # ---------------------------------------------------------------------------
