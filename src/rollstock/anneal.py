@@ -53,6 +53,7 @@ import bisect
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -152,9 +153,12 @@ def _schedule(model: QuboModel) -> _Schedule:
     """Level schedule of the interaction graph and its neighbour blocks."""
     n = model.num_vars
     diag = np.zeros(n)
+    largest = model.den * int(sys.float_info.max)  # a diagonal above it has no float64
     pairs: dict[tuple[int, int], int] = {}
     for (i, j), value in model.q.items():
         if i == j:
+            if abs(value) > largest:
+                raise ValueError(f"diagonal q[{i},{i}] too large for a float64")
             diag[i] += value / model.den
         else:
             key = (i, j) if i < j else (j, i)

@@ -365,13 +365,12 @@ def cmd_export_qubo(args) -> int:
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
     qubo = encode_qubo(model, _lambdas(args))
-    ising = to_ising(qubo)
     outdir = _outdir(args)
     if outdir is None:
         sys.stdout.write(export_qubo_coo(qubo))
     else:
         _write(outdir, "qubo.coo", export_qubo_coo(qubo))
-        _write(outdir, "ising.coo", export_ising_coo(ising))
+        _write(outdir, "ising.coo", export_ising_coo(to_ising(qubo)))
     print(f"qubo vars={qubo.num_vars} terms={qubo.num_terms()}", file=sys.stderr)
     return EXIT_OK
 

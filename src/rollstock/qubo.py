@@ -20,6 +20,12 @@ and ``offset`` count in units of ``1/den``, ``den`` being the LCM of the
 penalty weights' denominators, the objective's and the ILP constant's;
 ``IsingModel`` counts in units of ``1/(4 qubo.den)``. ``Fraction``s
 appear only at the boundaries: the energies returned and the COO text.
+
+Each table that grows with the term count is built once. ``encode_qubo``
+deletes the zeros of its accumulator in place and returns it as ``q``;
+``to_ising`` keys ``j`` with the key tuples of ``q`` and drops its zeros
+in place; a COO export holds only the sorted keys, one chunk of lines and
+the text.
 """
 
 from __future__ import annotations
@@ -209,10 +215,11 @@ def encode_qubo(model: IlpModel,
                 acc[key] = get(key, 0) + cross * cb
         offset += weight * constant * constant
 
+    _drop_zeros(acc)
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
-        q={key: value for key, value in acc.items() if value},
+        q=acc,
         offset=offset,
         den=den,
         lambdas=lam,  # type: ignore[arg-type]
@@ -220,6 +227,13 @@ def encode_qubo(model: IlpModel,
         penalty_rows=tuple(penalty_rows),
         capacity_vars=tuple(capacity_vars),
     )
+
+
+def _drop_zeros(table: dict) -> None:
+    """Delete the zero entries of ``table`` in place; the rest keep their
+    order."""
+    for key in [key for key, value in table.items() if not value]:
+        del table[key]
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
@@ -233,26 +247,29 @@ def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
 def to_ising(model: QuboModel) -> IsingModel:
     """Exact change of variables y = (s + 1) / 2 onto spins s in {-1, +1},
     in units of ``1/(4 model.den)``: an entry ``v`` of ``q`` is ``4 v``
-    quarters."""
+    quarters. ``j`` is keyed by the key tuples of ``model.q``."""
     h: dict[int, int] = {}
     j: dict[tuple[int, int], int] = {}
     get = h.get
     offset = 4 * model.offset
 
-    for (a, b), value in model.q.items():
+    for key, value in model.q.items():
+        a, b = key
         if a == b:
             h[a] = get(a, 0) + 2 * value
             offset += 2 * value
         else:
-            j[(a, b)] = value
+            j[key] = value
             h[a] = get(a, 0) + value
             h[b] = get(b, 0) + value
             offset += value
 
+    _drop_zeros(h)
+    _drop_zeros(j)
     return IsingModel(
         num_vars=model.num_vars,
-        h={k: v for k, v in h.items() if v},
-        j={k: v for k, v in j.items() if v},
+        h=h,
+        j=j,
         offset=offset,
         den=4 * model.den)
 
@@ -373,23 +390,42 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
 # Deterministic text exports
 
 
-def _coo(kind: str, num_vars: int, offset: int, den: int, entries) -> str:
-    """A header, then one `i j value` line per ``((i, j), value)`` entry in
-    key order; values count in units of ``1/den`` and each distinct one is
-    formatted once."""
-    text = {v: str(exact_number(Fraction(v, den))) for v in {v for _, v in entries}}
-    lines = [f"# {kind} num_vars={num_vars} "
-             f"offset={exact_number(Fraction(offset, den))}"]
-    lines += [f"{i} {j} {text[v]}" for (i, j), v in sorted(entries)]
-    return "\n".join(lines) + "\n"
+_COO_CHUNK = 2048  # lines formatted and joined at a time
+
+
+def _coo(kind: str, num_vars: int, offset: int, den: int,
+         keys: list, value) -> str:
+    """A header, then one `i j value` line per ``(i, j)`` key in ``keys``,
+    sorted here in place; ``value(key)`` counts in units of ``1/den`` and
+    each distinct value is formatted once. Lines are built a chunk at a
+    time, so only the keys, one chunk and the text are held at once."""
+    keys.sort()
+    text: dict[int, str] = {}
+    parts = [f"# {kind} num_vars={num_vars} "
+             f"offset={exact_number(Fraction(offset, den))}\n"]
+    for start in range(0, len(keys), _COO_CHUNK):
+        chunk = keys[start:start + _COO_CHUNK]
+        values = list(map(value, chunk))
+        for v in set(values).difference(text):
+            text[v] = str(exact_number(Fraction(v, den)))
+        parts.append("".join([f"{i} {j} {text[v]}\n"
+                              for (i, j), v in zip(chunk, values)]))
+    return "".join(parts)
 
 
 def export_qubo_coo(model: QuboModel) -> str:
     """COO text: one `i j value` line per stored upper-triangular entry."""
-    return _coo("qubo", model.num_vars, model.offset, model.den, model.q.items())
+    return _coo("qubo", model.num_vars, model.offset, model.den,
+                list(model.q), model.q.__getitem__)
 
 
 def export_ising_coo(model: IsingModel) -> str:
     """Same shape for the spin form; `i i value` lines carry the fields h_i."""
-    entries = [((i, i), v) for i, v in model.h.items()] + list(model.j.items())
-    return _coo("ising", model.num_vars, model.offset, model.den, entries)
+    h, j = model.h, model.j
+
+    def value(key: tuple[int, int]) -> int:
+        return h[key[0]] if key[0] == key[1] else j[key]
+
+    keys = [(i, i) for i in h]
+    keys += j
+    return _coo("ising", model.num_vars, model.offset, model.den, keys, value)

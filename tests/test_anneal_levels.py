@@ -10,6 +10,7 @@ that flip, which it resumes.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -265,3 +266,15 @@ def test_oversized_couplings_rejected():
     with pytest.raises(ValueError, match="too large"):
         anneal(model, AnnealParams(num_reads=1, sweeps=1))
     assert qubo_energy(model, (1, 1)) == 2 ** 53
+
+
+def test_oversized_diagonal_rejected_before_float_conversion():
+    # 10^400/3 has no float64; the check names the entry before the
+    # division could overflow
+    model = qubo_model(2, {(0, 0): 1, (1, 1): Fraction(10 ** 400, 3)})
+    with pytest.raises(ValueError, match=r"diagonal q\[1,1\] too large for a float64"):
+        anneal(model, AnnealParams(num_reads=1, sweeps=1))
+    largest = int(sys.float_info.max)
+    assert _schedule(qubo_model(1, {(0, 0): largest})).diag[0] == sys.float_info.max
+    with pytest.raises(ValueError, match=r"diagonal q\[0,0\]"):
+        _schedule(qubo_model(1, {(0, 0): -largest - 1}))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rollstock import cli
 from rollstock.cli import main
 from rollstock.exact import solve_exact
 from rollstock.ilp import encode_ilp
@@ -208,6 +209,16 @@ def test_export_qubo_files(tmp_path, capsys):
     assert (tmp_path / "ising.coo").exists()
 
 
+def test_export_qubo_stdout_builds_no_ising_model(capsys, monkeypatch):
+    def no_ising(qubo):
+        raise AssertionError("the stdout export writes no Ising model")
+
+    monkeypatch.setattr(cli, "to_ising", no_ising)
+    code, out, _ = run(capsys, "export-qubo", TOY)
+    assert code == 0
+    assert out == (GOLDEN_TOY / "qubo.coo").read_text()
+
+
 def test_artifacts_are_byte_stable(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for target in (a, b):
@@ -244,6 +255,14 @@ def huge_toy(tmp_path):
 def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys, command):
     # LP text writes floats; 10^400/3 has none
     assert_clean_error(*run(capsys, command, str(huge_toy(tmp_path))))
+
+
+def test_qubo_diagonal_beyond_float_range_is_named(tmp_path, capsys):
+    code, out, err = run(capsys, "solve-qubo", str(huge_toy(tmp_path)),
+                         "--reads", "1", "--sweeps", "1")
+    assert_clean_error(code, out, err)
+    assert "diagonal" in err and "too large for a float64" in err
+    assert "integer division" not in err
 
 
 @pytest.mark.parametrize("command,artifact", [("solve-ilp", "solution.json"),
