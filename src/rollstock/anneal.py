@@ -28,9 +28,16 @@ test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))`` with
 gives ``exp >= 1 > u``. When the off-diagonal couplings are integers, as
 in every model built with integer penalty weights, this is bit for bit
 the per-site sweep over a dense float matrix; otherwise the field is
-exact and rounded once. Each read's uniforms for a few sweeps come from
-one ``random((sweeps, n))`` call, the same stream as one call per sweep.
-Energies are exact (:func:`rollstock.qubo.qubo_energy`).
+exact and rounded once. Energies are exact
+(:func:`rollstock.qubo.qubo_energy`).
+
+Each generator call fills ``ahead = ceil(_DRAW / n)`` whole sweeps of one
+read's uniforms, at least one and at most ``sweeps``: the same stream as
+one call per sweep, in far fewer calls on small models. The calls of all
+reads fill one ``(reads, ahead, n)`` buffer, and each sweep's uniforms are
+gathered from it into level order in one ``(n, reads)`` buffer, so
+``ahead + 1`` sweeps of uniforms are held, and during a gather one more:
+``take`` copies its strided source to a contiguous temporary first.
 
 Most sweeps of a cooling schedule flip nothing, so each sweep first runs
 the acceptance test on all ``n x reads`` sites at once, against the
@@ -127,7 +134,7 @@ class SampleSet:
         return self.entries[0]
 
 
-_UNIFORM_BLOCK = 4  # sweeps of uniforms drawn per read in one call
+_DRAW = 2048  # uniforms each generator call fills, in whole sweeps
 
 
 @dataclass(frozen=True)
@@ -243,17 +250,16 @@ def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet
              for lv in plan.levels]
 
     betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
-    draws = np.empty((reads, min(_UNIFORM_BLOCK, params.sweeps), n))
-    uniforms = np.empty((draws.shape[1], n, reads))  # sweep, level order, read
+    ahead = max(min(-(-_DRAW // n), params.sweeps), 1)  # whole sweeps per call
+    draws = np.empty((reads, ahead, n))  # read, sweep, variable index
+    u = np.empty((n, reads))  # one sweep's uniforms, level order
     with np.errstate(over="ignore"):  # a downhill delta may overflow exp to inf
-        for first in range(0, params.sweeps, _UNIFORM_BLOCK):
-            count = min(_UNIFORM_BLOCK, params.sweeps - first)
-            batch = draws[:, :count]
-            for rng, out in zip(rngs, batch):
-                rng.random(out=out)
-            np.take(batch.transpose(1, 2, 0), order, axis=1,
-                    out=uniforms[:count], mode="clip")
-            for beta, u in zip(betas[first:first + count], uniforms):
+        for first in range(0, params.sweeps, ahead):
+            count = min(ahead, params.sweeps - first)
+            for rng, out in zip(rngs, draws):
+                rng.random(out=out[:count])
+            for t, beta in enumerate(betas[first:first + count]):
+                draws[:, t].T.take(order, axis=0, out=u, mode="clip")
                 neg_beta = -beta
                 # all sites against the sweep-start state, which holds up to
                 # the level of the first accepting site (module docstring)

@@ -265,6 +265,8 @@ def cmd_solve_qubo(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.show < 0:  # a negative slice end would drop plans from the end
+        raise ValueError(f"show must be >= 0, got {args.show}")
     inst = _load(args)
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)

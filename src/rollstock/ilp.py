@@ -128,6 +128,18 @@ class FeasibilityReport:
     def count(self) -> int:
         return sum(len(v) for v in self.violations.values())
 
+    @classmethod
+    def of(cls, rows: Iterable[ConstraintRow], sums: Iterable[int]) -> FeasibilityReport:
+        """The report on ``rows`` given their lhs values: a row is violated
+        when its lhs leaves ``bounds()``."""
+        violations: dict[str, list[Violation]] = {}
+        for row, lhs in zip(rows, sums):
+            lo, hi = row.bounds()
+            if not lo <= lhs <= hi:
+                violations.setdefault(row.kind, []).append(
+                    Violation(tag=row.tag, lhs=lhs, lo=lo, hi=hi))
+        return cls({k: tuple(v) for k, v in violations.items()})
+
 
 def _check_len(x: Sequence[int], num_vars: int) -> None:
     if len(x) != num_vars:
@@ -298,14 +310,8 @@ def objective_value(model: IlpModel, x: Sequence[int]) -> Fraction:
 
 def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:
     _check_len(x, model.num_vars)
-    violations: dict[str, list[Violation]] = {}
-    for row in model.constraints:
-        lhs = row.lhs(x)
-        lo, hi = row.bounds()
-        if not lo <= lhs <= hi:
-            violations.setdefault(row.kind, []).append(
-                Violation(tag=row.tag, lhs=lhs, lo=lo, hi=hi))
-    return FeasibilityReport({k: tuple(v) for k, v in violations.items()})
+    rows = model.constraints
+    return FeasibilityReport.of(rows, [row.lhs(x) for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .ilp import FeasibilityReport, IlpModel, check_feasibility
+from .ilp import FeasibilityReport, IlpModel
 from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
@@ -87,7 +87,11 @@ class PenaltyRow:
         return sum(c * x[v] for v, c in self.coeffs) + self.constant
 
     def best_slack_sum(self, x: Sequence[int]) -> int:
-        return min(max(self.residual(x), 0), len(self.slack_indices))
+        return self.slack_sum_at(self.residual(x))
+
+    def slack_sum_at(self, residual: int) -> int:
+        """The chain's bit count of least penalty at ``residual``."""
+        return min(max(residual, 0), len(self.slack_indices))
 
 
 @dataclass(frozen=True)
@@ -304,20 +308,46 @@ def slack_optimized_energy(model: QuboModel, x: Sequence[int]) -> Fraction:
 
 
 def decode(model: QuboModel, ilp: IlpModel, y: Sequence[int]) -> DecodedSample:
-    """Split a sample into decision part, check it against the ILP."""
+    """Split a sample into decision part, check it against the ILP.
+
+    Each row's lhs is summed once and feeds both the ``check_feasibility``
+    report and the row's slack check: its chain must hold
+    ``min(max(lhs - lo, 0), width)`` bits, as ``PenaltyRow.best_slack_sum``
+    counts them (a penalty row's ``constant`` is ``-lo``).
+    ``ilp`` must be the model ``model`` was encoded from, its non-capacity
+    rows carrying the tags of ``model.penalty_rows`` in order; otherwise
+    ``ValueError`` names the first mismatch.
+    """
     if len(y) != model.num_vars:
         raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
+    if ilp.num_vars != model.num_decision:
+        raise ValueError(f"ILP has {ilp.num_vars} variables, "
+                         f"QUBO has {model.num_decision} decision variables")
     y = tuple(int(v) for v in y)
     x = y[:model.num_decision]
-    consistent = all(
-        sum(y[s] for s in row.slack_indices) == row.best_slack_sum(x)
-        for row in model.penalty_rows)
+    rows = ilp.constraints
+    sums = [row.lhs(x) for row in rows]
+    penalties = iter(model.penalty_rows)
+    consistent = True
+    for index, (row, lhs) in enumerate(zip(rows, sums)):
+        if row.kind == "capacity_forbid":
+            continue
+        penalty = next(penalties, None)
+        if penalty is None or penalty.tag != row.tag:
+            found = "no penalty row" if penalty is None else f"penalty row {penalty.tag!r}"
+            raise ValueError(f"ILP row {index} {row.tag!r} meets {found}")
+        if consistent:
+            chain = sum(y[s] for s in penalty.slack_indices)
+            consistent = chain == penalty.slack_sum_at(lhs + penalty.constant)
+    extra = next(penalties, None)
+    if extra is not None:
+        raise ValueError(f"penalty row {extra.tag!r} meets no ILP row")
     return DecodedSample(
         y=y,
         energy=qubo_energy(model, y),
         x=x,
         slack_consistent=consistent,
-        report=check_feasibility(ilp, x))
+        report=FeasibilityReport.of(rows, sums))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ order. With integer off-diagonal couplings the two must return equal
 ``SampleSet``s, energies and multiplicities included. ``dense_run`` also
 counts the spins each sweep flips, so a case can show that its schedule
 has sweeps that flip nothing, which ``anneal`` skips, followed by sweeps
-that flip, which it resumes.
+that flip, which it resumes. The uniform-block cases set ``_DRAW`` so that
+each generator call fills one sweep, a number of sweeps that does not
+divide ``sweeps``, or every sweep.
 """
 
+import gc
+import importlib
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +28,8 @@ from rollstock.netbuild import build_hypergraph
 from rollstock.qubo import DEFAULT_LAMBDAS, encode_qubo, qubo_energy
 
 from conftest import lifted, qubo_model
+
+ANNEAL = importlib.import_module("rollstock.anneal")  # the package exports a function of that name
 
 
 def dense_run(model, params):
@@ -182,6 +189,67 @@ def test_both_key_orders_of_a_pair_are_summed():
     model = qubo_model(3, {(0, 1): Fraction(2), (1, 0): Fraction(-5),
                            (1, 2): Fraction(1), (1, 1): Fraction(1)})
     assert_same_as_dense(model, AnnealParams(num_reads=10, sweeps=30, seed=6))
+
+
+def anneal_recording_draws(model, params, monkeypatch):
+    """``anneal``'s ``SampleSet`` and the ``out`` shape of each uniform draw."""
+    shapes = []
+
+    class Recording(np.random.Generator):
+        def random(self, *args, **kwargs):
+            shapes.append(kwargs["out"].shape)
+            return super().random(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Generator", Recording)
+        return anneal(model, params), shapes
+
+
+@pytest.mark.parametrize("draw,sweeps,ahead", [
+    (1, 40, 1),  # fewer uniforms than one sweep still fill one
+    (20, 40, 1),  # exactly one sweep per call
+    (41, 100, 3),  # three sweeps per call; the last call fills 100 - 99 = 1
+    (10 ** 6, 150, 150),  # more than every sweep: one call per read
+])
+def test_uniform_blocks_match_dense(toy_qubo, monkeypatch, draw, sweeps, ahead):
+    n, reads = toy_qubo.num_vars, 6
+    assert n == 20
+    monkeypatch.setattr(ANNEAL, "_DRAW", draw)
+    params = AnnealParams(num_reads=reads, sweeps=sweeps, seed=9)
+    got, shapes = anneal_recording_draws(toy_qubo, params, monkeypatch)
+    assert shapes == [(min(ahead, sweeps - first), n)
+                      for first in range(0, sweeps, ahead) for _ in range(reads)]
+    assert got == dense_anneal(toy_qubo, params)
+
+
+@pytest.mark.parametrize("ahead", [1, 7, 400])
+def test_uniform_blocks_with_idle_sweeps_match_dense(monkeypatch, ahead):
+    model = generated_qubo(12, 5000, n_types=1, n_depots=1)
+    monkeypatch.setattr(ANNEAL, "_DRAW", ahead * model.num_vars)
+    assert_skips_and_resumes_like_dense(
+        model, AnnealParams(num_reads=10, sweeps=400, seed=5000))
+
+
+def test_anneal_memory_on_the_200_trip_reference_is_bounded():
+    # 1,428 vars at 100 reads: a sweep of uniforms is 1.1 MiB, and anneal
+    # holds two sweeps of draws, one level-order sweep and, while gathering,
+    # take's one-sweep temporary (peak 16.7 MiB); a further level-order copy
+    # of several sweeps would pass 20 MiB
+    model = generated_qubo(200, 0, n_couplable=40, n_types=3, n_depots=8)
+    assert model.num_vars == 1428
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        anneal(model, AnnealParams(num_reads=100, sweeps=8, seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20, f"anneal peaks at {peak / 2 ** 20:.1f} MiB"
 
 
 def random_graph_model(seed):

@@ -353,6 +353,17 @@ def test_enumerate_zero_max_count_is_an_input_error(capsys):
     assert "feasible=" not in out
 
 
+def test_enumerate_negative_show_is_an_input_error(capsys):
+    code, out, err = run(capsys, "enumerate", TOY, "--show", "-2")
+    assert code == 1
+    assert err.strip() == "error: show must be >= 0, got -2"
+    assert "feasible=" not in out
+    code, out, _ = run(capsys, "enumerate", TOY, "--show", "0")
+    assert code == 0
+    assert "feasible=3 exhaustive=True" in out
+    assert "objective=" not in out
+
+
 def test_solve_ilp_time_limit_exit_code(tmp_path, capsys):
     # this instance needs 3,331 nodes to prove optimality, so the first
     # deadline check, at node 512, stops a zero time limit
