@@ -26,6 +26,19 @@ deletes the zeros of its accumulator in place and returns it as ``q``;
 ``to_ising`` keys ``j`` with the key tuples of ``q`` and drops its zeros
 in place; a COO export holds only the sorted keys, one chunk of lines and
 the text.
+
+``q`` keeps the order in which the term-by-term expansion of each row
+first hits its keys, and most of its keys name a slack bit. Slack bits are
+fresh for each row, so each such key is new when its row is expanded, and
+``encode_qubo`` inserts them a block at a time with ``dict.update``, in the
+order the expansion would: a decision variable's pairs with the chain go
+in at its first occurrence in the row, right after its pairs with the
+later decision variables, valued by the sum of its coefficients in the
+row; the chain's own pairs follow the decision variables in
+``combinations_with_replacement`` order, and then its diagonal is set. A
+COO export formats each index and each distinct value once per export and
+takes a chunk's values through ``map`` over the tables' own lookups, so
+no Python function runs per line.
 """
 
 from __future__ import annotations
@@ -33,7 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import combinations_with_replacement, compress, repeat
+from operator import not_
+from typing import Optional, Sequence, Union
 
 from .ilp import FeasibilityReport, IlpModel
 from .model import Instance, exact_number
@@ -201,22 +216,35 @@ def encode_qubo(model: IlpModel,
         constant = -lo
         width = hi - lo
         slacks = tuple(range(next_slack, next_slack + width))
-        for pos, s in enumerate(slacks):
-            slack_map[s] = (row.tag, pos)
+        slack_map.update(zip(slacks, zip(repeat(row.tag), range(width))))
         next_slack += width
 
-        terms = list(row.coeffs) + [(s, -1) for s in slacks]
+        coeffs = row.coeffs
         penalty_rows.append(PenaltyRow(
-            family=family, tag=row.tag, coeffs=row.coeffs,
+            family=family, tag=row.tag, coeffs=coeffs,
             constant=constant, slack_indices=slacks))
 
-        # weight * (sum c_i y_i + constant)^2 expanded over binaries
-        for a, (va, ca) in enumerate(terms):
+        # weight * (sum c_i x_i - sum s + constant)^2 expanded over binaries;
+        # every key that names a slack bit is new, so those keys go in a
+        # block per update, in the order a term-by-term expansion hits them
+        summed: dict[int, int] = {}
+        if width:
+            for v, c in coeffs:
+                summed[v] = summed.get(v, 0) + c
+        for a, (va, ca) in enumerate(coeffs):
             acc[(va, va)] = get((va, va), 0) + weight * ca * (ca + 2 * constant)
             cross = 2 * weight * ca
-            for vb, cb in terms[a + 1:]:
+            for vb, cb in coeffs[a + 1:]:
                 key = (va, vb) if va < vb else (vb, va)
                 acc[key] = get(key, 0) + cross * cb
+            if va in summed:  # first occurrence of va in the row
+                acc.update(zip(zip(repeat(va), slacks),
+                               repeat(-2 * weight * summed.pop(va))))
+        if width:
+            acc.update(zip(combinations_with_replacement(slacks, 2),
+                           repeat(2 * weight)))
+            acc.update(zip(zip(slacks, slacks),
+                           repeat(weight * (1 - 2 * constant))))
         offset += weight * constant * constant
 
     _drop_zeros(acc)
@@ -236,7 +264,7 @@ def encode_qubo(model: IlpModel,
 def _drop_zeros(table: dict) -> None:
     """Delete the zero entries of ``table`` in place; the rest keep their
     order."""
-    for key in [key for key, value in table.items() if not value]:
+    for key in list(compress(table, map(not_, table.values()))):
         del table[key]
 
 
@@ -318,6 +346,12 @@ def decode(model: QuboModel, ilp: IlpModel, y: Sequence[int]) -> DecodedSample:
     rows carrying the tags of ``model.penalty_rows`` in order; otherwise
     ``ValueError`` names the first mismatch.
     """
+    return _decode(model, ilp, y, None)
+
+
+def _decode(model: QuboModel, ilp: IlpModel, y: Sequence[int],
+            energy: Optional[Fraction]) -> DecodedSample:
+    """``decode``, taking ``y``'s energy as given unless it is ``None``."""
     if len(y) != model.num_vars:
         raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
     if ilp.num_vars != model.num_decision:
@@ -344,7 +378,7 @@ def decode(model: QuboModel, ilp: IlpModel, y: Sequence[int]) -> DecodedSample:
         raise ValueError(f"penalty row {extra.tag!r} meets no ILP row")
     return DecodedSample(
         y=y,
-        energy=qubo_energy(model, y),
+        energy=qubo_energy(model, y) if energy is None else energy,
         x=x,
         slack_consistent=consistent,
         report=FeasibilityReport.of(rows, sums))
@@ -424,38 +458,39 @@ _COO_CHUNK = 2048  # lines formatted and joined at a time
 
 
 def _coo(kind: str, num_vars: int, offset: int, den: int,
-         keys: list, value) -> str:
+         keys: list, values) -> str:
     """A header, then one `i j value` line per ``(i, j)`` key in ``keys``,
-    sorted here in place; ``value(key)`` counts in units of ``1/den`` and
-    each distinct value is formatted once. Lines are built a chunk at a
-    time, so only the keys, one chunk and the text are held at once."""
+    sorted here in place. ``values(chunk)`` yields the chunk's values in
+    units of ``1/den``; each distinct value, and each index, is formatted
+    once. Lines are built a chunk at a time, so only the keys, one chunk
+    and the text are held at once."""
     keys.sort()
+    names = [str(i) for i in range(num_vars)]
     text: dict[int, str] = {}
     parts = [f"# {kind} num_vars={num_vars} "
              f"offset={exact_number(Fraction(offset, den))}\n"]
     for start in range(0, len(keys), _COO_CHUNK):
         chunk = keys[start:start + _COO_CHUNK]
-        values = list(map(value, chunk))
-        for v in set(values).difference(text):
+        chunk_values = list(values(chunk))
+        for v in set(chunk_values).difference(text):
             text[v] = str(exact_number(Fraction(v, den)))
-        parts.append("".join([f"{i} {j} {text[v]}\n"
-                              for (i, j), v in zip(chunk, values)]))
+        parts.append("".join([f"{names[i]} {names[j]} {text[v]}\n"
+                              for (i, j), v in zip(chunk, chunk_values)]))
     return "".join(parts)
 
 
 def export_qubo_coo(model: QuboModel) -> str:
     """COO text: one `i j value` line per stored upper-triangular entry."""
-    return _coo("qubo", model.num_vars, model.offset, model.den,
-                list(model.q), model.q.__getitem__)
+    return _coo("qubo", model.num_vars, model.offset, model.den, list(model.q),
+                lambda chunk: map(model.q.__getitem__, chunk))
 
 
 def export_ising_coo(model: IsingModel) -> str:
     """Same shape for the spin form; `i i value` lines carry the fields h_i."""
-    h, j = model.h, model.j
-
-    def value(key: tuple[int, int]) -> int:
-        return h[key[0]] if key[0] == key[1] else j[key]
-
-    keys = [(i, i) for i in h]
+    diag = {(i, i): v for i, v in model.h.items()}
+    j = model.j
+    keys = list(diag)
     keys += j
-    return _coo("ising", model.num_vars, model.offset, model.den, keys, value)
+    # an `(i, i)` key is not in j, so j.get falls back to its field
+    return _coo("ising", model.num_vars, model.offset, model.den, keys,
+                lambda chunk: map(j.get, chunk, map(diag.get, chunk)))

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rollstock.exact import brute_force
+from rollstock.exact import brute_force, solve_exact
+from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import (ConstraintRow, IlpModel, check_feasibility,
                            encode_ilp, objective_value)
 from rollstock.netbuild import build_hypergraph
@@ -138,6 +139,25 @@ def test_penalty_equivalence_random(seed):
             assert energy == obj
         else:
             assert energy >= obj + min(DEFAULT_LAMBDAS)
+
+
+@pytest.mark.parametrize("trips", [20, 40, 60, 80])
+def test_energy_identity_at_the_optimum_of_generated_instances(trips):
+    # the scaling-ladder generator family at seed T: chains of at most 2, 4,
+    # 6 and 8 bits, each optimum proven by branch and bound in milliseconds
+    config = GeneratorConfig(n_trips=trips, n_couplable=trips // 5,
+                             n_types=3, n_depots=4)
+    inst = generate_synthetic(config, trips)
+    model = encode_ilp(build_hypergraph(inst), inst)
+    qubo = encode_qubo(model)
+    assert max(len(row.slack_indices) for row in qubo.penalty_rows) == trips // 10
+    result = solve_exact(model, time_limit=60)
+    assert result.status == "optimal"
+    x = result.solution.x
+    assert slack_optimized_energy(qubo, x) == objective_value(model, x)
+    sample = decode(qubo, model, consistent_slacks(qubo, x))
+    assert sample.feasible and sample.slack_consistent
+    assert sample.x == x
 
 
 @pytest.mark.parametrize("seed", [3, 5, 8, 11])

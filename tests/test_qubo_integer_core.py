@@ -209,6 +209,32 @@ def test_zero_weights_and_repeated_objective_match_reference():
         assert_same_as_reference(ilp, lambdas)
 
 
+def test_wide_chains_with_repeated_variables_match_reference():
+    # range rows with chains of 3 to 6 bits name one variable two or three
+    # times, never next to each other: its decision-chain pairs carry the
+    # sum of its coefficients in the row (zero for var 2 in "d3", so those
+    # keys drop out), and every key keeps the order it is first hit in
+    ilp = IlpModel(
+        num_vars=5,
+        objective=((1, Fraction(2, 3)), (4, Fraction(-1, 2))),
+        constraints=(
+            ConstraintRow(kind="driver", relation="range", lo=1, hi=5,
+                          coeffs=((0, 1), (2, 2), (0, 3), (4, 1)), tag="d1"),
+            ConstraintRow(kind="coverage", relation="=", rhs=1,
+                          coeffs=((0, 1), (1, 1)), tag="c"),
+            ConstraintRow(kind="depot_out", relation="range", lo=0, hi=3,
+                          coeffs=((3, 1), (1, 1), (3, -1), (2, 1), (3, 2)),
+                          tag="d2"),
+            ConstraintRow(kind="driver", relation="range", lo=2, hi=8,
+                          coeffs=((2, 1), (4, 1), (2, -1), (1, 1)), tag="d3"),
+            ConstraintRow(kind="depot_in", relation="<=", rhs=4,
+                          coeffs=((4, 1), (0, 1), (4, 1)), tag="d4"),
+        ))
+    assert [len(row.slack_indices) for row in encode_qubo(ilp).penalty_rows] == [4, 0, 3, 6, 4]
+    for lambdas in (DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS, (Fraction(1, 2), 1, 0, 1, 3)):
+        assert_same_as_reference(ilp, lambdas)
+
+
 def test_model_without_constraints_matches_reference():
     ilp = IlpModel(num_vars=3, objective=((1, Fraction(3, 10)),),
                    constraints=())

@@ -69,7 +69,7 @@ def test_ising_couplings_share_the_qubo_key_tuples():
 
 # bytes per term: (live after the call, peak during it), None = unchecked
 BOUNDS = {
-    "encode_qubo": (None, 165),
+    "encode_qubo": (None, 150),
     "to_ising": (65, 100),
     "export_qubo_coo": (None, 90),
     "export_ising_coo": (None, 100),
