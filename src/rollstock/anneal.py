@@ -28,8 +28,8 @@ test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))`` with
 gives ``exp >= 1 > u``. When the off-diagonal couplings are integers, as
 in every model built with integer penalty weights, this is bit for bit
 the per-site sweep over a dense float matrix; otherwise the field is
-exact and rounded once. Energies are exact
-(:func:`rollstock.qubo.qubo_energy`).
+exact and rounded once. Energies are exact, one
+:func:`rollstock.qubo.qubo_energies` call over the distinct final states.
 
 Each generator call fills ``ahead = ceil(_DRAW / n)`` whole sweeps of one
 read's uniforms, at least one and at most ``sweeps``: the same stream as
@@ -49,15 +49,19 @@ the full loop would show it, and the test is the same elementwise
 routine on the same values: the samples do not change.
 
 ``sample_portfolio`` is the full pipeline: build the hypergraph, encode
-ILP and QUBO, anneal, decode every distinct sample with the energy
-``anneal`` stored for it, keep the feasible plans as a portfolio and log
-the infeasible ones with their violated constraint families.
+ILP and QUBO, anneal, decode the distinct samples in one
+:func:`rollstock.qubo.decode_many` call with the energies ``anneal``
+stored, keep the feasible plans as a portfolio, each reusing its
+sample's report, and return the infeasible ones with their violated
+constraint families. At INFO it logs one line through the ``rollstock``
+logger: distinct samples, feasible reads and reads per violated family.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import logging
 import math
 import numbers
 import sys
@@ -72,9 +76,9 @@ from .ilp import IlpModel, encode_ilp
 from .model import Instance
 from .netbuild import Hypergraph, build_hypergraph
 # ``decode`` stays a name of this module: perfbench's tracer wraps
-# ``rollstock.anneal.decode``, while ``sample_portfolio`` calls ``_decode``
-from .qubo import (DEFAULT_LAMBDAS, DecodedSample, QuboModel, _decode,
-                   decode, encode_qubo, qubo_energy)
+# ``rollstock.anneal.decode``, while ``sample_portfolio`` calls ``decode_many``
+from .qubo import (DEFAULT_LAMBDAS, DecodedSample, QuboModel, decode,
+                   decode_many, encode_qubo, qubo_energies)
 
 __all__ = [
     "AnnealParams",
@@ -84,6 +88,8 @@ __all__ = [
     "sample_portfolio",
     "PortfolioRun",
 ]
+
+_log = logging.getLogger("rollstock")
 
 
 @dataclass(frozen=True)
@@ -289,9 +295,12 @@ def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet
     for row in final.T.tolist():
         y = tuple(row)
         counts[y] = counts.get(y, 0) + 1
-    entries = [SampleEntry(y=y, energy=qubo_energy(model, y), multiplicity=c)
-               for y, c in counts.items()]
-    entries.sort(key=lambda e: (e.energy, e.y))
+    entries = [SampleEntry(y=y, energy=energy, multiplicity=c) for (y, c), energy
+               in zip(counts.items(), qubo_energies(model, list(counts)))]
+    # every energy is a whole number of 1/den: sort on that integer, as the
+    # Fractions would sort, without comparing Fractions
+    den = model.den
+    entries.sort(key=lambda e: (e.energy.numerator * (den // e.energy.denominator), e.y))
     return SampleSet(entries=tuple(entries), num_reads=reads)
 
 
@@ -332,10 +341,11 @@ def sample_portfolio(instance: Instance,
         qubo = encode_qubo(ilp, lambdas)
     samples = anneal(qubo, params)
 
+    entries = samples.entries
+    decoded = decode_many(qubo, ilp, [e.y for e in entries], [e.energy for e in entries])
     feasible: dict[tuple[int, ...], DecodedSample] = {}
     rejected: list[RejectedSample] = []
-    for entry in samples.entries:
-        sample = _decode(qubo, ilp, entry.y, entry.energy)
+    for entry, sample in zip(entries, decoded):
         if sample.feasible:
             feasible.setdefault(sample.x, sample)
         else:
@@ -345,14 +355,31 @@ def sample_portfolio(instance: Instance,
                 violated_families=sample.report.families(),
                 slack_consistent=sample.slack_consistent))
     solutions = sorted(
-        (Solution.from_assignment(ilp, x) for x in feasible),
+        (Solution.from_assignment(ilp, x, s.report) for x, s in feasible.items()),
         key=lambda s: (s.objective, s.x))
     portfolio = SolutionPortfolio(solutions=tuple(solutions), exhaustive=False)
 
-    lowest = samples.entries[0].energy if samples.entries else None
-    hits = sum(e.multiplicity for e in samples.entries if e.energy == lowest)
+    if _log.isEnabledFor(logging.INFO):
+        _log.info("%s", _decode_histogram(samples, rejected))
+
+    lowest = entries[0].energy if entries else None
+    hits = sum(e.multiplicity for e in entries if e.energy == lowest)
     return PortfolioRun(
         portfolio=portfolio,
         rejected=tuple(rejected),
         samples=samples,
         success_rate=hits / samples.num_reads if samples.num_reads else 0.0)
+
+
+def _decode_histogram(samples: SampleSet, rejected: Sequence[RejectedSample]) -> str:
+    """One line: distinct samples, feasible reads and the reads that
+    violate each constraint family."""
+    reads: dict[str, int] = {}
+    for r in rejected:
+        for family in r.violated_families:
+            reads[family] = reads.get(family, 0) + r.multiplicity
+    feasible = samples.num_reads - sum(r.multiplicity for r in rejected)
+    families = ", ".join(f"{f}={n}" for f, n in sorted(reads.items())) or "none"
+    return (f"decode: {len(samples.entries)} distinct samples, {feasible} of "
+            f"{samples.num_reads} reads feasible; reads per violated family: "
+            f"{families}")

@@ -58,12 +58,15 @@ class Solution:
     decoded: tuple[int, ...]  # selected arc ids
 
     @staticmethod
-    def from_assignment(model: IlpModel, x: Sequence[int]) -> "Solution":
+    def from_assignment(model: IlpModel, x: Sequence[int],
+                        report: Optional[FeasibilityReport] = None) -> "Solution":
+        """The solution ``x``, with ``report`` as its feasibility report
+        when it was already checked."""
         xt = tuple(int(v) for v in x)
         return Solution(
             x=xt,
             objective=objective_value(model, xt),
-            report=check_feasibility(model, xt),
+            report=check_feasibility(model, xt) if report is None else report,
             decoded=tuple(i for i, v in enumerate(xt) if v),
         )
 

@@ -39,6 +39,21 @@ row; the chain's own pairs follow the decision variables in
 COO export formats each index and each distinct value once per export and
 takes a chunk's values through ``map`` over the tables' own lookups, so
 no Python function runs per line.
+
+A sample set is evaluated in one call: ``qubo_energies`` gives each
+sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
+``decode_many`` sums each ILP row and each slack chain over all samples
+at once, from the rows laid out once per call in CSR form (empty rows
+allowed). Only the (sample, row) pairs whose lhs leaves ``bounds()`` become
+Python objects, handed to ``FeasibilityReport.of``, the helper
+``check_feasibility`` reports with. The arithmetic is int64 while
+``|offset| + sum |q|``, and for every row ``sum |c| + |lo| + |hi|`` plus its
+chain's ``|constant| + width``, stay below 2**63, exact Python ints
+otherwise. Samples go through in blocks of at most ``_BLOCK`` = 2**17
+(sample, cell) pairs, a cell being a term, a row coefficient or a chain
+bit, so the scratch of a call stays within a few MiB whatever the sample
+count. ``decode`` and ``qubo_energy`` are the one-sample calls; a sample
+entry outside {0, 1} is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -50,7 +65,9 @@ from itertools import combinations_with_replacement, compress, repeat
 from operator import not_
 from typing import Optional, Sequence, Union
 
-from .ilp import FeasibilityReport, IlpModel
+import numpy as np
+
+from .ilp import ConstraintRow, FeasibilityReport, IlpModel
 from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
@@ -64,6 +81,8 @@ __all__ = [
     "to_ising",
     "ising_energy",
     "decode",
+    "decode_many",
+    "qubo_energies",
     "consistent_slacks",
     "slack_optimized_energy",
     "scaling_report",
@@ -269,11 +288,18 @@ def _drop_zeros(table: dict) -> None:
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
-    """Exact energy of ``y``."""
-    if len(y) != model.num_vars:
-        raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
-    total = model.offset + sum(v for (i, j), v in model.q.items() if y[i] and y[j])
-    return Fraction(total, model.den)
+    """Exact energy of ``y``: ``qubo_energies`` of the one sample."""
+    return qubo_energies(model, [y])[0]
+
+
+def qubo_energies(model: QuboModel, ys: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Exact energies of the samples ``ys``, in order; ``ValueError``
+    names the first sample of the wrong length or the first entry outside
+    {0, 1}."""
+    _check_lengths(ys, model.num_vars)
+    terms = _terms(model)
+    return [e for _, bits in _bit_blocks(ys, len(model.q))
+            for e in _energies(model, terms, bits)]
 
 
 def to_ising(model: QuboModel) -> IsingModel:
@@ -336,52 +362,150 @@ def slack_optimized_energy(model: QuboModel, x: Sequence[int]) -> Fraction:
 
 
 def decode(model: QuboModel, ilp: IlpModel, y: Sequence[int]) -> DecodedSample:
-    """Split a sample into decision part, check it against the ILP.
+    """Split a sample into its decision part and check it against the ILP:
+    ``decode_many`` of the one sample."""
+    return decode_many(model, ilp, [y])[0]
 
-    Each row's lhs is summed once and feeds both the ``check_feasibility``
-    report and the row's slack check: its chain must hold
+
+def decode_many(model: QuboModel, ilp: IlpModel, ys: Sequence[Sequence[int]],
+                energies: Optional[Sequence[Fraction]] = None) -> list[DecodedSample]:
+    """Decode the samples ``ys``, in order, taking their energies as given
+    unless ``energies`` is ``None``.
+
+    Each row's lhs is summed once per sample and feeds both the
+    ``FeasibilityReport.of`` report, built from the rows whose lhs leaves
+    ``bounds()``, and the row's slack check: its chain must hold
     ``min(max(lhs - lo, 0), width)`` bits, as ``PenaltyRow.best_slack_sum``
     counts them (a penalty row's ``constant`` is ``-lo``).
     ``ilp`` must be the model ``model`` was encoded from, its non-capacity
     rows carrying the tags of ``model.penalty_rows`` in order; otherwise
-    ``ValueError`` names the first mismatch.
+    ``ValueError`` names the first mismatch. ``ValueError`` also names the
+    first sample of the wrong length and the first entry outside {0, 1}.
     """
-    return _decode(model, ilp, y, None)
-
-
-def _decode(model: QuboModel, ilp: IlpModel, y: Sequence[int],
-            energy: Optional[Fraction]) -> DecodedSample:
-    """``decode``, taking ``y``'s energy as given unless it is ``None``."""
-    if len(y) != model.num_vars:
-        raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
+    _check_lengths(ys, model.num_vars)
     if ilp.num_vars != model.num_decision:
         raise ValueError(f"ILP has {ilp.num_vars} variables, "
                          f"QUBO has {model.num_decision} decision variables")
-    y = tuple(int(v) for v in y)
-    x = y[:model.num_decision]
-    rows = ilp.constraints
-    sums = [row.lhs(x) for row in rows]
-    penalties = iter(model.penalty_rows)
-    consistent = True
-    for index, (row, lhs) in enumerate(zip(rows, sums)):
+    if energies is not None and len(energies) != len(ys):
+        raise ValueError(f"{len(energies)} energies for {len(ys)} samples")
+    rows, penalties = ilp.constraints, model.penalty_rows
+    matched = _matched_rows(penalties, rows)
+    bounds = [row.bounds() for row in rows]
+    # every row sum, bound and chain count below lies within its reach
+    reach = [sum(abs(c) for _, c in row.coeffs) + abs(lo) + abs(hi)
+             for row, (lo, hi) in zip(rows, bounds)]
+    reach += [reach[k] + abs(p.constant) + len(p.slack_indices)
+              for k, p in zip(matched, penalties)]
+    dtype = np.int64 if max(reach, default=0) < _EXACT else object
+    lo, hi = np.array(bounds, dtype).reshape(-1, 2).T
+    constant = np.array([p.constant for p in penalties], dtype)
+    width = np.array([len(p.slack_indices) for p in penalties], np.int64)
+    # CSR layout: the rows' (column, coefficient) pairs, then each chain's
+    # bits with coefficient 1, end to end; empty rows have no start
+    layout = [row.coeffs for row in rows]
+    layout += [tuple(zip(p.slack_indices, repeat(1))) for p in penalties]
+    lengths = np.array([len(pairs) for pairs in layout], np.intp)
+    nonempty = lengths > 0
+    starts = (np.cumsum(lengths) - lengths)[nonempty]
+    flat = [pair for pairs in layout for pair in pairs]
+    columns = np.array([v for v, _ in flat], np.intp)
+    coeffs = np.array([c for _, c in flat], dtype)
+    nd = model.num_decision
+    named = columns[:len(columns) - int(width.sum())]  # the rows' columns
+    if len(named) and not 0 <= named.min() <= named.max() < nd:
+        raise ValueError(f"an ILP row names a variable outside 0..{nd - 1}")
+    terms = _terms(model) if energies is None else None
+    cells = max(len(flat), model.num_vars, len(model.q) if terms else 0)
+
+    decoded: list[DecodedSample] = []
+    for start, bits in _bit_blocks(ys, cells):
+        sums = np.zeros((len(bits), len(layout)), dtype)
+        if len(starts):
+            sums[:, nonempty] = np.add.reduceat(bits[:, columns] * coeffs, starts, axis=1)
+        lhs, chains = sums[:, :len(rows)], sums[:, len(rows):]
+        consistent = (chains == np.clip(lhs[:, matched] + constant, 0, width)).all(axis=1)
+        # Python objects only for the (sample, row) pairs off their bounds
+        off: dict[int, tuple[list, list]] = {}
+        at, k = np.nonzero((lhs < lo) | (lhs > hi))
+        for s, row, value in zip(at.tolist(), k.tolist(), lhs[at, k].tolist()):
+            pair = off.get(s) or off.setdefault(s, ([], []))
+            pair[0].append(rows[row])
+            pair[1].append(value)
+        block = (_energies(model, terms, bits) if terms
+                 else energies[start:start + len(bits)])
+        for s, (y, energy, ok) in enumerate(zip(bits.tolist(), block, consistent.tolist())):
+            y = tuple(y)
+            decoded.append(DecodedSample(
+                y=y, energy=energy, x=y[:nd], slack_consistent=ok,
+                report=FeasibilityReport.of(*off[s]) if s in off else FeasibilityReport()))
+    return decoded
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation
+
+
+_BLOCK = 2 ** 17  # (sample, cell) pairs a batch routine evaluates at a time
+_EXACT = 2 ** 63  # int64 holds every sum bounded below this; beyond, Python ints
+
+
+def _check_lengths(ys: Sequence[Sequence[int]], n: int) -> None:
+    for y in ys:
+        if len(y) != n:
+            raise ValueError(f"assignment length {len(y)} != {n}")
+
+
+def _bit_blocks(ys: Sequence[Sequence[int]], cells: int):
+    """``(start, bits)``: the samples ``ys[start:start + len(bits)]`` as an
+    int8 array, at most ``_BLOCK // cells`` of them (at least one);
+    ``ValueError`` names the first entry outside {0, 1}."""
+    step = max(1, _BLOCK // max(cells, 1))
+    for start in range(0, len(ys), step):
+        block = np.asarray(ys[start:start + step])
+        if block.dtype != bool:
+            bad = (block != 0) & (block != 1)
+            if bad.any():
+                s, i = divmod(int(bad.argmax()), block.shape[1])
+                raise ValueError(f"sample {start + s} entry {i} is "
+                                 f"{block[s].tolist()[i]!r}, not 0 or 1")
+        yield start, block.astype(np.int8)
+
+
+def _matched_rows(penalties: Sequence[PenaltyRow],
+                  rows: Sequence[ConstraintRow]) -> list[int]:
+    """The index of each penalty row's ILP row; ``ValueError`` names the
+    first mismatch."""
+    matched = []
+    remaining = iter(penalties)
+    for index, row in enumerate(rows):
         if row.kind == "capacity_forbid":
             continue
-        penalty = next(penalties, None)
+        penalty = next(remaining, None)
         if penalty is None or penalty.tag != row.tag:
             found = "no penalty row" if penalty is None else f"penalty row {penalty.tag!r}"
             raise ValueError(f"ILP row {index} {row.tag!r} meets {found}")
-        if consistent:
-            chain = sum(y[s] for s in penalty.slack_indices)
-            consistent = chain == penalty.slack_sum_at(lhs + penalty.constant)
-    extra = next(penalties, None)
+        matched.append(index)
+    extra = next(remaining, None)
     if extra is not None:
         raise ValueError(f"penalty row {extra.tag!r} meets no ILP row")
-    return DecodedSample(
-        y=y,
-        energy=qubo_energy(model, y) if energy is None else energy,
-        x=x,
-        slack_consistent=consistent,
-        report=FeasibilityReport.of(rows, sums))
+    return matched
+
+
+def _terms(model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index columns and values of ``q``'s terms; the values are int64
+    while ``|offset| + sum |q|`` stays below 2**63, Python ints otherwise."""
+    keys = np.array(list(model.q), np.intp).reshape(-1, 2)
+    values = list(model.q.values())
+    exact = abs(model.offset) + sum(map(abs, values)) < _EXACT
+    return keys[:, 0], keys[:, 1], np.array(values, np.int64 if exact else object)
+
+
+def _energies(model: QuboModel, terms: tuple, bits: np.ndarray) -> list[Fraction]:
+    i, j, values = terms
+    # einsum sums the products in buffered chunks, with no int64 copy of
+    # the (sample, term) table
+    totals = np.einsum("st,t->s", bits[:, i] & bits[:, j], values)
+    return [Fraction(model.offset + t, model.den) for t in totals.tolist()]
 
 
 # ---------------------------------------------------------------------------

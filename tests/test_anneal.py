@@ -1,9 +1,11 @@
 import dataclasses
+import importlib
+import logging
 from fractions import Fraction
 
 import pytest
 
-from rollstock.anneal import AnnealParams, anneal, sample_portfolio
+from rollstock.anneal import AnnealParams, SampleSet, anneal, sample_portfolio
 from rollstock.exact import solve_exact
 from rollstock.ilp import check_feasibility, encode_ilp
 from rollstock.generate import GeneratorConfig, generate_synthetic
@@ -11,6 +13,8 @@ from rollstock.netbuild import build_hypergraph
 from rollstock.qubo import qubo_energy
 
 from conftest import qubo_model
+
+ANNEAL = importlib.import_module("rollstock.anneal")  # the package exports a function of that name
 
 GROUND = Fraction(24, 5)
 
@@ -94,6 +98,37 @@ def test_portfolio_and_rejects_are_consistent(toy_instance, toy_ilp):
     for rej in run.rejected:
         assert not check_feasibility(toy_ilp, rej.x).feasible
         assert rej.violated_families
+
+
+def test_portfolio_logs_one_decode_histogram(toy_instance, caplog):
+    caplog.set_level(logging.INFO, logger="rollstock")
+    run = sample_portfolio(toy_instance, params=AnnealParams(seed=3))
+    records = [r for r in caplog.records if r.name == "rollstock"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    reads = {}
+    for r in run.rejected:
+        for family in r.violated_families:
+            reads[family] = reads.get(family, 0) + r.multiplicity
+    assert reads == {"capacity_forbid": 4, "coverage": 7, "flow_balance": 3}
+    feasible = 100 - sum(r.multiplicity for r in run.rejected)
+    assert records[0].getMessage() == (
+        f"decode: {len(run.samples.entries)} distinct samples, {feasible} of 100 "
+        "reads feasible; reads per violated family: capacity_forbid=4, "
+        "coverage=7, flow_balance=3")
+    assert ANNEAL._decode_histogram(SampleSet(entries=(), num_reads=5), ()) == (
+        "decode: 0 distinct samples, 5 of 5 reads feasible; "
+        "reads per violated family: none")
+
+
+def test_decode_histogram_is_built_only_when_info_is_enabled(toy_instance, caplog,
+                                                             monkeypatch):
+    def fail(*args):
+        raise AssertionError("histogram built below INFO")
+
+    monkeypatch.setattr(ANNEAL, "_decode_histogram", fail)
+    caplog.set_level(logging.WARNING, logger="rollstock")
+    sample_portfolio(toy_instance, params=AnnealParams(num_reads=10, sweeps=50))
+    assert not [r for r in caplog.records if r.name == "rollstock"]
 
 
 def test_infeasible_instance_yields_empty_portfolio(toy_instance):
