@@ -15,17 +15,45 @@ with ``lo >= 1`` and no negative coefficient: on those, ``least`` sums
 only the variables already set, so a row with ``least >= 1`` is covered.
 A mixed-sign coverage row is still propagated.
 
+The search first compiles the model, in one pass over its rows, into flat
+integer tables: per row a list of ``(var, |c|, the value of var that
+raises the lhs)``, per variable the same entries keyed by row, and per row
+``lo``, ``hi``, ``least``, ``most`` and a static ``widest = max |c|``. A
+row or objective entry naming a variable outside ``range(num_vars)`` is a
+``ValueError`` there. Assigning a variable then adds its ``|c|`` to each
+row's ``least`` or takes it from its ``most``, with no sign test. A free
+entry is forced when its ``|c|`` exceeds the row's room to rise,
+``hi - least``, or to fall, ``most - lo``. No free ``|c|`` exceeds
+``widest``, nor the sum of them all, ``most - least``; a queued row whose
+room is at least the smaller of the two is skipped without a scan, since
+nothing in it can be forced and it is not broken. The share bound stops
+summing once it reaches the incumbent: every share is nonnegative, so
+the prune decision is the same.
+
+The propagation queue keeps every row appended to it, in order, and each
+row is visited once per entry. A forced variable queues its other rows,
+not the one that forced it, which is scanned on from the forced entry
+only. The queue is neither deduplicated nor run to a fixpoint: a
+deduplicated queue visits rows in another order, and a fixpoint forces
+variables that this rule leaves to a branch, so either grows a different
+tree. Node counts, incumbents and enumeration leaves are part of the
+results, and ``tests/test_exact_kernel.py`` pins them against the kernel
+that scanned every queued row.
+
 The search is one loop over one assignment trail: a stack of frames, each
 holding the trail mark, the branched variable and the values left to try,
 so its depth is not limited by Python's recursion limit. It sums the
 objective, the shares and the bound as integers over one denominator, so
 ties are pruned exactly and the first optimum found is kept; ``Fraction``
-appears only in the returned ``Solution``s.
+appears only in the returned ``Solution``s. A deadline is checked every
+512 nodes.
 
 ``brute_force`` enumerates all 2^n assignments (n <= 24) with vectorized
 feasibility checks; it is the reference oracle the search is tested
 against. ``enumerate_feasible`` reuses the same search tree without bound
-pruning to list every feasible assignment.
+pruning to list every feasible assignment; given a budget of k plans it
+stops on finding plan k + 1, so a portfolio that holds every plan is
+reported exhaustive.
 """
 
 from __future__ import annotations
@@ -99,41 +127,58 @@ class SolveResult:
 
 
 class _Search:
-    """Row activity bounds, the assignment, its trail and the incumbent or
-    the collected leaves."""
+    """The model compiled to flat integer tables, the assignment, its trail
+    and the incumbent or the collected leaves."""
 
     def __init__(self, model: IlpModel, deadline: Optional[float] = None,
                  max_count: Optional[int] = None):
         n = self.n = model.num_vars
-        # max_count selects enumeration: no bound, stop at max_count leaves;
-        # otherwise branch and bound, stopped only by the deadline
+        # max_count selects enumeration: no bound, stop on finding leaf
+        # max_count + 1; otherwise branch and bound, stopped only by the
+        # deadline
         self.use_bound = max_count is None
         self.deadline = deadline
         self.max_count = max_count
-        self.rows = [row.coeffs for row in model.constraints]
+        # one pass over the rows: each entry is (var, |c|, the value of var
+        # that raises the lhs), filed under its row and, with the row id in
+        # place of var, under its variable
+        self.rows: list[list[tuple[int, int, int]]] = []
+        var_rows = self.var_rows = [[] for _ in range(n)]
         self.lo: list[int] = []
         self.hi: list[int] = []
         self.least: list[int] = []  # lhs with every free variable lowering it
         self.most: list[int] = []  # lhs with every free variable raising it
-        self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.widest: list[int] = []  # the row's largest |c|
         # coverage rows that need a selected arc while uncovered; the share
         # bound and the branching rule read only these
         self.cover_rows: list[int] = []
+        cover_of_var = [0] * n
         for idx, row in enumerate(model.constraints):
             lo, hi = row.bounds()
+            entries = [(v, c, 1) if c > 0 else (v, -c, 0) for v, c in row.coeffs]
+            least = most = widest = 0
+            for v, c, raising in entries:
+                if not 0 <= v < n:
+                    raise ValueError(f"row {row.tag!r} names variable {v}, "
+                                     f"outside range({n})")
+                var_rows[v].append((idx, c, raising))
+                if raising:
+                    most += c
+                else:
+                    least -= c
+                if c > widest:
+                    widest = c
+            self.rows.append(entries)
             self.lo.append(lo)
             self.hi.append(hi)
-            self.least.append(sum(c for _, c in row.coeffs if c < 0))
-            self.most.append(sum(c for _, c in row.coeffs if c > 0))
-            for v, c in row.coeffs:
-                self.var_rows[v].append((idx, c))
-            if (row.kind == "coverage" and lo >= 1
-                    and all(c >= 0 for _, c in row.coeffs)):
+            self.least.append(least)
+            self.most.append(most)
+            self.widest.append(widest)
+            # least == 0: no coefficient is negative
+            if row.kind == "coverage" and lo >= 1 and least == 0:
                 self.cover_rows.append(idx)
-        cover_of_var = [0] * n
-        for idx in self.cover_rows:
-            for v, _ in self.rows[idx]:
-                cover_of_var[v] += 1
+                for v, _ in row.coeffs:
+                    cover_of_var[v] += 1
         # objective values are integers in units of 1/(den * spread): den
         # clears the coefficients' denominators and spread, the LCM of the
         # coverage counts, makes every share obj[v] / cover[v] exact
@@ -141,6 +186,8 @@ class _Search:
         spread = math.lcm(*{k for k in cover_of_var if k})
         self.obj = [0] * n
         for v, c in model.objective:
+            if not 0 <= v < n:
+                raise ValueError(f"objective names variable {v}, outside range({n})")
             self.obj[v] += c.numerator * (den // c.denominator) * spread
         negative = [v for v, o in enumerate(self.obj) if o < 0]
         if self.use_bound and negative:
@@ -154,103 +201,136 @@ class _Search:
         self.incumbent: Optional[list[int]] = None
         self.incumbent_obj = 0  # the value of incumbent once it is set
         self.collected: list[tuple[int, tuple[int, ...]]] = []
-        self.stopped = False  # deadline passed or max_count leaves collected
+        self.stopped = False  # deadline passed or leaf max_count + 1 found
 
     # -- assignment trail ---------------------------------------------------
 
-    def _assign(self, v: int, val: int) -> None:
-        """Fix variable v: the value raising a row's lhs (1 for c > 0)
-        raises its least by |c|; the other lowers its most by |c|."""
+    def _assign(self, v: int, val: int) -> list[int]:
+        """Fix variable v: the value raising a row's lhs raises its least by
+        |c|; the other lowers its most by |c|. Returns v's rows, in order."""
         self.x[v] = val
         self.trail.append(v)
         if val:
             self.committed += self.obj[v]
-        for idx, c in self.var_rows[v]:
-            if val == (c > 0):
-                self.least[idx] += abs(c)
+        least, most = self.least, self.most
+        touched = []
+        for idx, c, raising in self.var_rows[v]:
+            if val == raising:
+                least[idx] += c
             else:
-                self.most[idx] -= abs(c)
+                most[idx] -= c
+            touched.append(idx)
+        return touched
 
     def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            val = self.x[v]
-            self.x[v] = -1
+        trail = self.trail
+        if len(trail) == mark:
+            return
+        x, obj, var_rows = self.x, self.obj, self.var_rows
+        least, most = self.least, self.most
+        committed = self.committed
+        for v in trail[mark:]:
+            val = x[v]
+            x[v] = -1
             if val:
-                self.committed -= self.obj[v]
-            for idx, c in self.var_rows[v]:
-                if val == (c > 0):
-                    self.least[idx] -= abs(c)
+                committed -= obj[v]
+            for idx, c, raising in var_rows[v]:
+                if val == raising:
+                    least[idx] -= c
                 else:
-                    self.most[idx] += abs(c)
+                    most[idx] += c
+        self.committed = committed
+        del trail[mark:]
 
     def _propagate(self, queue: list[int]) -> bool:
         """Unit-propagate forced values from the queued rows outward; False
         once a row is broken. Rows only tighten, so a row broken by a forced
-        value is still broken when its turn in the queue comes."""
-        head = 0
-        while head < len(queue):
-            idx = queue[head]
-            head += 1
-            lo, hi = self.lo[idx], self.hi[idx]
-            least, most = self.least[idx], self.most[idx]
-            if least > hi or most < lo:
+        value is still broken when its turn in the queue comes. The loop
+        walks the queue as it grows."""
+        x, obj, trail = self.x, self.obj, self.trail
+        rows, var_rows, widest = self.rows, self.var_rows, self.widest
+        lo_, hi_, least_, most_ = self.lo, self.hi, self.least, self.most
+        for idx in queue:
+            lo, hi = lo_[idx], hi_[idx]
+            least, most = least_[idx], most_[idx]
+            # rise and fall: how far the lhs may still move up or down. A
+            # free entry is forced when its |c| exceeds either; no free |c|
+            # exceeds the row's widest or their sum, most - least, so when
+            # neither does, nothing is forced and the row is not broken
+            c = most - least
+            if widest[idx] < c:
+                c = widest[idx]
+            rise, fall = hi - least, most - lo
+            if c <= rise and c <= fall:
+                continue
+            if rise < 0 or fall < 0:
                 return False
-            for v, c in self.rows[idx]:
-                if self.x[v] != -1:
+            for v, c, raising in rows[idx]:
+                if x[v] != -1:
                     continue
-                raising = int(c > 0)  # the value that raises the lhs
-                if least + abs(c) > hi:
-                    if most - abs(c) < lo:
+                if c > rise:
+                    if c > fall:
                         return False
-                    forced = 1 - raising
-                elif most - abs(c) < lo:
-                    forced = raising
+                    val = 1 - raising
+                elif c > fall:
+                    val = raising
                 else:
                     continue
-                self._assign(v, forced)
-                for jdx, _ in self.var_rows[v]:
+                x[v] = val
+                trail.append(v)
+                if val:
+                    self.committed += obj[v]
+                for jdx, d, up in var_rows[v]:
+                    if val == up:
+                        least_[jdx] += d
+                    else:
+                        most_[jdx] -= d
                     if jdx != idx:
                         queue.append(jdx)
-                # row state changed; refresh its bounds and scan on
-                least, most = self.least[idx], self.most[idx]
+                # row state changed; refresh its room and scan on
+                rise, fall = hi - least_[idx], most_[idx] - lo
         return True
 
     # -- bounding and branching ----------------------------------------------
 
-    def _lower_bound(self) -> float:
+    def _bound_reaches(self, target: int) -> bool:
+        """Whether the share bound of the node reaches target. Every share
+        is nonnegative, so the sum stops as soon as it gets there."""
         bound = self.committed
+        x, share, least, rows = self.x, self.share, self.least, self.rows
         for idx in self.cover_rows:
-            if self.least[idx] >= 1:
+            if bound >= target:
+                return True
+            if least[idx] >= 1:
                 continue
             best = math.inf
-            for v, _ in self.rows[idx]:
-                if self.x[v] == -1 and self.share[v] < best:
-                    best = self.share[v]
-            if best == math.inf:
-                return best
+            for v, _, _ in rows[idx]:
+                if x[v] == -1 and share[v] < best:
+                    best = share[v]
             bound += best
-        return bound
+        return bound >= target
 
     def _pick_branch(self) -> Optional[tuple[int, tuple[int, int]]]:
+        x, least_, most_ = self.x, self.least, self.most
         best_row, best_free = -1, 1 << 30
         for idx in self.cover_rows:
-            least = self.least[idx]
+            least = least_[idx]
             if least >= 1:
                 continue
-            free = self.most[idx] - least  # the free count on a unit row
+            free = most_[idx] - least  # the free count on a unit row
             if 0 < free < best_free:
                 best_row, best_free = idx, free
         if best_row >= 0:
             # cheapest covering arc first reaches good incumbents early;
             # ties break on ascending arc id
+            obj = self.obj
             pick, pick_cost = -1, math.inf
-            for v, _ in self.rows[best_row]:
-                if self.x[v] == -1 and self.obj[v] < pick_cost:
-                    pick, pick_cost = v, self.obj[v]
+            for v, _, _ in self.rows[best_row]:
+                if x[v] == -1 and obj[v] < pick_cost:
+                    pick, pick_cost = v, obj[v]
             return pick, (1, 0)
         for v in range(self.n):
-            if self.x[v] == -1:
+            if x[v] == -1:
                 return v, (0, 1)
         return None
 
@@ -272,7 +352,7 @@ class _Search:
             # is kept, and subtrees that cannot improve on it are cut, which
             # collapses the equal-cost symmetry of corridor instances
             if not (self.use_bound and self.incumbent is not None
-                    and self._lower_bound() >= self.incumbent_obj):
+                    and self._bound_reaches(self.incumbent_obj)):
                 branch = self._pick_branch()
                 if branch is not None:
                     v, order = branch
@@ -282,11 +362,12 @@ class _Search:
                     # turned away every leaf that does not beat the incumbent
                     self.incumbent = list(self.x)
                     self.incumbent_obj = self.committed
+                elif len(self.collected) == self.max_count:
+                    # a leaf beyond the budget: the portfolio is not exhaustive
+                    self.stopped = True
+                    return
                 else:
                     self.collected.append((self.committed, tuple(self.x)))
-                    if len(self.collected) >= self.max_count:
-                        self.stopped = True
-                        return
             while frames:
                 mark, v, values = frames[-1]
                 self._undo(mark)
@@ -294,8 +375,7 @@ class _Search:
                 if val is None:
                     frames.pop()
                     continue
-                self._assign(v, val)
-                if self._propagate([idx for idx, _ in self.var_rows[v]]):
+                if self._propagate(self._assign(v, val)):
                     break
             else:
                 return
@@ -307,6 +387,8 @@ def solve_exact(model: IlpModel,
 
     Every variable's summed objective coefficient must be nonnegative
     (``ValueError`` otherwise): the share bound is valid only then.
+    ``ValueError`` also names a row or objective entry whose variable lies
+    outside ``range(model.num_vars)``.
     """
     if time_limit is not None and not time_limit >= 0:  # also rejects NaN
         raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
@@ -326,7 +408,12 @@ def solve_exact(model: IlpModel,
 
 def enumerate_feasible(model: IlpModel, max_count: int = 100000
                        ) -> SolutionPortfolio:
-    """All feasible assignments (up to max_count), sorted by objective."""
+    """All feasible assignments (up to max_count), sorted by objective.
+
+    The portfolio is exhaustive unless the search found a feasible
+    assignment beyond the first max_count; those first max_count are
+    returned. ``ValueError`` names a row or objective entry whose variable
+    lies outside ``range(model.num_vars)``."""
     if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count!r}")
     search = _Search(model, max_count=max_count)

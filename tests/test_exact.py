@@ -62,6 +62,19 @@ def test_enumeration_budget():
     assert not partial.exhaustive
 
 
+@pytest.mark.parametrize("max_count,plans,exhaustive", [
+    (2, 2, False), (3, 3, True), (4, 3, True)])
+def test_enumeration_budget_at_below_and_above_the_plan_count(
+        toy_ilp, max_count, plans, exhaustive):
+    # the toy has 3 feasible plans; a budget of exactly 3 returns them all
+    # and knows that none is left out
+    portfolio = enumerate_feasible(toy_ilp, max_count=max_count)
+    assert len(portfolio.solutions) == plans
+    assert portfolio.exhaustive is exhaustive
+    everything = enumerate_feasible(toy_ilp).solutions
+    assert {s.x for s in portfolio.solutions} <= {s.x for s in everything}
+
+
 def load_toy_model():
     inst = load_instance(str(TOY_PATH))
     return encode_ilp(build_hypergraph(inst), inst)
@@ -249,3 +262,35 @@ def test_mixed_sign_coverage_row_agrees_with_brute_force():
     assert result.solution.objective == brute_force(model).best().objective == 1
     assert ({s.x for s in enumerate_feasible(model).solutions}
             == {s.x for s in brute_force(model).solutions})
+
+
+@pytest.mark.parametrize("var", [5, 2, -1])
+def test_row_naming_a_variable_outside_the_model_rejected(var):
+    # -1 would read the last variable and 5 would raise a bare IndexError
+    model = IlpModel(
+        num_vars=2,
+        objective=((0, Fraction(1)), (1, Fraction(1))),
+        constraints=(
+            ConstraintRow(kind="coverage", relation="=", rhs=1,
+                          coeffs=((0, 1), (1, 1)), tag="cover[01]"),
+            ConstraintRow(kind="out_degree", relation="<=", rhs=0,
+                          coeffs=((0, 1), (var, 1)), tag="out[ghost]")))
+    match = rf"row 'out\[ghost\]' names variable {var}, outside range\(2\)"
+    with pytest.raises(ValueError, match=match):
+        solve_exact(model)
+    with pytest.raises(ValueError, match=match):
+        enumerate_feasible(model)
+
+
+@pytest.mark.parametrize("var", [2, -1])
+def test_objective_naming_a_variable_outside_the_model_rejected(var):
+    model = IlpModel(
+        num_vars=2,
+        objective=((0, Fraction(1)), (var, Fraction(1))),
+        constraints=(ConstraintRow(kind="coverage", relation="=", rhs=1,
+                                   coeffs=((0, 1), (1, 1)), tag="cover[01]"),))
+    match = rf"objective names variable {var}, outside range\(2\)"
+    with pytest.raises(ValueError, match=match):
+        solve_exact(model)
+    with pytest.raises(ValueError, match=match):
+        enumerate_feasible(model)
