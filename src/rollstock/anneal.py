@@ -327,16 +327,16 @@ class PortfolioRun:
 def sample_portfolio(instance: Instance,
                      lambdas: Sequence = DEFAULT_LAMBDAS,
                      params: AnnealParams = AnnealParams(),
-                     driver_weighting: str = "per_emu",
                      graph: Optional[Hypergraph] = None,
                      ilp: Optional[IlpModel] = None,
                      qubo: Optional[QuboModel] = None) -> PortfolioRun:
     """Build -> encode -> anneal -> decode -> post-filter; stages passed
-    in as ``graph``, ``ilp`` or ``qubo`` are used as given."""
+    in as ``graph``, ``ilp`` or ``qubo`` are used as given (pass an ``ilp``
+    encoded ``per_train`` to weight driver rows per train)."""
     if graph is None:
         graph = build_hypergraph(instance)
     if ilp is None:
-        ilp = encode_ilp(graph, instance, driver_weighting=driver_weighting)
+        ilp = encode_ilp(graph, instance)
     if qubo is None:
         qubo = encode_qubo(ilp, lambdas)
     samples = anneal(qubo, params)

@@ -18,27 +18,28 @@ A mixed-sign coverage row is still propagated.
 The search first compiles the model, in one pass over its rows, into flat
 integer tables: per row a list of ``(var, |c|, the value of var that
 raises the lhs)``, per variable the same entries keyed by row, and per row
-``lo``, ``hi``, ``least``, ``most`` and a static ``widest = max |c|``. A
-row or objective entry naming a variable outside ``range(num_vars)`` is a
-``ValueError`` there. Assigning a variable then adds its ``|c|`` to each
-row's ``least`` or takes it from its ``most``, with no sign test. A free
-entry is forced when its ``|c|`` exceeds the row's room to rise,
-``hi - least``, or to fall, ``most - lo``. No free ``|c|`` exceeds
-``widest``, nor the sum of them all, ``most - least``; a queued row whose
-room is at least the smaller of the two is skipped without a scan, since
-nothing in it can be forced and it is not broken. The share bound stops
-summing once it reaches the incumbent: every share is nonnegative, so
-the prune decision is the same.
+``lo``, ``hi``, ``least``, ``most`` and a static ``widest = max |c|``.
+Assigning a variable then adds its ``|c|`` to each row's ``least`` or
+takes it from its ``most``, with no sign test. A free entry is forced
+when its ``|c|`` exceeds the row's room to rise, ``hi - least``, or to
+fall, ``most - lo``. No free ``|c|`` exceeds ``widest``, nor the sum of
+them all, ``most - least``; a queued row whose room is at least the
+smaller of the two is skipped without a scan, since nothing in it can be
+forced and it is not broken. The share bound stops summing once it
+reaches the incumbent: every share is nonnegative, so the prune decision
+is the same.
 
 The propagation queue keeps every row appended to it, in order, and each
 row is visited once per entry. A forced variable queues its other rows,
 not the one that forced it, which is scanned on from the forced entry
-only. The queue is neither deduplicated nor run to a fixpoint: a
-deduplicated queue visits rows in another order, and a fixpoint forces
-variables that this rule leaves to a branch, so either grows a different
-tree. Node counts, incumbents and enumeration leaves are part of the
-results, and ``tests/test_exact_kernel.py`` pins them against the kernel
-that scanned every queued row.
+only. That is sound because an ``IlpModel`` row names each variable once:
+the forced value moves its row by that entry's own ``|c|``, which the
+rule that forced it allows for. The queue is neither deduplicated nor
+run to a fixpoint: a deduplicated queue visits rows in another order,
+and a fixpoint forces variables that this rule leaves to a branch, so
+either grows a different tree. Node counts, incumbents and enumeration
+leaves are part of the results, and ``tests/test_exact_kernel.py`` pins
+them against the kernel that scanned every queued row.
 
 The search is one loop over one assignment trail: a stack of frames, each
 holding the trail mark, the branched variable and the values left to try,
@@ -158,9 +159,6 @@ class _Search:
             entries = [(v, c, 1) if c > 0 else (v, -c, 0) for v, c in row.coeffs]
             least = most = widest = 0
             for v, c, raising in entries:
-                if not 0 <= v < n:
-                    raise ValueError(f"row {row.tag!r} names variable {v}, "
-                                     f"outside range({n})")
                 var_rows[v].append((idx, c, raising))
                 if raising:
                     most += c
@@ -186,8 +184,6 @@ class _Search:
         spread = math.lcm(*{k for k in cover_of_var if k})
         self.obj = [0] * n
         for v, c in model.objective:
-            if not 0 <= v < n:
-                raise ValueError(f"objective names variable {v}, outside range({n})")
             self.obj[v] += c.numerator * (den // c.denominator) * spread
         negative = [v for v, o in enumerate(self.obj) if o < 0]
         if self.use_bound and negative:
@@ -387,8 +383,6 @@ def solve_exact(model: IlpModel,
 
     Every variable's summed objective coefficient must be nonnegative
     (``ValueError`` otherwise): the share bound is valid only then.
-    ``ValueError`` also names a row or objective entry whose variable lies
-    outside ``range(model.num_vars)``.
     """
     if time_limit is not None and not time_limit >= 0:  # also rejects NaN
         raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
@@ -412,8 +406,7 @@ def enumerate_feasible(model: IlpModel, max_count: int = 100000
 
     The portfolio is exhaustive unless the search found a feasible
     assignment beyond the first max_count; those first max_count are
-    returned. ``ValueError`` names a row or objective entry whose variable
-    lies outside ``range(model.num_vars)``."""
+    returned."""
     if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count!r}")
     search = _Search(model, max_count=max_count)

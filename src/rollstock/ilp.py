@@ -38,15 +38,21 @@ so every row's coefficients come out sorted by arc id. A trip's en-route
 checkpoints are found once, by bisecting its driver depot's sorted
 checkpoint times. The pass costs O(arcs x (endpoints + en-route
 checkpoints)); the rows are then emitted in the family order above.
+
+An ``IlpModel`` is valid where it is built (see the class), so branch
+and bound, the QUBO encoder and decoder, the ``brute_force`` oracle, the
+feasibility report and the LP export read its rows unchecked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
-from typing import Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .model import Depot, EmuType, Instance, Trip
 from .netbuild import Hypergraph
@@ -94,14 +100,66 @@ class ConstraintRow:
         return sum(c * x[v] for v, c in self.coeffs)
 
 
+_RELATIONS = frozenset(("=", "<=", "range"))
+
+
 @dataclass(frozen=True)
 class IlpModel:
-    """Binary program over arcs; variable i corresponds to arc id i."""
+    """Binary program over arcs; variable i corresponds to arc id i.
+
+    Building one, also through ``dataclasses.replace``, raises
+    ``ValueError`` for an objective or row entry outside
+    ``range(num_vars)`` and for a relation other than ``=``, ``<=`` or
+    ``range``, and sums a row's repeated variable into its first entry, so
+    every row names each variable once. Other rows stay the same objects.
+    """
 
     num_vars: int
     objective: tuple[tuple[int, Fraction], ...]
     constraints: tuple[ConstraintRow, ...]
     constant: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        # each check is one pass over all rows; a row is looked at on its
+        # own only to name what failed or to merge it
+        n, rows = self.num_vars, self.constraints
+        if not set(map(attrgetter("relation"), rows)) <= _RELATIONS:
+            row = next(r for r in rows if r.relation not in _RELATIONS)
+            raise ValueError(f"row {row.tag!r} has relation {row.relation!r}, "
+                             "not one of =, <=, range")
+        coeffs = list(map(attrgetter("coeffs"), rows))
+        if _outside(chain.from_iterable(coeffs), n) is not None:
+            for row in rows:
+                bad = _outside(row.coeffs, n)
+                if bad is not None:
+                    raise ValueError(f"row {row.tag!r} names variable {bad}, "
+                                     f"outside range({n})")
+        bad = _outside(self.objective, n)
+        if bad is not None:
+            raise ValueError(f"objective names variable {bad}, outside range({n})")
+        sizes = list(map(len, coeffs))
+        distinct = list(map(len, map(dict, coeffs)))
+        if distinct != sizes:
+            object.__setattr__(self, "constraints", tuple(
+                row if size == count else replace(row, coeffs=_merged(row.coeffs))
+                for row, size, count in zip(rows, sizes, distinct)))
+
+
+def _outside(pairs: Iterable[tuple[int, object]], n: int) -> Optional[int]:
+    """The first variable of ``pairs`` outside ``range(n)``, else ``None``."""
+    named = list(map(itemgetter(0), pairs))
+    if named and (min(named) < 0 or max(named) >= n):
+        return next(v for v in named if not 0 <= v < n)
+    return None
+
+
+def _merged(coeffs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """``coeffs`` with each variable's coefficients summed into its first
+    entry."""
+    sums: dict[int, int] = {}
+    for v, c in coeffs:
+        sums[v] = sums.get(v, 0) + c
+    return tuple(sums.items())
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,13 @@ first hits its keys, and most of its keys name a slack bit. Slack bits are
 fresh for each row, so each such key is new when its row is expanded, and
 ``encode_qubo`` inserts them a block at a time with ``dict.update``, in the
 order the expansion would: a decision variable's pairs with the chain go
-in at its first occurrence in the row, right after its pairs with the
-later decision variables, valued by the sum of its coefficients in the
-row; the chain's own pairs follow the decision variables in
-``combinations_with_replacement`` order, and then its diagonal is set. A
-COO export formats each index and each distinct value once per export and
-takes a chunk's values through ``map`` over the tables' own lookups, so
-no Python function runs per line.
+in right after its pairs with the later decision variables, valued
+``-2 lambda c``, ``c`` being its coefficient in the row (an ``IlpModel``
+row names each variable once); the chain's own pairs follow the decision
+variables in ``combinations_with_replacement`` order, and then its
+diagonal is set. A COO export formats each index and each distinct value
+once per export and takes a chunk's values through ``map`` over the
+tables' own lookups, so no Python function runs per line.
 
 A sample set is evaluated in one call: ``qubo_energies`` gives each
 sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
@@ -246,19 +246,14 @@ def encode_qubo(model: IlpModel,
         # weight * (sum c_i x_i - sum s + constant)^2 expanded over binaries;
         # every key that names a slack bit is new, so those keys go in a
         # block per update, in the order a term-by-term expansion hits them
-        summed: dict[int, int] = {}
-        if width:
-            for v, c in coeffs:
-                summed[v] = summed.get(v, 0) + c
         for a, (va, ca) in enumerate(coeffs):
             acc[(va, va)] = get((va, va), 0) + weight * ca * (ca + 2 * constant)
             cross = 2 * weight * ca
             for vb, cb in coeffs[a + 1:]:
                 key = (va, vb) if va < vb else (vb, va)
                 acc[key] = get(key, 0) + cross * cb
-            if va in summed:  # first occurrence of va in the row
-                acc.update(zip(zip(repeat(va), slacks),
-                               repeat(-2 * weight * summed.pop(va))))
+            if width:
+                acc.update(zip(zip(repeat(va), slacks), repeat(-cross)))
         if width:
             acc.update(zip(combinations_with_replacement(slacks, 2),
                            repeat(2 * weight)))
@@ -411,9 +406,6 @@ def decode_many(model: QuboModel, ilp: IlpModel, ys: Sequence[Sequence[int]],
     columns = np.array([v for v, _ in flat], np.intp)
     coeffs = np.array([c for _, c in flat], dtype)
     nd = model.num_decision
-    named = columns[:len(columns) - int(width.sum())]  # the rows' columns
-    if len(named) and not 0 <= named.min() <= named.max() < nd:
-        raise ValueError(f"an ILP row names a variable outside 0..{nd - 1}")
     terms = _terms(model) if energies is None else None
     cells = max(len(flat), model.num_vars, len(model.q) if terms else 0)
 

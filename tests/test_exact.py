@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 from fractions import Fraction
 
@@ -138,21 +139,64 @@ def test_brute_force_rejects_large_models():
         brute_force(model)
 
 
-@pytest.mark.parametrize("seed", range(1, 31))
-def test_search_agrees_with_brute_force(seed):
-    inst = small_random_instance(seed, max_trips=8)
-    model = encode_ilp(build_hypergraph(inst), inst)
-    if model.num_vars > 24:
-        pytest.skip("model too large for the oracle")
+def assert_agrees_with_brute_force(model):
+    """enumerate_feasible lists the oracle's plans, and solve_exact finds
+    a feasible plan at the oracle's optimum or reports infeasibility."""
     oracle = brute_force(model)
     result = solve_exact(model)
     portfolio = enumerate_feasible(model)
     assert {s.x for s in portfolio.solutions} == {s.x for s in oracle.solutions}
     if oracle.solutions:
         assert result.status == "optimal"
+        assert result.solution.report.feasible
         assert result.solution.objective == oracle.solutions[0].objective
     else:
         assert result.status == "infeasible"
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_search_agrees_with_brute_force(seed):
+    inst = small_random_instance(seed, max_trips=8)
+    model = encode_ilp(build_hypergraph(inst), inst)
+    if model.num_vars > 24:
+        pytest.skip("model too large for the oracle")
+    assert_agrees_with_brute_force(model)
+
+
+def test_search_agrees_with_brute_force_on_a_row_repeating_a_variable():
+    # 2 x3 + 2 x2 + x1 - 2 x2 = -2 has no solution; propagating x2's two
+    # entries separately once let x = 0 through as an optimum
+    model = IlpModel(num_vars=4, objective=(), constraints=(
+        ConstraintRow(kind="driver", relation="range", lo=-2, hi=-2,
+                      coeffs=((3, 2), (2, 2), (1, 1), (2, -2)), tag="d"),))
+    assert brute_force(model).solutions == ()
+    assert_agrees_with_brute_force(model)
+
+
+def random_small_model(rng):
+    """1-6 variables and 1-4 rows of 0-5 entries drawn with replacement,
+    under all three relations and small mixed-sign coefficients; the
+    objective is nonnegative, as solve_exact requires."""
+    n = rng.randint(1, 6)
+    rows = []
+    for k in range(rng.randint(1, 4)):
+        coeffs = tuple((rng.randrange(n), rng.randint(-3, 3))
+                       for _ in range(rng.randint(0, 5)))
+        lo = rng.randint(-3, 3)
+        rows.append(ConstraintRow(
+            kind=rng.choice(("coverage", "flow_balance", "driver")),
+            relation=rng.choice(("=", "<=", "range")), rhs=lo, lo=lo,
+            hi=lo + rng.randint(-1, 3), coeffs=coeffs, tag=f"r{k}"))
+    objective = tuple((v, Fraction(rng.randint(0, 6), rng.randint(1, 3)))
+                      for v in range(n) if rng.random() < 0.7)
+    return IlpModel(num_vars=n, objective=objective, constraints=tuple(rows))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_agrees_with_brute_force_on_random_small_models(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        assert_agrees_with_brute_force(random_small_model(rng))
 
 
 def test_generated_instances_are_feasible_by_construction():
@@ -266,31 +310,26 @@ def test_mixed_sign_coverage_row_agrees_with_brute_force():
 
 @pytest.mark.parametrize("var", [5, 2, -1])
 def test_row_naming_a_variable_outside_the_model_rejected(var):
-    # -1 would read the last variable and 5 would raise a bare IndexError
-    model = IlpModel(
-        num_vars=2,
-        objective=((0, Fraction(1)), (1, Fraction(1))),
-        constraints=(
-            ConstraintRow(kind="coverage", relation="=", rhs=1,
-                          coeffs=((0, 1), (1, 1)), tag="cover[01]"),
-            ConstraintRow(kind="out_degree", relation="<=", rhs=0,
-                          coeffs=((0, 1), (var, 1)), tag="out[ghost]")))
+    # -1 would read the last variable and 5 would raise a bare IndexError;
+    # the model cannot be built, so no solver or oracle is handed one
     match = rf"row 'out\[ghost\]' names variable {var}, outside range\(2\)"
     with pytest.raises(ValueError, match=match):
-        solve_exact(model)
-    with pytest.raises(ValueError, match=match):
-        enumerate_feasible(model)
+        IlpModel(
+            num_vars=2,
+            objective=((0, Fraction(1)), (1, Fraction(1))),
+            constraints=(
+                ConstraintRow(kind="coverage", relation="=", rhs=1,
+                              coeffs=((0, 1), (1, 1)), tag="cover[01]"),
+                ConstraintRow(kind="out_degree", relation="<=", rhs=0,
+                              coeffs=((0, 1), (var, 1)), tag="out[ghost]")))
 
 
 @pytest.mark.parametrize("var", [2, -1])
 def test_objective_naming_a_variable_outside_the_model_rejected(var):
-    model = IlpModel(
-        num_vars=2,
-        objective=((0, Fraction(1)), (var, Fraction(1))),
-        constraints=(ConstraintRow(kind="coverage", relation="=", rhs=1,
-                                   coeffs=((0, 1), (1, 1)), tag="cover[01]"),))
     match = rf"objective names variable {var}, outside range\(2\)"
     with pytest.raises(ValueError, match=match):
-        solve_exact(model)
-    with pytest.raises(ValueError, match=match):
-        enumerate_feasible(model)
+        IlpModel(
+            num_vars=2,
+            objective=((0, Fraction(1)), (var, Fraction(1))),
+            constraints=(ConstraintRow(kind="coverage", relation="=", rhs=1,
+                                       coeffs=((0, 1), (1, 1)), tag="cover[01]"),))

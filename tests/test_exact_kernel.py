@@ -13,7 +13,8 @@ comparison asserts equal ``nodes``, ``incumbent``, ``incumbent_obj``,
 family, on the enumerations of anneal-portfolio-sized instances, under a
 deadline that has already passed, and on Hypothesis-generated models with
 zero, negative and repeated-variable coefficients, empty rows and all
-three relations.
+three relations. An ``IlpModel`` sums a row's repeated variable into its
+first entry when it is built, so such rows reach both kernels merged.
 
 One behaviour changed on purpose: enumeration now stops on finding leaf
 ``max_count + 1`` (the reference stops on leaf ``max_count``), so a

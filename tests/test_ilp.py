@@ -448,3 +448,64 @@ def test_le_row_lower_bound_is_its_least_lhs():
     assert check_feasibility(model, (0, 1)).feasible
     assert check_feasibility(model, (1, 0)).violations == {
         "out_degree": (Violation(tag="le", lhs=1, lo=-1, hi=0),)}
+
+
+# ---------------------------------------------------------------------------
+# The model checks its own rows where it is built
+
+
+def two_var_model(coeffs=((0, 1), (1, 1)), relation="=", objective=()):
+    return IlpModel(
+        num_vars=2, objective=objective,
+        constraints=(ConstraintRow(kind="coverage", relation=relation, rhs=1,
+                                   coeffs=coeffs, tag="cover[01]"),))
+
+
+@pytest.mark.parametrize("var", [-1, 2])
+def test_construction_rejects_a_row_index_outside_the_model(var):
+    match = rf"row 'cover\[01\]' names variable {var}, outside range\(2\)"
+    with pytest.raises(ValueError, match=match):
+        two_var_model(coeffs=((0, 1), (var, 1)))
+    model = two_var_model()
+    row = dataclasses.replace(model.constraints[0], coeffs=((var, 1),))
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(model, constraints=(row,))
+
+
+@pytest.mark.parametrize("var", [-1, 2])
+def test_construction_rejects_an_objective_index_outside_the_model(var):
+    match = rf"objective names variable {var}, outside range\(2\)"
+    with pytest.raises(ValueError, match=match):
+        two_var_model(objective=((var, Fraction(1)),))
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(two_var_model(), objective=((0, Fraction(1)), (var, Fraction(2))))
+
+
+def test_construction_rejects_an_unknown_relation():
+    match = r"row 'cover\[01\]' has relation '==', not one of =, <=, range"
+    with pytest.raises(ValueError, match=match):
+        two_var_model(relation="==")
+    model = two_var_model()
+    row = dataclasses.replace(model.constraints[0], relation="==")
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(model, constraints=model.constraints + (row,))
+
+
+def test_construction_merges_a_repeated_variable_into_its_first_entry():
+    # 2 x3 + 2 x2 + x1 - 2 x2: x2's entries sum to zero in its first place
+    model = IlpModel(num_vars=4, objective=(), constraints=(
+        ConstraintRow(kind="driver", relation="range", lo=-2, hi=-2,
+                      coeffs=((3, 2), (2, 2), (1, 1), (2, -2)), tag="d"),))
+    assert model.constraints[0].coeffs == ((3, 2), (2, 0), (1, 1))
+    assert model.constraints[0].bounds() == (-2, -2)
+    assert " d_hi: 2 x3 + 1 x1 <= -2\n" in export_lp(model)
+
+
+def test_rows_naming_each_variable_once_are_kept_as_built(toy_graph, toy_instance):
+    rows = encode_ilp(toy_graph, toy_instance).constraints
+    rebuilt = IlpModel(num_vars=11, objective=(), constraints=rows)
+    assert rebuilt.constraints is rows
+    merged = dataclasses.replace(rows[0], coeffs=rows[0].coeffs + rows[0].coeffs[:1])
+    changed = IlpModel(num_vars=11, objective=(), constraints=(merged,) + rows[1:])
+    assert changed.constraints[0].coeffs[0] == (rows[0].coeffs[0][0], 2)
+    assert all(a is b for a, b in zip(changed.constraints[1:], rows[1:]))

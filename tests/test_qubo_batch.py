@@ -17,6 +17,7 @@ ILPs.
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -203,12 +204,13 @@ def test_foreign_ilps_raise_the_per_sample_messages(toy_qubo, toy_ilp):
 @pytest.mark.parametrize("var", [-1, 11])
 def test_rows_naming_a_variable_outside_the_decision_bits_are_rejected(
         toy_qubo, toy_ilp, var):
-    # 11 would be the first slack bit of the toy's 20
+    # 11 would be the first slack bit of the toy's 20; such a model cannot
+    # be built, so decode_many is never handed one
     rows = toy_ilp.constraints
     row = dataclasses.replace(rows[0], coeffs=rows[0].coeffs + ((var, 1),))
-    foreign = dataclasses.replace(toy_ilp, constraints=(row,) + rows[1:])
-    with pytest.raises(ValueError, match=r"an ILP row names a variable outside 0\.\.10"):
-        decode_many(toy_qubo, foreign, [(0,) * toy_qubo.num_vars])
+    match = rf"row {re.escape(repr(row.tag))} names variable {var}, outside range\(11\)"
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(toy_ilp, constraints=(row,) + rows[1:])
 
 
 def test_wrong_lengths_are_named(toy_qubo, toy_ilp):

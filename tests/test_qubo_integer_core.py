@@ -192,7 +192,8 @@ def test_toy_matches_reference(toy_ilp, lambdas):
 
 def test_zero_weights_and_repeated_objective_match_reference():
     # a zero weight leaves keys that sum to zero; a variable listed twice
-    # in the objective and a row that names one variable twice both merge
+    # in the objective merges here, and a row that names one variable twice
+    # is merged when the model is built
     ilp = IlpModel(
         num_vars=4,
         objective=((0, Fraction(1, 3)), (2, Fraction(-1, 6)), (0, Fraction(2, 3))),
@@ -211,9 +212,10 @@ def test_zero_weights_and_repeated_objective_match_reference():
 
 def test_wide_chains_with_repeated_variables_match_reference():
     # range rows with chains of 3 to 6 bits name one variable two or three
-    # times, never next to each other: its decision-chain pairs carry the
-    # sum of its coefficients in the row (zero for var 2 in "d3", so those
-    # keys drop out), and every key keeps the order it is first hit in
+    # times, never next to each other: the model sums them into its first
+    # entry, so its decision-chain pairs carry that sum (zero for var 2 in
+    # "d3", so those keys drop out), and every key keeps the order it is
+    # first hit in
     ilp = IlpModel(
         num_vars=5,
         objective=((1, Fraction(2, 3)), (4, Fraction(-1, 2))),
@@ -230,6 +232,7 @@ def test_wide_chains_with_repeated_variables_match_reference():
             ConstraintRow(kind="depot_in", relation="<=", rhs=4,
                           coeffs=((4, 1), (0, 1), (4, 1)), tag="d4"),
         ))
+    assert ilp.constraints[3].coeffs == ((2, 0), (4, 1), (1, 1))
     assert [len(row.slack_indices) for row in encode_qubo(ilp).penalty_rows] == [4, 0, 3, 6, 4]
     for lambdas in (DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS, (Fraction(1, 2), 1, 0, 1, 3)):
         assert_same_as_reference(ilp, lambdas)
