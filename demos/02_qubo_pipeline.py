@@ -25,9 +25,9 @@ print(f"constant      : {Fraction(qubo.offset, qubo.den)}")
 print(f"denominator   : {qubo.den} (q and the constant are integers over it)")
 
 print("\nslack layout (one unary chain per inequality row):")
-for idx in sorted(qubo.slack_map):
-    tag, position = qubo.slack_map[idx]
-    print(f"  s{idx}: {tag} [{position}]")
+for row in qubo.penalty_rows:
+    for position, idx in enumerate(row.slack_indices):
+        print(f"  s{idx}: {row.tag} [{position}]")
 
 # ---------------------------------------------------------------------------
 # Exhaustive sweep over the 2^11 decision assignments, slacks optimized per

@@ -48,13 +48,14 @@ level before it flipped nothing, so the state each level sees is the one
 the full loop would show it, and the test is the same elementwise
 routine on the same values: the samples do not change.
 
-``sample_portfolio`` is the full pipeline: build the hypergraph, encode
-ILP and QUBO, anneal, decode the distinct samples in one
-:func:`rollstock.qubo.decode_many` call with the energies ``anneal``
-stored, keep the feasible plans as a portfolio, each reusing its
-sample's report, and return the infeasible ones with their violated
-constraint families. At INFO it logs one line through the ``rollstock``
-logger: distinct samples, feasible reads and reads per violated family.
+``sample_portfolio`` is the full pipeline: encode what it is not given,
+anneal, decode the distinct samples in one
+:func:`rollstock.qubo.decode_many` call, which prices nothing (the
+energies stay on the ``SampleEntry``s), keep the feasible plans as a
+portfolio, each reusing its sample's report, and return the infeasible
+ones with their violated constraint families. At INFO it logs one line
+through the ``rollstock`` logger: distinct samples, feasible reads and
+reads per violated family.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ class PortfolioRun:
     success_rate: float  # fraction of reads ending at the lowest sampled energy
 
 
-def sample_portfolio(instance: Instance,
+def sample_portfolio(instance: Optional[Instance],
                      lambdas: Sequence = DEFAULT_LAMBDAS,
                      params: AnnealParams = AnnealParams(),
                      graph: Optional[Hypergraph] = None,
@@ -332,17 +333,20 @@ def sample_portfolio(instance: Instance,
                      qubo: Optional[QuboModel] = None) -> PortfolioRun:
     """Build -> encode -> anneal -> decode -> post-filter; stages passed
     in as ``graph``, ``ilp`` or ``qubo`` are used as given (pass an ``ilp``
-    encoded ``per_train`` to weight driver rows per train)."""
-    if graph is None:
-        graph = build_hypergraph(instance)
+    encoded ``per_train`` to weight driver rows per train). ``instance``
+    is read only to encode a missing ``ilp``, so it may be ``None`` then."""
     if ilp is None:
+        if instance is None:
+            raise ValueError("sample_portfolio needs an instance or an ilp")
+        if graph is None:
+            graph = build_hypergraph(instance)
         ilp = encode_ilp(graph, instance)
     if qubo is None:
         qubo = encode_qubo(ilp, lambdas)
     samples = anneal(qubo, params)
 
     entries = samples.entries
-    decoded = decode_many(qubo, ilp, [e.y for e in entries], [e.energy for e in entries])
+    decoded = decode_many(qubo, ilp, [e.y for e in entries])
     feasible: dict[tuple[int, ...], DecodedSample] = {}
     rejected: list[RejectedSample] = []
     for entry, sample in zip(entries, decoded):

@@ -45,15 +45,18 @@ def _frac_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _add_instance_opts(p: argparse.ArgumentParser) -> None:
+def _add_instance_opts(p: argparse.ArgumentParser, alpha: bool = True,
+                       driver_weighting: bool = True) -> None:
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--alpha", type=_frac_arg, default=None,
-                   help="override the objective weight alpha")
+    if alpha:
+        p.add_argument("--alpha", type=_frac_arg, default=None,
+                       help="override the objective weight alpha")
     p.add_argument("--delta-max", type=int, default=None,
                    help="override the maximum turnaround window (arc pruning)")
-    p.add_argument("--driver-weighting", choices=("per_emu", "per_train"),
-                   default="per_emu",
-                   help="weight driver rows by en-route EMUs or trains")
+    if driver_weighting:
+        p.add_argument("--driver-weighting", choices=("per_emu", "per_train"),
+                       default="per_emu",
+                       help="weight driver rows by en-route EMUs or trains")
 
 
 def _add_lambda_opts(p: argparse.ArgumentParser) -> None:
@@ -68,12 +71,11 @@ def _add_out_opt(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args, path: Optional[str] = None) -> Instance:
-    """Load ``path`` (default ``args.instance``) with the --alpha and
-    --delta-max overrides applied."""
+    """Load ``path`` (default ``args.instance``) with the command's --alpha
+    and --delta-max overrides applied (diagram takes no --alpha)."""
     inst = load_instance(path or args.instance)
-    overrides = {name: value for name, value in (("alpha", args.alpha),
-                                                 ("delta_max", args.delta_max))
-                 if value is not None}
+    overrides = {name: getattr(args, name) for name in ("alpha", "delta_max")
+                 if getattr(args, name, None) is not None}
     return dataclasses.replace(inst, **overrides) if overrides else inst
 
 
@@ -353,7 +355,7 @@ def cmd_export_lp(args) -> int:
     inst = _load(args)
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
-    text = export_lp(model, name=str(inst.meta.get("name", "rollstock")))
+    text = export_lp(model)
     outdir = _outdir(args)
     if outdir is None:
         sys.stdout.write(text)
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="load and validate an instance")
-    _add_instance_opts(p)
+    _add_instance_opts(p, driver_weighting=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("generate", help="generate a synthetic instance")
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("diagram", help="render a plan as SVG + ASCII")
-    _add_instance_opts(p)
+    _add_instance_opts(p, alpha=False, driver_weighting=False)
     p.add_argument("--solution", required=True,
                    help="solution or portfolio JSON from solve-ilp/enumerate")
     _add_out_opt(p)
@@ -466,7 +468,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help (0) or a usage error on stderr (2, which reads as infeasible)
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -237,6 +237,7 @@ def _overcrowded(instance: Instance, trip: Trip, emu: EmuType, k: int) -> bool:
 def encode_ilp(graph: Hypergraph, instance: Instance,
                driver_weighting: str = "per_emu") -> IlpModel:
     """Encode the hypergraph as a binary linear program."""
+    driver_row_weight(1, 1, driver_weighting)  # unknown: fails with or without driver rows
     arcs = graph.arcs
     objective: list[tuple[int, Fraction]] = []
     for arc in arcs:
@@ -401,9 +402,10 @@ def _lp_name(tag: str, fallback: str) -> str:
     return name or fallback
 
 
-def export_lp(model: IlpModel, name: str = "rollstock") -> str:
-    """Serialize in LP file format with deterministic x{arc_id} naming."""
-    lines = [f"\\ Problem: {name}", "Minimize"]
+def export_lp(model: IlpModel) -> str:
+    """Serialize in LP file format with deterministic x{arc_id} naming; a
+    ``range`` row has a ``_lo`` line iff ``lo`` exceeds its least lhs."""
+    lines = ["\\ Problem: rollstock", "Minimize"]
     lines.append(" obj: " + _lp_expr(model.objective))
     lines.append("Subject To")
     for i, row in enumerate(model.constraints):
@@ -414,7 +416,7 @@ def export_lp(model: IlpModel, name: str = "rollstock") -> str:
         elif row.relation == "<=":
             lines.append(f" {base}: {expr} <= {row.rhs}")
         else:
-            if row.lo > 0:
+            if row.lo > sum(c for _, c in row.coeffs if c < 0):
                 lines.append(f" {base}_lo: {expr} >= {row.lo}")
             lines.append(f" {base}_hi: {expr} <= {row.hi}")
     lines.append("Bounds")

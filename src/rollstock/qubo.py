@@ -13,7 +13,7 @@ P4 (lambda4)  capacity: a plain linear term per over-tolerance arc (not
 P5 (lambda5)  driver ranges, squared with unary slack chains
 
 Slack variables are appended after the decision variables in ILP row
-order, one unary chain per inequality row.
+order, one unary chain per inequality row: ``PenaltyRow.slack_indices``.
 
 Both models are integers over one common denominator: ``QuboModel.q``
 and ``offset`` count in units of ``1/den``, ``den`` being the LCM of the
@@ -40,13 +40,14 @@ diagonal is set. A COO export formats each index and each distinct value
 once per export and takes a chunk's values through ``map`` over the
 tables' own lookups, so no Python function runs per line.
 
-A sample set is evaluated in one call: ``qubo_energies`` gives each
-sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
-``decode_many`` sums each ILP row and each slack chain over all samples
-at once, from the rows laid out once per call in CSR form (empty rows
-allowed). Only the (sample, row) pairs whose lhs leaves ``bounds()`` become
-Python objects, handed to ``FeasibilityReport.of``, the helper
-``check_feasibility`` reports with. The arithmetic is int64 while
+A sample set is evaluated in one call per job: ``qubo_energies`` gives
+each sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
+``decode_many``, which prices nothing, sums each ILP row and each slack
+chain over all samples at once, from the rows laid out once per call in
+CSR form (empty rows allowed). Only the (sample, row) pairs whose lhs
+leaves ``bounds()`` become Python objects, handed to
+``FeasibilityReport.of``, the helper ``check_feasibility`` reports with.
+The arithmetic is int64 while
 ``|offset| + sum |q|``, and for every row ``sum |c| + |lo| + |hi|`` plus its
 chain's ``|constant| + width``, stay below 2**63, exact Python ints
 otherwise. Samples go through in blocks of at most ``_BLOCK`` = 2**17
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress, repeat
 from operator import not_
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -139,7 +140,6 @@ class QuboModel:
     offset: int
     den: int
     lambdas: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-    slack_map: dict[int, tuple[str, int]]  # slack index -> (row tag, position)
     penalty_rows: tuple[PenaltyRow, ...] = ()
     capacity_vars: tuple[int, ...] = ()
 
@@ -166,7 +166,6 @@ class IsingModel:
 @dataclass(frozen=True)
 class DecodedSample:
     y: tuple[int, ...]
-    energy: Fraction
     x: tuple[int, ...]
     slack_consistent: bool
     report: FeasibilityReport
@@ -212,7 +211,6 @@ def encode_qubo(model: IlpModel,
     offset = model.constant.numerator * (den // model.constant.denominator)
 
     next_slack = n
-    slack_map: dict[int, tuple[str, int]] = {}
     penalty_rows: list[PenaltyRow] = []
     capacity_vars: list[int] = []
 
@@ -235,7 +233,6 @@ def encode_qubo(model: IlpModel,
         constant = -lo
         width = hi - lo
         slacks = tuple(range(next_slack, next_slack + width))
-        slack_map.update(zip(slacks, zip(repeat(row.tag), range(width))))
         next_slack += width
 
         coeffs = row.coeffs
@@ -269,7 +266,6 @@ def encode_qubo(model: IlpModel,
         offset=offset,
         den=den,
         lambdas=lam,  # type: ignore[arg-type]
-        slack_map=slack_map,
         penalty_rows=tuple(penalty_rows),
         capacity_vars=tuple(capacity_vars),
     )
@@ -290,11 +286,20 @@ def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
 def qubo_energies(model: QuboModel, ys: Sequence[Sequence[int]]) -> list[Fraction]:
     """Exact energies of the samples ``ys``, in order; ``ValueError``
     names the first sample of the wrong length or the first entry outside
-    {0, 1}."""
+    {0, 1}. The sums are int64 while ``|offset| + sum |q|`` stays below
+    2**63, Python ints otherwise."""
     _check_lengths(ys, model.num_vars)
-    terms = _terms(model)
-    return [e for _, bits in _bit_blocks(ys, len(model.q))
-            for e in _energies(model, terms, bits)]
+    i, j = np.array(list(model.q), np.intp).reshape(-1, 2).T
+    values = list(model.q.values())
+    exact = abs(model.offset) + sum(map(abs, values)) < _EXACT
+    values = np.array(values, np.int64 if exact else object)
+    energies: list[Fraction] = []
+    for bits in _bit_blocks(ys, len(model.q)):
+        # einsum sums the products in buffered chunks, with no int64 copy
+        # of the (sample, term) table
+        totals = np.einsum("st,t->s", bits[:, i] & bits[:, j], values)
+        energies += [Fraction(model.offset + t, model.den) for t in totals.tolist()]
+    return energies
 
 
 def to_ising(model: QuboModel) -> IsingModel:
@@ -362,10 +367,10 @@ def decode(model: QuboModel, ilp: IlpModel, y: Sequence[int]) -> DecodedSample:
     return decode_many(model, ilp, [y])[0]
 
 
-def decode_many(model: QuboModel, ilp: IlpModel, ys: Sequence[Sequence[int]],
-                energies: Optional[Sequence[Fraction]] = None) -> list[DecodedSample]:
-    """Decode the samples ``ys``, in order, taking their energies as given
-    unless ``energies`` is ``None``.
+def decode_many(model: QuboModel, ilp: IlpModel,
+                ys: Sequence[Sequence[int]]) -> list[DecodedSample]:
+    """Decode the samples ``ys``, in order; their energies are
+    ``qubo_energies``'s to give.
 
     Each row's lhs is summed once per sample and feeds both the
     ``FeasibilityReport.of`` report, built from the rows whose lhs leaves
@@ -381,8 +386,6 @@ def decode_many(model: QuboModel, ilp: IlpModel, ys: Sequence[Sequence[int]],
     if ilp.num_vars != model.num_decision:
         raise ValueError(f"ILP has {ilp.num_vars} variables, "
                          f"QUBO has {model.num_decision} decision variables")
-    if energies is not None and len(energies) != len(ys):
-        raise ValueError(f"{len(energies)} energies for {len(ys)} samples")
     rows, penalties = ilp.constraints, model.penalty_rows
     matched = _matched_rows(penalties, rows)
     bounds = [row.bounds() for row in rows]
@@ -406,11 +409,9 @@ def decode_many(model: QuboModel, ilp: IlpModel, ys: Sequence[Sequence[int]],
     columns = np.array([v for v, _ in flat], np.intp)
     coeffs = np.array([c for _, c in flat], dtype)
     nd = model.num_decision
-    terms = _terms(model) if energies is None else None
-    cells = max(len(flat), model.num_vars, len(model.q) if terms else 0)
 
     decoded: list[DecodedSample] = []
-    for start, bits in _bit_blocks(ys, cells):
+    for bits in _bit_blocks(ys, max(len(flat), model.num_vars)):
         sums = np.zeros((len(bits), len(layout)), dtype)
         if len(starts):
             sums[:, nonempty] = np.add.reduceat(bits[:, columns] * coeffs, starts, axis=1)
@@ -423,12 +424,10 @@ def decode_many(model: QuboModel, ilp: IlpModel, ys: Sequence[Sequence[int]],
             pair = off.get(s) or off.setdefault(s, ([], []))
             pair[0].append(rows[row])
             pair[1].append(value)
-        block = (_energies(model, terms, bits) if terms
-                 else energies[start:start + len(bits)])
-        for s, (y, energy, ok) in enumerate(zip(bits.tolist(), block, consistent.tolist())):
+        for s, (y, ok) in enumerate(zip(bits.tolist(), consistent.tolist())):
             y = tuple(y)
             decoded.append(DecodedSample(
-                y=y, energy=energy, x=y[:nd], slack_consistent=ok,
+                y=y, x=y[:nd], slack_consistent=ok,
                 report=FeasibilityReport.of(*off[s]) if s in off else FeasibilityReport()))
     return decoded
 
@@ -448,9 +447,9 @@ def _check_lengths(ys: Sequence[Sequence[int]], n: int) -> None:
 
 
 def _bit_blocks(ys: Sequence[Sequence[int]], cells: int):
-    """``(start, bits)``: the samples ``ys[start:start + len(bits)]`` as an
-    int8 array, at most ``_BLOCK // cells`` of them (at least one);
-    ``ValueError`` names the first entry outside {0, 1}."""
+    """The samples ``ys`` in order as int8 arrays of at most
+    ``_BLOCK // cells`` samples each (at least one); ``ValueError`` names
+    the first entry outside {0, 1}."""
     step = max(1, _BLOCK // max(cells, 1))
     for start in range(0, len(ys), step):
         block = np.asarray(ys[start:start + step])
@@ -460,7 +459,7 @@ def _bit_blocks(ys: Sequence[Sequence[int]], cells: int):
                 s, i = divmod(int(bad.argmax()), block.shape[1])
                 raise ValueError(f"sample {start + s} entry {i} is "
                                  f"{block[s].tolist()[i]!r}, not 0 or 1")
-        yield start, block.astype(np.int8)
+        yield block.astype(np.int8)
 
 
 def _matched_rows(penalties: Sequence[PenaltyRow],
@@ -481,23 +480,6 @@ def _matched_rows(penalties: Sequence[PenaltyRow],
     if extra is not None:
         raise ValueError(f"penalty row {extra.tag!r} meets no ILP row")
     return matched
-
-
-def _terms(model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index columns and values of ``q``'s terms; the values are int64
-    while ``|offset| + sum |q|`` stays below 2**63, Python ints otherwise."""
-    keys = np.array(list(model.q), np.intp).reshape(-1, 2)
-    values = list(model.q.values())
-    exact = abs(model.offset) + sum(map(abs, values)) < _EXACT
-    return keys[:, 0], keys[:, 1], np.array(values, np.int64 if exact else object)
-
-
-def _energies(model: QuboModel, terms: tuple, bits: np.ndarray) -> list[Fraction]:
-    i, j, values = terms
-    # einsum sums the products in buffered chunks, with no int64 copy of
-    # the (sample, term) table
-    totals = np.einsum("st,t->s", bits[:, i] & bits[:, j], values)
-    return [Fraction(model.offset + t, model.den) for t in totals.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def qubo_model(n, q, offset=0):
     return QuboModel(num_decision=n, num_slack=0,
                      q={key: int(v * den) for key, v in q.items()},
                      offset=int(offset * den), den=den,
-                     lambdas=DEFAULT_LAMBDAS, slack_map={})
+                     lambdas=DEFAULT_LAMBDAS)
 
 
 def lifted(values, den):

@@ -42,6 +42,23 @@ def test_portfolio_run_is_a_value(toy_instance):
             == sample_portfolio(toy_instance, params=params))
 
 
+def test_portfolio_on_an_ilp_qubo_pair_needs_no_instance(toy_instance, toy_ilp,
+                                                          toy_qubo, monkeypatch):
+    params = AnnealParams(num_reads=30, sweeps=200, seed=2)
+    want = sample_portfolio(toy_instance, params=params)
+    calls = []
+    monkeypatch.setattr(ANNEAL, "build_hypergraph", lambda *a: calls.append(a))
+    assert sample_portfolio(None, params=params, ilp=toy_ilp, qubo=toy_qubo) == want
+    # given an ilp, the hypergraph is not built even when the instance is there
+    assert sample_portfolio(toy_instance, params=params, ilp=toy_ilp) == want
+    assert calls == []
+
+
+def test_portfolio_without_instance_or_ilp_is_rejected(toy_qubo):
+    with pytest.raises(ValueError, match="needs an instance or an ilp"):
+        sample_portfolio(None, qubo=toy_qubo)
+
+
 def test_single_negative_variable_found_in_one_read():
     model = qubo_model(1, {(0, 0): Fraction(-3)})
     result = anneal(model, AnnealParams(num_reads=1, sweeps=50, seed=0))

@@ -196,9 +196,42 @@ def test_diagram_rejects_mismatched_solution(tmp_path, capsys):
 
 
 def test_export_lp_stdout(capsys):
+    # the same text as solve-ilp --emit-lp, header included
     code, out, _ = run(capsys, "export-lp", TOY)
     assert code == 0
-    assert "Minimize" in out and "x10" in out
+    assert out == (GOLDEN_TOY / "model.lp").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-ilp", TOY, "--bogus"],
+    ["solve-ilp", TOY, "--time-limit", "abc"],
+    ["solve-qubo", TOY, "--reads", "many"],
+    ["validate", TOY, "--driver-weighting", "per_train"],
+    ["diagram", TOY, "--solution", TOY, "--driver-weighting", "per_emu"],
+    ["diagram", TOY, "--solution", TOY, "--alpha", "0"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_error_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: " in err and err.startswith("usage: rollstock")
+    assert out == ""
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["solve-ilp", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: rollstock") and err == ""
+
+
+def test_validate_and_diagram_list_only_the_options_they_read(capsys):
+    _, out, _ = run(capsys, "validate", "--help")
+    assert "--alpha" in out and "--driver-weighting" not in out
+    _, out, _ = run(capsys, "diagram", "--help")
+    assert "--delta-max" in out
+    assert "--alpha" not in out and "--driver-weighting" not in out
 
 
 def test_export_qubo_files(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rollstock.exact import brute_force, enumerate_feasible, solve_exact
+from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import (ConstraintRow, IlpModel, Violation,
                            check_feasibility, encode_ilp, export_lp,
                            objective_value)
@@ -63,6 +64,16 @@ def test_toy_driver_weighting_switch(toy_graph, toy_instance):
     # both readings keep the reference solutions feasible
     for ones in [(0, 2, 10), (0, 3, 6, 8), (1, 2, 5, 9)]:
         assert check_feasibility(model, toy_x(*ones)).feasible
+
+
+def test_unknown_driver_weighting_rejected_without_driver_rows(toy_graph, toy_instance):
+    inst = generate_synthetic(GeneratorConfig(n_trips=6), seed=6)
+    inst = dataclasses.replace(inst, driver_windows=())
+    graph = build_hypergraph(inst)
+    assert not any(r.kind == "driver" for r in encode_ilp(graph, inst).constraints)
+    for graph, inst in ((graph, inst), (toy_graph, toy_instance)):
+        with pytest.raises(ValueError, match="unknown driver weighting 'bogus'"):
+            encode_ilp(graph, inst, driver_weighting="bogus")
 
 
 def test_objective_values(toy_ilp):
@@ -420,6 +431,25 @@ def test_lp_range_row_with_positive_lower_bound(toy_instance, toy_graph):
     _, result = milp_on_lp(lp)
     assert result.success
     assert abs(result.fun - float(solve_exact(model).solution.objective)) < 1e-9
+
+
+def test_lp_range_row_lower_bound_against_negative_coefficients():
+    # -3 x0 in [-2, 0]: lo -2 lies above the least lhs -3, so x0 = 1 is
+    # infeasible and the _lo line must say so
+    row = ConstraintRow(kind="driver", relation="range", lo=-2, hi=0,
+                        coeffs=((0, -3),), tag="d")
+    model = IlpModel(num_vars=1, objective=((0, Fraction(-1)),), constraints=(row,))
+    assert [s.x for s in brute_force(model).solutions] == [(0,)]
+    lp = export_lp(model)
+    assert " d_lo: - 3 x0 >= -2\n" in lp
+    _, result = milp_on_lp(lp)
+    assert result.success
+    assert round(result.x[0]) == 0 and abs(result.fun) < 1e-9
+    # at lo -3, the least lhs, the row cannot bind from below: no _lo line
+    loose = IlpModel(num_vars=1, objective=model.objective,
+                     constraints=(dataclasses.replace(row, lo=-3),))
+    assert "_lo" not in export_lp(loose)
+    assert round(milp_on_lp(export_lp(loose))[1].x[0]) == 1
 
 
 def test_bicycle_shortage_forbids_arcs(toy_instance):

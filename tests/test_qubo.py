@@ -29,7 +29,9 @@ def test_toy_variable_and_term_counts(toy_qubo):
 
 def test_toy_slack_layout(toy_qubo):
     # s11..s19 in reference order: out-degree, depot ranges, driver ranges
-    tags = [toy_qubo.slack_map[i][0] for i in range(11, 20)]
+    chains = [(row.tag, s) for row in toy_qubo.penalty_rows for s in row.slack_indices]
+    assert [s for _, s in chains] == list(range(11, 20))
+    tags = [tag for tag, _ in chains]
     assert tags == ["outdeg[t1]", "outdeg[t2]",
                     "depot_out[depA,r1]", "depot_out[depA,r1]",
                     "depot_out[depA,r2]",
@@ -247,7 +249,7 @@ def test_decode_flags_wrong_slacks(toy_qubo, toy_ilp):
     sample = decode(toy_qubo, toy_ilp, tuple(y))
     assert sample.feasible  # the plan itself is fine
     assert not sample.slack_consistent
-    assert sample.energy > Fraction(24, 5)
+    assert qubo_energy(toy_qubo, y) > Fraction(24, 5)
 
 
 def test_decode_all_zero(toy_qubo, toy_ilp):

@@ -4,8 +4,9 @@ The batch routines sum every row and every term over a whole sample set
 in numpy. The references below evaluate one sample at a time in Python
 ints, as ``decode`` and ``qubo_energy`` did before they became the
 one-sample calls of the batch: each row's lhs via ``ConstraintRow.lhs``,
-the report via ``FeasibilityReport.of`` over every row, each chain's bit
-count against ``PenaltyRow.slack_sum_at``, and the energy term by term.
+the report via ``FeasibilityReport.of`` over every row and each chain's
+bit count against ``PenaltyRow.slack_sum_at`` for ``decode_many``, which
+prices nothing, and the energy term by term for ``qubo_energies``.
 They are compared field by field, report dict order included, on every
 distinct sample that annealing leaves on the toy and on
 anneal-portfolio-sized instances, on every sample of small hand-built
@@ -40,7 +41,7 @@ def per_sample_energy(model, y):
     return Fraction(total, model.den)
 
 
-def per_sample_decode(model, ilp, y, energy=None):
+def per_sample_decode(model, ilp, y):
     if len(y) != model.num_vars:
         raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
     if ilp.num_vars != model.num_decision:
@@ -66,13 +67,10 @@ def per_sample_decode(model, ilp, y, energy=None):
     if extra is not None:
         raise ValueError(f"penalty row {extra.tag!r} meets no ILP row")
     return QUBO.DecodedSample(
-        y=y, energy=per_sample_energy(model, y) if energy is None else energy,
-        x=x, slack_consistent=consistent, report=FeasibilityReport.of(rows, sums))
+        y=y, x=x, slack_consistent=consistent, report=FeasibilityReport.of(rows, sums))
 
 
 def assert_same_sample(got, want):
-    assert type(got.energy) is Fraction
-    assert got.energy == want.energy
     assert got.y == want.y and got.x == want.x
     assert all(type(v) is int for v in got.y)
     assert got.slack_consistent is want.slack_consistent
@@ -81,15 +79,18 @@ def assert_same_sample(got, want):
     assert got == want
 
 
-def assert_batch_matches(model, ilp, ys, energies=None):
-    got = decode_many(model, ilp, ys, energies)
-    want = [per_sample_decode(model, ilp, y, None if energies is None else e)
-            for y, e in zip(ys, energies or itertools.repeat(None))]
+def assert_batch_matches(model, ilp, ys):
+    """Decode and price ``ys`` against the references; returns the decoded
+    samples and their energies."""
+    got = decode_many(model, ilp, ys)
+    want = [per_sample_decode(model, ilp, y) for y in ys]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_sample(g, w)
-    assert qubo_energies(model, ys) == [per_sample_energy(model, y) for y in ys]
-    return got
+    energies = qubo_energies(model, ys)
+    assert all(type(e) is Fraction for e in energies)
+    assert energies == [per_sample_energy(model, y) for y in ys]
+    return got, energies
 
 
 def portfolio_sized(index):
@@ -104,15 +105,15 @@ def test_every_distinct_anneal_sample_matches_per_sample(index):
     model, ilp = portfolio_sized(index)
     samples = anneal(model, AnnealParams(num_reads=100, sweeps=500, seed=1000 + index))
     ys = [e.y for e in samples.entries]
-    assert [e.energy for e in samples.entries] == [per_sample_energy(model, y) for y in ys]
-    got = assert_batch_matches(model, ilp, ys, [e.energy for e in samples.entries])
+    got, energies = assert_batch_matches(model, ilp, ys)
+    assert [e.energy for e in samples.entries] == energies
     assert len({d.feasible for d in got}) == 2
-    assert_batch_matches(model, ilp, ys)
 
 
 def test_every_distinct_toy_sample_matches_per_sample(toy_qubo, toy_ilp):
     samples = anneal(toy_qubo, AnnealParams(num_reads=100, sweeps=200, seed=3))
-    got = assert_batch_matches(toy_qubo, toy_ilp, [e.y for e in samples.entries])
+    got, energies = assert_batch_matches(toy_qubo, toy_ilp, [e.y for e in samples.entries])
+    assert [e.energy for e in samples.entries] == energies
     assert {d.feasible for d in got} == {True, False}
 
 
@@ -144,11 +145,11 @@ def test_hand_built_rows_match_per_sample_on_every_sample(scale, lambdas):
     ilp = hand_built(scale)
     model = encode_qubo(ilp, lambdas)
     ys = list(itertools.product((0, 1), repeat=model.num_vars))
-    got = assert_batch_matches(model, ilp, ys)
+    got, energies = assert_batch_matches(model, ilp, ys)
     assert {(d.slack_consistent, d.feasible) for d in got} == {(True, False), (False, False)}
     assert all("depot_in" in d.report.violations for d in got)
     assert any(list(d.report.violations)[:2] == ["coverage", "depot_in"] for d in got)
-    largest = max(abs(d.energy) * model.den for d in got)
+    largest = max(abs(e) * model.den for e in energies)
     assert (largest >= 2 ** 63) == (scale > 1 or lambdas[0] == 10 ** 30)
 
 
@@ -156,25 +157,24 @@ def test_lambda_1e30_energies_need_python_ints(toy_ilp):
     model = encode_qubo(toy_ilp, (10 ** 30,) * 5)
     rng = random.Random(4)
     ys = [tuple(rng.randint(0, 1) for _ in range(model.num_vars)) for _ in range(200)]
-    got = assert_batch_matches(model, toy_ilp, ys)
-    assert max(abs(d.energy) for d in got) * model.den >= 2 ** 63
+    _, energies = assert_batch_matches(model, toy_ilp, ys)
+    assert max(map(abs, energies)) * model.den >= 2 ** 63
 
 
 @pytest.mark.parametrize("per_block", [1, 7, 13])
 def test_sample_blocks_do_not_change_the_results(monkeypatch, toy_qubo, toy_ilp, per_block):
-    # every block holds per_block samples: the toy's widest sample is its terms
+    # qubo_energies' blocks hold per_block samples, one cell per term;
+    # decode_many's hold at least as many, its cells being fewer
     rng = random.Random(per_block)
     ys = [tuple(rng.randint(0, 1) for _ in range(toy_qubo.num_vars)) for _ in range(50)]
-    want = decode_many(toy_qubo, toy_ilp, ys)
+    want = decode_many(toy_qubo, toy_ilp, ys), qubo_energies(toy_qubo, ys)
     monkeypatch.setattr(QUBO, "_BLOCK", per_block * toy_qubo.num_terms())
-    assert decode_many(toy_qubo, toy_ilp, ys) == want
-    assert qubo_energies(toy_qubo, ys) == [d.energy for d in want]
+    assert (decode_many(toy_qubo, toy_ilp, ys), qubo_energies(toy_qubo, ys)) == want
     assert_batch_matches(toy_qubo, toy_ilp, ys)
 
 
 def test_empty_sample_list(toy_qubo, toy_ilp):
     assert decode_many(toy_qubo, toy_ilp, []) == []
-    assert decode_many(toy_qubo, toy_ilp, [], []) == []
     assert qubo_energies(toy_qubo, []) == []
 
 
@@ -219,8 +219,14 @@ def test_wrong_lengths_are_named(toy_qubo, toy_ilp):
                  lambda ys: qubo_energies(toy_qubo, ys)):
         with pytest.raises(ValueError, match=f"assignment length 19 != {toy_qubo.num_vars}"):
             call([good, good[:19]])
-    with pytest.raises(ValueError, match="1 energies for 2 samples"):
-        decode_many(toy_qubo, toy_ilp, [good, good], [Fraction(0)])
+
+
+def test_decoding_reads_no_term_and_returns_no_energy(toy_qubo, toy_ilp):
+    rng = random.Random(5)
+    ys = [tuple(rng.randint(0, 1) for _ in range(toy_qubo.num_vars)) for _ in range(20)]
+    termless = dataclasses.replace(toy_qubo, q={}, offset=0)
+    assert decode_many(termless, toy_ilp, ys) == decode_many(toy_qubo, toy_ilp, ys)
+    assert "energy" not in {f.name for f in dataclasses.fields(QUBO.DecodedSample)}
 
 
 @pytest.mark.parametrize("value", [2, -1])
@@ -248,4 +254,5 @@ def test_numpy_bools_and_ints_decode_like_python_ints(toy_qubo, toy_ilp):
     assert decode_many(toy_qubo, toy_ilp, np.array(ys, dtype=bool)) == want
     assert decode_many(toy_qubo, toy_ilp, [np.array(y) for y in ys]) == want
     assert [decode(toy_qubo, toy_ilp, tuple(map(bool, y))) for y in ys] == want
-    assert qubo_energies(toy_qubo, np.array(ys, dtype=np.int8)) == [d.energy for d in want]
+    assert (qubo_energies(toy_qubo, np.array(ys, dtype=np.int8))
+            == [per_sample_energy(toy_qubo, y) for y in ys])

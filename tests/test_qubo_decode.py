@@ -20,7 +20,7 @@ from rollstock.exact import solve_exact
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import ConstraintRow, IlpModel, check_feasibility, encode_ilp
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import DecodedSample, consistent_slacks, decode, encode_qubo, qubo_energy
+from rollstock.qubo import DecodedSample, consistent_slacks, decode, encode_qubo
 
 
 def reference_decode(model, ilp, y):
@@ -28,8 +28,7 @@ def reference_decode(model, ilp, y):
     x = y[:model.num_decision]
     consistent = all(sum(y[s] for s in row.slack_indices) == row.best_slack_sum(x)
                      for row in model.penalty_rows)
-    return DecodedSample(y=y, energy=qubo_energy(model, y), x=x,
-                         slack_consistent=consistent,
+    return DecodedSample(y=y, x=x, slack_consistent=consistent,
                          report=check_feasibility(ilp, x))
 
 

@@ -42,7 +42,6 @@ def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
     offset += model.constant
 
     next_slack = n
-    slack_map = {}
     penalty_rows = []
     capacity_vars = []
     for row in model.constraints:
@@ -60,8 +59,6 @@ def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
         else:
             constant, width = -row.lo, row.hi - row.lo
         slacks = tuple(range(next_slack, next_slack + width))
-        for pos, s in enumerate(slacks):
-            slack_map[s] = (row.tag, pos)
         next_slack += width
         terms = list(row.coeffs) + [(s, -1) for s in slacks]
         penalty_rows.append(PenaltyRow(
@@ -78,7 +75,7 @@ def reference_encode_qubo(model, lambdas=DEFAULT_LAMBDAS):
     return SimpleNamespace(
         num_decision=n, num_slack=next_slack - n, num_vars=next_slack,
         q={key: val for key, val in q.items() if val != 0},
-        offset=offset, lambdas=lam, slack_map=slack_map,
+        offset=offset, lambdas=lam,
         penalty_rows=tuple(penalty_rows), capacity_vars=tuple(capacity_vars))
 
 
@@ -151,8 +148,8 @@ def assert_same_as_reference(ilp, lambdas):
     assert list(got.q) == list(want.q)
     assert lifted(got.q, got.den) == want.q
     assert Fraction(got.offset, got.den) == want.offset
-    for name in ("num_decision", "num_slack", "lambdas", "slack_map",
-                 "penalty_rows", "capacity_vars"):
+    for name in ("num_decision", "num_slack", "lambdas", "penalty_rows",
+                 "capacity_vars"):
         assert getattr(got, name) == getattr(want, name), name
     assert export_qubo_coo(got) == reference_qubo_coo(want)
     ising = to_ising(got)
