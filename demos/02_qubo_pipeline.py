@@ -10,6 +10,8 @@ terms, and its ground state is exactly the ILP optimum.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from rollstock import (build_hypergraph, consistent_slacks, encode_ilp,
                        encode_qubo, ising_energy, load_instance, qubo_energy,
                        slack_optimized_energy, to_ising)
@@ -50,6 +52,6 @@ print(f"energy check: {qubo_energy(qubo, y)}")
 
 ising = to_ising(qubo)
 spins = tuple(2 * v - 1 for v in y)
-print(f"\nising: {len(ising.h)} fields, {len(ising.j)} couplings, "
+print(f"\nising: {np.count_nonzero(ising.h)} fields, {len(ising.j)} couplings, "
       f"offset {Fraction(ising.offset, ising.den)}")
 print(f"spin-image energy of the optimum: {ising_energy(ising, spins)}")

@@ -13,11 +13,11 @@ from .ilp import (ConstraintRow, FeasibilityReport, IlpModel,
                   check_feasibility, encode_ilp, export_lp, objective_value)
 from .exact import (Solution, SolutionPortfolio, SolveResult, brute_force,
                     enumerate_feasible, solve_exact)
-from .qubo import (DEFAULT_LAMBDAS, DecodedSample, IsingModel, QuboModel,
-                   ScalingReport, consistent_slacks, decode, decode_many,
-                   encode_qubo, export_ising_coo, export_qubo_coo,
-                   ising_energy, qubo_energies, qubo_energy, scaling_report,
-                   slack_optimized_energy, to_ising)
+from .qubo import (DEFAULT_LAMBDAS, Couplings, DecodedSample, IsingModel,
+                   QuboModel, ScalingReport, consistent_slacks, decode,
+                   decode_many, encode_qubo, export_ising_coo,
+                   export_qubo_coo, ising_energy, qubo_energies, qubo_energy,
+                   scaling_report, slack_optimized_energy, to_ising)
 from .anneal import (AnnealParams, PortfolioRun, SampleEntry, SampleSet,
                      anneal, sample_portfolio)
 from .diagram import Rotation, render_ascii, render_svg, trace_rotations
@@ -34,7 +34,7 @@ __all__ = [
     "objective_value", "check_feasibility", "export_lp",
     "Solution", "SolutionPortfolio", "SolveResult", "solve_exact",
     "enumerate_feasible", "brute_force",
-    "QuboModel", "IsingModel", "DecodedSample", "ScalingReport",
+    "Couplings", "QuboModel", "IsingModel", "DecodedSample", "ScalingReport",
     "DEFAULT_LAMBDAS", "encode_qubo", "qubo_energy", "qubo_energies",
     "to_ising", "ising_energy", "decode", "decode_many", "consistent_slacks", "slack_optimized_energy",
     "scaling_report", "export_qubo_coo", "export_ising_coo",

@@ -61,7 +61,6 @@ reads per violated family.
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 import math
 import numbers
@@ -169,50 +168,51 @@ class _Schedule:
 def _schedule(model: QuboModel) -> _Schedule:
     """Level schedule of the interaction graph and its neighbour blocks."""
     n = model.num_vars
+    q = model.q
+    diagonal = q.i == q.j
     diag = np.zeros(n)
     largest = model.den * int(sys.float_info.max)  # a diagonal above it has no float64
-    pairs: dict[tuple[int, int], int] = {}
-    for (i, j), value in model.q.items():
-        if i == j:
-            if abs(value) > largest:
-                raise ValueError(f"diagonal q[{i},{i}] too large for a float64")
-            diag[i] += value / model.den
-        else:
-            key = (i, j) if i < j else (j, i)
-            pairs[key] = pairs.get(key, 0) + value
-    pairs = {key: value for key, value in pairs.items() if value}
-    g = math.gcd(model.den, *pairs.values())
+    for i, value in zip(q.i[diagonal].tolist(), q.value[diagonal].tolist()):
+        if abs(value) > largest:
+            raise ValueError(f"diagonal q[{i},{i}] too large for a float64")
+        diag[i] = value / model.den  # Python ints: one correctly rounded division
+    low, high, value = q.i[~diagonal], q.j[~diagonal], q.value[~diagonal]
+    g = math.gcd(model.den, *value.tolist())
     den = model.den // g
 
-    neighbours: list[dict[int, int]] = [{} for _ in range(n)]
-    for (i, j), value in pairs.items():
-        neighbours[i][j] = neighbours[j][i] = value // g
-    if den > 2 ** 53 or any(sum(map(abs, nb.values())) >= 2 ** 53 for nb in neighbours):
+    # each coupling both ways: variable, neighbour, integer weight
+    var = np.concatenate([low, high])
+    nb = np.concatenate([high, low])
+    weight = np.concatenate([value, value]) // g
+    reach = np.zeros(n, weight.dtype)
+    np.add.at(reach, var, abs(weight))
+    if den > 2 ** 53 or (reach >= 2 ** 53).any():
         raise ValueError("couplings too large for exact float64 local fields")
 
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(low.tolist(), high.tolist()):
+        lower[b].append(a)
     level = [0] * n
     for j in range(n):
-        level[j] = 1 + max((level[k] for k in neighbours[j] if k < j), default=-1)
-    order = sorted(range(n), key=level.__getitem__)
-    position = [0] * n
-    for p, v in enumerate(order):
-        position[v] = p
-    sizes = [0] * (max(level) + 1)
-    for lv in level:
-        sizes[lv] += 1
-    bounds = list(itertools.accumulate(sizes, initial=0))
+        level[j] = 1 + max((level[k] for k in lower[j]), default=-1)
+    level = np.array(level, np.intp)
+    order = np.argsort(level, kind="stable")
+    position = np.empty(n, np.intp)
+    position[order] = np.arange(n)
+    bounds = np.cumsum(np.bincount(level, minlength=1)).tolist()
 
+    # the couplings of each level's members, grouped by level
+    var_level = level[var]
+    by_level = np.argsort(var_level, kind="stable")
+    cuts = np.searchsorted(var_level[by_level], np.arange(len(bounds) + 1))
     levels = []
-    for start, stop in zip(bounds, bounds[1:]):
-        members = order[start:stop]
-        rows = sorted({position[k] for v in members for k in neighbours[v]})
-        index = {row: r for r, row in enumerate(rows)}
+    for start, stop, lo, hi in zip([0] + bounds, bounds, cuts, cuts[1:]):
+        entries = by_level[lo:hi]
+        neighbour = position[nb[entries]]
+        rows = np.flatnonzero(np.bincount(neighbour, minlength=n))
         block = np.zeros((len(rows), stop - start))
-        for c, v in enumerate(members):
-            for k, weight in neighbours[v].items():
-                block[index[position[k]], c] = weight
-        levels.append(_Level(start, stop, np.array(rows, dtype=np.intp), block))
-    order = np.array(order, dtype=np.intp)
+        block[np.searchsorted(rows, neighbour), position[var[entries]] - start] = weight[entries]
+        levels.append(_Level(start, stop, rows, block))
     return _Schedule(order, diag[order], den, tuple(levels))
 
 

@@ -21,24 +21,24 @@ penalty weights' denominators, the objective's and the ILP constant's;
 ``IsingModel`` counts in units of ``1/(4 qubo.den)``. ``Fraction``s
 appear only at the boundaries: the energies returned and the COO text.
 
-Each table that grows with the term count is built once. ``encode_qubo``
-deletes the zeros of its accumulator in place and returns it as ``q``;
-``to_ising`` keys ``j`` with the key tuples of ``q`` and drops its zeros
-in place; a COO export holds only the sorted keys, one chunk of lines and
-the text.
-
-``q`` keeps the order in which the term-by-term expansion of each row
-first hits its keys, and most of its keys name a slack bit. Slack bits are
-fresh for each row, so each such key is new when its row is expanded, and
-``encode_qubo`` inserts them a block at a time with ``dict.update``, in the
-order the expansion would: a decision variable's pairs with the chain go
-in right after its pairs with the later decision variables, valued
-``-2 lambda c``, ``c`` being its coefficient in the row (an ``IlpModel``
-row names each variable once); the chain's own pairs follow the decision
-variables in ``combinations_with_replacement`` order, and then its
-diagonal is set. A COO export formats each index and each distinct value
-once per export and takes a chunk's values through ``map`` over the
-tables' own lookups, so no Python function runs per line.
+Both models hold their quadratic couplings as ``Couplings``: parallel
+``i``, ``j`` and ``value`` arrays of the nonzero upper-triangular entries,
+sorted by ``(i, j)``, each pair once. ``Couplings`` is the one routine
+that makes entries canonical, and it does the work only when a vectorised
+check finds its input is not: it sums repeated pairs, drops zeros and
+sorts. ``encode_qubo`` emits raw ``(i, j, value)`` triples by family as
+numpy blocks, the rows of one length at a time and the unary slack chains
+(85 % of the 365,674 terms of the 1000-trip benchmark instance) one width
+at a time, and merges them there once. ``IsingModel.h`` is one array of
+``num_vars`` fields. Values are int64 while a model's
+``|offset| + sum |value|`` (and, for the Ising model, ``sum |h|``) stays
+below 2**63, and Python ints (``object`` arrays) otherwise, since an int64
+sum past that wraps silently: so every energy a model prices is exact.
+The builders pick their arithmetic the same way: ``encode_qubo`` expands
+its rows in int64 when a bound on every product they form is below 2**63,
+and ``to_ising`` sums in int64 when ``4 (|offset| + sum |q|)``, which
+bounds its offset and fields, is. A COO export streams the sorted arrays a chunk of lines at a time and
+formats each index and each distinct value once.
 
 A sample set is evaluated in one call per job: ``qubo_energies`` gives
 each sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
@@ -47,10 +47,10 @@ chain over all samples at once, from the rows laid out once per call in
 CSR form (empty rows allowed). Only the (sample, row) pairs whose lhs
 leaves ``bounds()`` become Python objects, handed to
 ``FeasibilityReport.of``, the helper ``check_feasibility`` reports with.
-The arithmetic is int64 while
-``|offset| + sum |q|``, and for every row ``sum |c| + |lo| + |hi|`` plus its
-chain's ``|constant| + width``, stay below 2**63, exact Python ints
-otherwise. Samples go through in blocks of at most ``_BLOCK`` = 2**17
+Energies are summed in the dtype of ``q``'s
+values; decoding is int64 while for every row ``sum |c| + |lo| + |hi|``
+plus its chain's ``|constant| + width`` stays below 2**63, exact Python
+ints otherwise. Samples go through in blocks of at most ``_BLOCK`` = 2**17
 (sample, cell) pairs, a cell being a term, a row coefficient or a chain
 bit, so the scratch of a call stays within a few MiB whatever the sample
 count. ``decode`` and ``qubo_energy`` are the one-sample calls; a sample
@@ -60,10 +60,10 @@ entry outside {0, 1} is a ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, compress, repeat
-from operator import not_
+from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -73,6 +73,7 @@ from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
 __all__ = [
+    "Couplings",
     "QuboModel",
     "IsingModel",
     "DecodedSample",
@@ -129,19 +130,140 @@ class PenaltyRow:
         return min(max(residual, 0), len(self.slack_indices))
 
 
+@dataclass(frozen=True, eq=False)
+class Couplings:
+    """The nonzero entries ``value[k]`` at ``(i[k], j[k])`` of an
+    upper-triangular integer matrix over ``num_vars`` variables.
+
+    Building one, also through ``dataclasses.replace``, raises
+    ``ValueError`` for an index outside ``range(num_vars)`` or an entry
+    with ``i > j``, and leaves the entries sorted by ``(i, j)`` with each
+    pair once and no zero: repeated pairs are summed. ``value`` is an int64
+    array, or an ``object`` array of Python ints when the input does not
+    fit int64 or its repeated pairs could not be summed in it; the arrays
+    are read-only. ``magnitude`` is ``sum |value|``, exact.
+    """
+
+    num_vars: int
+    i: np.ndarray = ()
+    j: np.ndarray = ()
+    value: np.ndarray = ()
+    magnitude: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.num_vars
+        i = np.asarray(self.i, np.intp)
+        j = np.asarray(self.j, np.intp)
+        value = _integers(self.value)
+        if not i.ndim == 1 or not i.shape == j.shape == value.shape:
+            raise ValueError("i, j and value must be 1-d arrays of one length")
+        outside = (i < 0) | (j >= n)
+        if outside.any():
+            k = int(outside.argmax())
+            raise ValueError(f"entry ({i[k]}, {j[k]}) lies outside range({n})")
+        below = i > j
+        if below.any():
+            k = int(below.argmax())
+            raise ValueError(f"entry ({i[k]}, {j[k]}) lies below the diagonal")
+        i, j, value = _canonical(n, i, j, value)
+        for name, array in (("i", i), ("j", j), ("value", value)):
+            object.__setattr__(self, name, _frozen(array))
+        object.__setattr__(self, "magnitude", _magnitude(value))
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Couplings):
+            return NotImplemented
+        return (self.num_vars == other.num_vars and np.array_equal(self.i, other.i)
+                and np.array_equal(self.j, other.j)
+                and np.array_equal(self.value, other.value))
+
+    def astype(self, dtype) -> Couplings:
+        """These entries with values of ``dtype`` (int64 or object)."""
+        if self.value.dtype == dtype:
+            return self
+        return Couplings(self.num_vars, self.i, self.j, self.value.astype(dtype))
+
+
+def _canonical(n: int, i: np.ndarray, j: np.ndarray, value: np.ndarray):
+    """The entries sorted by ``(i, j)`` with repeated pairs summed and
+    zeros dropped; entries that already are come back as they are."""
+    key = i * n + j
+    if (key[1:] > key[:-1]).all() and np.count_nonzero(value) == len(value):
+        return i, j, value
+    if value.dtype != object and _magnitude(value) >= _EXACT:
+        value = value.astype(object)  # the sums could wrap in int64
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    value = np.add.reduceat(value[order], first) if len(first) else value[:0]
+    kept = value != 0
+    i, j = np.divmod(key[first][kept], n)
+    return i, j, value[kept]
+
+
+def _integers(values) -> np.ndarray:
+    """``values`` as an int64 array, or as an ``object`` array of Python
+    ints if given one or if one of them does not fit int64; a non-integer
+    is a ``TypeError``. An int64 array is taken as it is."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values
+        if values.dtype == object:
+            return np.array(list(map(operator.index, values.tolist())), object)
+        values = values.tolist()
+    ints = list(map(operator.index, values))
+    try:
+        return np.array(ints, np.int64)
+    except OverflowError:
+        return np.array(ints, object)
+
+
+def _magnitude(values: np.ndarray) -> int:
+    """``sum |values|``, exact: an int64 sum when a float64 estimate shows
+    it cannot wrap, Python ints otherwise."""
+    if values.dtype != object and np.abs(values, dtype=np.float64).sum() < 2.0 ** 62:
+        return int(np.abs(values).sum())
+    return sum(map(abs, values.tolist()))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _dtype(bound: int):
+    """The value dtype of a model whose sums stay within ``bound``."""
+    return np.int64 if bound < _EXACT else object
+
+
 @dataclass(frozen=True)
 class QuboModel:
     """Upper-triangular sparse quadratic form over decision + slack bits;
-    the entries of ``q`` and the offset count in units of ``1/den``."""
+    the entries of ``q`` and the offset count in units of ``1/den``.
+    Building one raises ``ValueError`` if ``q`` is over another number of
+    variables, and makes ``q``'s values int64 if ``|offset| + sum |q|`` is
+    below 2**63, Python ints otherwise."""
 
     num_decision: int
     num_slack: int
-    q: dict[tuple[int, int], int]
+    q: Couplings
     offset: int
     den: int
     lambdas: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
     penalty_rows: tuple[PenaltyRow, ...] = ()
     capacity_vars: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.q.num_vars != self.num_vars:
+            raise ValueError(f"q is over {self.q.num_vars} variables, "
+                             f"the model has {self.num_vars}")
+        object.__setattr__(self, "q", self.q.astype(
+            _dtype(abs(self.offset) + self.q.magnitude)))
 
     @property
     def num_vars(self) -> int:
@@ -151,16 +273,38 @@ class QuboModel:
         return len(self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingModel:
     """Spin form: sum_{i<j} J_ij s_i s_j + sum_i h_i s_i + offset, with
-    ``h``, ``j`` and the offset in units of ``1/den``."""
+    ``h``, ``j`` and the offset in units of ``1/den``. ``h`` holds one
+    field per variable, zeros included; ``j`` has no diagonal entry.
+    Building one raises ``ValueError`` if ``h`` or ``j`` is over another
+    number of variables or ``j`` has a diagonal entry, and makes the
+    values int64 if ``|offset| + sum |h| + sum |j|`` is below 2**63,
+    Python ints otherwise."""
 
     num_vars: int
-    h: dict[int, int]
-    j: dict[tuple[int, int], int]
+    h: np.ndarray
+    j: Couplings
     offset: int
     den: int
+
+    def __post_init__(self) -> None:
+        h = _integers(self.h)
+        if h.shape != (self.num_vars,) or self.j.num_vars != self.num_vars:
+            raise ValueError(f"h and j must be over the model's {self.num_vars} variables")
+        if (self.j.i == self.j.j).any():
+            raise ValueError("j has a diagonal entry; fields belong in h")
+        dtype = _dtype(abs(self.offset) + _magnitude(h) + self.j.magnitude)
+        object.__setattr__(self, "h", _frozen(h.astype(dtype, copy=False)))
+        object.__setattr__(self, "j", self.j.astype(dtype))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IsingModel):
+            return NotImplemented
+        return (self.num_vars == other.num_vars and np.array_equal(self.h, other.h)
+                and self.j == other.j and self.offset == other.offset
+                and self.den == other.den)
 
 
 @dataclass(frozen=True)
@@ -203,12 +347,14 @@ def encode_qubo(model: IlpModel,
     scaled = [w.numerator * (den // w.denominator) for w in lam]
     n = model.num_vars
 
-    # objective keys first: q keeps the order in which keys were first hit
-    acc: dict[tuple[int, int], int] = {}
-    get = acc.get
-    for v, c in model.objective:
-        acc[(v, v)] = get((v, v), 0) + c.numerator * (den // c.denominator)
+    # the diagonal terms of the objective and the capacity rows
+    diagonal = [v for v, _ in model.objective]
+    diagonal_values = [c.numerator * (den // c.denominator) for _, c in model.objective]
     offset = model.constant.numerator * (den // model.constant.denominator)
+    # the other rows by length: coeffs, weight, constant, chain (-1: none)
+    rows_by_length: dict[int, list[tuple]] = {}
+    chains: list[tuple[int, int, int, int]] = []  # first bit, width, pair, diagonal
+    reach = 0  # bounds every value a row expansion forms
 
     next_slack = n
     penalty_rows: list[PenaltyRow] = []
@@ -222,9 +368,10 @@ def encode_qubo(model: IlpModel,
         weight = scaled[family]
 
         if kind == "capacity_forbid":
-            capacity_vars.extend(v for v, _ in row.coeffs)
-            for v, _ in row.coeffs:
-                acc[(v, v)] = get((v, v), 0) + weight
+            named = [v for v, _ in row.coeffs]
+            capacity_vars += named
+            diagonal += named
+            diagonal_values += [weight] * len(named)
             continue
 
         lo, hi = row.bounds()
@@ -232,37 +379,26 @@ def encode_qubo(model: IlpModel,
             raise ValueError(f"row {row.tag!r} has lo {lo} > hi {hi}")
         constant = -lo
         width = hi - lo
-        slacks = tuple(range(next_slack, next_slack + width))
-        next_slack += width
-
         coeffs = row.coeffs
         penalty_rows.append(PenaltyRow(
-            family=family, tag=row.tag, coeffs=coeffs,
-            constant=constant, slack_indices=slacks))
-
-        # weight * (sum c_i x_i - sum s + constant)^2 expanded over binaries;
-        # every key that names a slack bit is new, so those keys go in a
-        # block per update, in the order a term-by-term expansion hits them
-        for a, (va, ca) in enumerate(coeffs):
-            acc[(va, va)] = get((va, va), 0) + weight * ca * (ca + 2 * constant)
-            cross = 2 * weight * ca
-            for vb, cb in coeffs[a + 1:]:
-                key = (va, vb) if va < vb else (vb, va)
-                acc[key] = get(key, 0) + cross * cb
-            if width:
-                acc.update(zip(zip(repeat(va), slacks), repeat(-cross)))
+            family=family, tag=row.tag, coeffs=coeffs, constant=constant,
+            slack_indices=tuple(range(next_slack, next_slack + width))))
         if width:
-            acc.update(zip(combinations_with_replacement(slacks, 2),
-                           repeat(2 * weight)))
-            acc.update(zip(zip(slacks, slacks),
-                           repeat(weight * (1 - 2 * constant))))
+            chains.append((next_slack, width, 2 * weight, weight * (1 - 2 * constant)))
+        if coeffs:
+            top = max(abs(c) for _, c in coeffs)
+            reach = max(reach, 2 * abs(weight) * (top + 1) * (top + 2 * abs(constant) + 1))
+            rows_by_length.setdefault(len(coeffs), []).append(
+                (coeffs, weight, constant, len(chains) - 1 if width else -1))
+        next_slack += width
         offset += weight * constant * constant
 
-    _drop_zeros(acc)
+    q = Couplings(next_slack, *_raw_triples(
+        diagonal, diagonal_values, rows_by_length, chains, _dtype(reach)))
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
-        q=acc,
+        q=q,
         offset=offset,
         den=den,
         lambdas=lam,  # type: ignore[arg-type]
@@ -271,11 +407,56 @@ def encode_qubo(model: IlpModel,
     )
 
 
-def _drop_zeros(table: dict) -> None:
-    """Delete the zero entries of ``table`` in place; the rest keep their
-    order."""
-    for key in list(compress(table, map(not_, table.values()))):
-        del table[key]
+def _raw_triples(diagonal: list[int], diagonal_values: list[int],
+                 rows_by_length: dict[int, list[tuple]],
+                 chains: Sequence[tuple[int, int, int, int]], dtype):
+    """The raw ``(i, j, value)`` arrays of ``encode_qubo``'s terms, with
+    repeated pairs; ``dtype`` holds every value a row expansion forms.
+
+    A row ``(coeffs, weight, constant, chain)`` of ``m`` coefficients
+    ``c_a`` of variables ``v_a`` gives ``weight c_a (c_a + 2 constant)`` on
+    each ``(v_a, v_a)``, ``2 weight c_a c_b`` on each pair ``a < b``, and
+    ``-2 weight c_a`` on ``v_a``'s pair with each bit of its chain; rows of
+    one length are expanded as one block. A chain ``(first, width, pair,
+    diagonal)`` holds bits ``first`` to ``first + width - 1``, with
+    ``pair`` on each pair of them and ``diagonal`` on each diagonal, laid
+    out a block per width."""
+    i = [np.array(diagonal, np.intp)]
+    j = [i[0]]
+    value = [_integers(diagonal_values)]
+    links = []  # (variable, chain, value) arrays
+    for m, rows in rows_by_length.items():
+        coeffs = np.array([r[0] for r in rows], dtype).reshape(len(rows), m, 2)
+        var = coeffs[:, :, 0].astype(np.intp)
+        c = coeffs[:, :, 1]
+        weight = np.array([r[1] for r in rows], dtype)[:, None]
+        constant = np.array([r[2] for r in rows], dtype)[:, None]
+        a, b = np.triu_indices(m, 1)
+        i += [var.ravel(), np.minimum(var[:, a], var[:, b]).ravel()]
+        j += [var.ravel(), np.maximum(var[:, a], var[:, b]).ravel()]
+        value += [(weight * c * (c + 2 * constant)).ravel(),
+                  (2 * weight * c[:, a] * c[:, b]).ravel()]
+        chain = np.array([r[3] for r in rows], np.intp)
+        linked = chain >= 0
+        links.append((var[linked].ravel(), np.repeat(chain[linked], m),
+                      (-2 * weight * c)[linked].ravel()))
+
+    first, width = (np.array([ch[k] for ch in chains], np.intp) for k in (0, 1))
+    pair, diag = (_integers([ch[k] for ch in chains]) for k in (2, 3))
+    for w in sorted(set(width.tolist())):
+        rows = width == w
+        a, b = np.triu_indices(w)
+        start = first[rows][:, None]
+        i.append((start + a).ravel())
+        j.append((start + b).ravel())
+        value.append(np.where(a == b, diag[rows][:, None], pair[rows][:, None]).ravel())
+    for variable, chain, link_value in links:
+        count = width[chain]
+        bit = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        i.append(np.repeat(variable, count))
+        j.append(np.repeat(first[chain], count) + bit)
+        value.append(np.repeat(link_value, count))
+    return np.concatenate(i), np.concatenate(j), np.concatenate(value)
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
@@ -286,18 +467,15 @@ def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
 def qubo_energies(model: QuboModel, ys: Sequence[Sequence[int]]) -> list[Fraction]:
     """Exact energies of the samples ``ys``, in order; ``ValueError``
     names the first sample of the wrong length or the first entry outside
-    {0, 1}. The sums are int64 while ``|offset| + sum |q|`` stays below
-    2**63, Python ints otherwise."""
+    {0, 1}. The sums are in the dtype of ``q``'s values, which the model
+    keeps exact."""
     _check_lengths(ys, model.num_vars)
-    i, j = np.array(list(model.q), np.intp).reshape(-1, 2).T
-    values = list(model.q.values())
-    exact = abs(model.offset) + sum(map(abs, values)) < _EXACT
-    values = np.array(values, np.int64 if exact else object)
+    q = model.q
     energies: list[Fraction] = []
-    for bits in _bit_blocks(ys, len(model.q)):
+    for bits in _bit_blocks(ys, len(q)):
         # einsum sums the products in buffered chunks, with no int64 copy
         # of the (sample, term) table
-        totals = np.einsum("st,t->s", bits[:, i] & bits[:, j], values)
+        totals = np.einsum("st,t->s", bits[:, q.i] & bits[:, q.j], q.value)
         energies += [Fraction(model.offset + t, model.den) for t in totals.tolist()]
     return energies
 
@@ -305,39 +483,40 @@ def qubo_energies(model: QuboModel, ys: Sequence[Sequence[int]]) -> list[Fractio
 def to_ising(model: QuboModel) -> IsingModel:
     """Exact change of variables y = (s + 1) / 2 onto spins s in {-1, +1},
     in units of ``1/(4 model.den)``: an entry ``v`` of ``q`` is ``4 v``
-    quarters. ``j`` is keyed by the key tuples of ``model.q``."""
-    h: dict[int, int] = {}
-    j: dict[tuple[int, int], int] = {}
-    get = h.get
-    offset = 4 * model.offset
-
-    for key, value in model.q.items():
-        a, b = key
-        if a == b:
-            h[a] = get(a, 0) + 2 * value
-            offset += 2 * value
-        else:
-            j[key] = value
-            h[a] = get(a, 0) + value
-            h[b] = get(b, 0) + value
-            offset += value
-
-    _drop_zeros(h)
-    _drop_zeros(j)
+    quarters, ``j`` is the off-diagonal part of ``q``, and ``h_a`` sums
+    ``2 q_aa`` and each ``q_ab`` that names ``a``. The sums are int64 when
+    ``4 (|offset| + sum |q|)``, which bounds them, is below 2**63."""
+    q = model.q
+    value = q.value.astype(_dtype(4 * (abs(model.offset) + q.magnitude)), copy=False)
+    diagonal = q.i == q.j
+    # a diagonal entry names its variable twice, so it counts 2 q_aa
+    h = np.zeros(model.num_vars, value.dtype)
+    np.add.at(h, q.i, value)
+    np.add.at(h, q.j, value)
+    offset = 4 * model.offset + int(value.sum()) + int(value[diagonal].sum())
+    off = ~diagonal
     return IsingModel(
         num_vars=model.num_vars,
         h=h,
-        j=j,
+        j=Couplings(model.num_vars, q.i[off], q.j[off], value[off]),
         offset=offset,
         den=4 * model.den)
 
 
 def ising_energy(model: IsingModel, s: Sequence[int]) -> Fraction:
+    """Exact energy of the spins ``s``; ``ValueError`` names a vector of
+    the wrong length or the first entry outside {-1, +1}."""
     if len(s) != model.num_vars:
         raise ValueError(f"spin vector length {len(s)} != {model.num_vars}")
-    total = model.offset + sum(v * s[i] for i, v in model.h.items())
-    total += sum(v * s[i] * s[j] for (i, j), v in model.j.items())
-    return Fraction(total, model.den)
+    spins = np.asarray(s).reshape(-1)
+    bad = (spins != 1) & (spins != -1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"spin entry {k} is {spins.tolist()[k]!r}, not -1 or +1")
+    spins = spins.astype(np.int8)
+    j = model.j
+    total = int(model.h @ spins) + int((spins[j.i] * spins[j.j]) @ j.value)
+    return Fraction(model.offset + total, model.den)
 
 
 def consistent_slacks(model: QuboModel, x: Sequence[int]) -> tuple[int, ...]:
@@ -556,39 +735,41 @@ _COO_CHUNK = 2048  # lines formatted and joined at a time
 
 
 def _coo(kind: str, num_vars: int, offset: int, den: int,
-         keys: list, values) -> str:
-    """A header, then one `i j value` line per ``(i, j)`` key in ``keys``,
-    sorted here in place. ``values(chunk)`` yields the chunk's values in
-    units of ``1/den``; each distinct value, and each index, is formatted
-    once. Lines are built a chunk at a time, so only the keys, one chunk
-    and the text are held at once."""
-    keys.sort()
-    names = [str(i) for i in range(num_vars)]
+         i: np.ndarray, j: np.ndarray, value: np.ndarray) -> str:
+    """A header, then one `i j value` line per entry, in the order given,
+    with values in units of ``1/den``. Each index and each distinct value
+    is formatted once, and a chunk's lines are one join over a table of
+    those strings, so only the arrays, one chunk and the text are held at
+    once."""
+    names = np.array([f"{k} " for k in range(num_vars)], object)
     text: dict[int, str] = {}
     parts = [f"# {kind} num_vars={num_vars} "
              f"offset={exact_number(Fraction(offset, den))}\n"]
-    for start in range(0, len(keys), _COO_CHUNK):
-        chunk = keys[start:start + _COO_CHUNK]
-        chunk_values = list(values(chunk))
-        for v in set(chunk_values).difference(text):
-            text[v] = str(exact_number(Fraction(v, den)))
-        parts.append("".join([f"{names[i]} {names[j]} {text[v]}\n"
-                              for (i, j), v in zip(chunk, chunk_values)]))
+    for start in range(0, len(value), _COO_CHUNK):
+        stop = start + _COO_CHUNK
+        values = value[start:stop].tolist()
+        for v in set(values).difference(text):
+            text[v] = f"{exact_number(Fraction(v, den))}\n"
+        cells = np.empty((len(values), 3), object)
+        cells[:, 0] = names[i[start:stop]]
+        cells[:, 1] = names[j[start:stop]]
+        cells[:, 2] = list(map(text.__getitem__, values))
+        parts.append("".join(cells.ravel().tolist()))
     return "".join(parts)
 
 
 def export_qubo_coo(model: QuboModel) -> str:
     """COO text: one `i j value` line per stored upper-triangular entry."""
-    return _coo("qubo", model.num_vars, model.offset, model.den, list(model.q),
-                lambda chunk: map(model.q.__getitem__, chunk))
+    q = model.q
+    return _coo("qubo", model.num_vars, model.offset, model.den, q.i, q.j, q.value)
 
 
 def export_ising_coo(model: IsingModel) -> str:
-    """Same shape for the spin form; `i i value` lines carry the fields h_i."""
-    diag = {(i, i): v for i, v in model.h.items()}
+    """Same shape for the spin form; `i i value` lines carry the nonzero
+    fields h_i, each ahead of its row of couplings."""
+    fields = np.flatnonzero(model.h)
     j = model.j
-    keys = list(diag)
-    keys += j
-    # an `(i, i)` key is not in j, so j.get falls back to its field
-    return _coo("ising", model.num_vars, model.offset, model.den, keys,
-                lambda chunk: map(j.get, chunk, map(diag.get, chunk)))
+    at = np.searchsorted(j.i, fields)  # ahead of the couplings of its row
+    return _coo("ising", model.num_vars, model.offset, model.den,
+                np.insert(j.i, at, fields), np.insert(j.j, at, fields),
+                np.insert(j.value, at, model.h[fields]))

@@ -8,7 +8,7 @@ from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import encode_ilp
 from rollstock.model import load_instance
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import DEFAULT_LAMBDAS, QuboModel, encode_qubo
+from rollstock.qubo import DEFAULT_LAMBDAS, Couplings, QuboModel, encode_qubo
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TOY_PATH = REPO / "instances" / "toy.json"
@@ -57,16 +57,26 @@ def small_random_instance(seed, max_trips=12, with_couplable=True):
 
 def qubo_model(n, q, offset=0):
     """A hand-made QuboModel over ``n`` decision bits from exact rational
-    entries, scaled to integers over the LCM of their denominators."""
+    entries ``{(i, j): value}``, scaled to integers over the LCM of their
+    denominators."""
     q = {key: Fraction(value) for key, value in q.items()}
     offset = Fraction(offset)
     den = math.lcm(offset.denominator, *(v.denominator for v in q.values()))
-    return QuboModel(num_decision=n, num_slack=0,
-                     q={key: int(v * den) for key, v in q.items()},
-                     offset=int(offset * den), den=den,
-                     lambdas=DEFAULT_LAMBDAS)
+    q = Couplings(n, [i for i, _ in q], [j for _, j in q], [int(v * den) for v in q.values()])
+    return QuboModel(num_decision=n, num_slack=0, q=q, offset=int(offset * den),
+                     den=den, lambdas=DEFAULT_LAMBDAS)
+
+
+def as_dict(values):
+    """Model entries as a dict of Python ints, in stored order:
+    ``{(i, j): value}`` for ``Couplings``, and ``{i: h_i}`` over the
+    nonzero fields of an Ising ``h`` array."""
+    if isinstance(values, Couplings):
+        return dict(zip(zip(values.i.tolist(), values.j.tolist()), values.value.tolist()))
+    return {i: v for i, v in enumerate(values.tolist()) if v}
 
 
 def lifted(values, den):
-    """Integer model entries in units of ``1/den`` as exact fractions."""
-    return {key: Fraction(v, den) for key, v in values.items()}
+    """Integer model entries in units of ``1/den`` as exact fractions,
+    keyed as ``as_dict`` keys them."""
+    return {key: Fraction(v, den) for key, v in as_dict(values).items()}

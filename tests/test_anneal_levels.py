@@ -11,6 +11,7 @@ each generator call fills one sweep, a number of sweeps that does not
 divide ``sweeps``, or every sweep.
 """
 
+import dataclasses
 import gc
 import importlib
 import random
@@ -25,9 +26,9 @@ from rollstock.anneal import AnnealParams, SampleEntry, SampleSet, _schedule, an
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import encode_ilp
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import DEFAULT_LAMBDAS, encode_qubo, qubo_energy
+from rollstock.qubo import DEFAULT_LAMBDAS, Couplings, encode_qubo, qubo_energy
 
-from conftest import lifted, qubo_model
+from conftest import as_dict, lifted, qubo_model
 
 ANNEAL = importlib.import_module("rollstock.anneal")  # the package exports a function of that name
 
@@ -185,9 +186,13 @@ def test_uncoupled_variables_match_dense():
     assert_same_as_dense(model, AnnealParams(num_reads=12, sweeps=40, seed=5))
 
 
-def test_both_key_orders_of_a_pair_are_summed():
-    model = qubo_model(3, {(0, 1): Fraction(2), (1, 0): Fraction(-5),
-                           (1, 2): Fraction(1), (1, 1): Fraction(1)})
+def test_repeated_pairs_are_summed_where_the_couplings_are_built():
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) lies below the diagonal"):
+        qubo_model(3, {(0, 1): Fraction(2), (1, 0): Fraction(-5)})
+    # the pair (0, 1) twice sums to one coupling of 2 - 5
+    q = Couplings(3, [0, 1, 0, 1], [1, 2, 1, 1], [2, 1, -5, 1])
+    model = dataclasses.replace(qubo_model(3, {}), q=q)
+    assert as_dict(model.q) == {(0, 1): -3, (1, 1): 1, (1, 2): 1}
     assert_same_as_dense(model, AnnealParams(num_reads=10, sweeps=30, seed=6))
 
 
@@ -280,14 +285,14 @@ def assert_valid_schedule(model):
     for lv in plan.levels:  # index order within a level
         members = plan.order[lv.start:lv.stop].tolist()
         assert members == sorted(members)
-    for (i, j), value in model.q.items():
+    for (i, j), value in as_dict(model.q).items():
         if i != j and value:
             low, high = min(i, j), max(i, j)
             assert level[low] < level[high]  # coupled pairs keep index order
     for lv in plan.levels:  # a level's rows are exactly its neighbours
         members = set(plan.order[lv.start:lv.stop].tolist())
         neighbours = set()
-        for (i, j), value in model.q.items():
+        for (i, j), value in as_dict(model.q).items():
             if i != j and value:
                 neighbours |= {j} if i in members else set()
                 neighbours |= {i} if j in members else set()

@@ -29,15 +29,17 @@ from rollstock.anneal import AnnealParams, anneal
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import ConstraintRow, FeasibilityReport, IlpModel, encode_ilp
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import decode, decode_many, encode_qubo, qubo_energies, qubo_energy
+from rollstock.qubo import (Couplings, decode, decode_many, encode_qubo, qubo_energies,
+                            qubo_energy)
 
+from conftest import as_dict
 from test_qubo_decode import generated
 
 
 def per_sample_energy(model, y):
     if len(y) != model.num_vars:
         raise ValueError(f"assignment length {len(y)} != {model.num_vars}")
-    total = model.offset + sum(v for (i, j), v in model.q.items() if y[i] and y[j])
+    total = model.offset + sum(v for (i, j), v in as_dict(model.q).items() if y[i] and y[j])
     return Fraction(total, model.den)
 
 
@@ -224,7 +226,7 @@ def test_wrong_lengths_are_named(toy_qubo, toy_ilp):
 def test_decoding_reads_no_term_and_returns_no_energy(toy_qubo, toy_ilp):
     rng = random.Random(5)
     ys = [tuple(rng.randint(0, 1) for _ in range(toy_qubo.num_vars)) for _ in range(20)]
-    termless = dataclasses.replace(toy_qubo, q={}, offset=0)
+    termless = dataclasses.replace(toy_qubo, q=Couplings(toy_qubo.num_vars), offset=0)
     assert decode_many(termless, toy_ilp, ys) == decode_many(toy_qubo, toy_ilp, ys)
     assert "energy" not in {f.name for f in dataclasses.fields(QUBO.DecodedSample)}
 

@@ -1,15 +1,17 @@
-"""The QUBO layer builds each table that grows with the term count once.
+"""The QUBO layer holds each table that grows with the term count as
+arrays, built once.
 
-``encode_qubo`` deletes the zeros of its accumulator in place and returns
-it, ``to_ising`` keys its couplings with the QUBO's own key tuples and
-drops its zeros in place, and a COO export holds only the sorted keys, one
-chunk of lines and the text. The first tests pin the shared keys and the
-first-hit order left by the in-place deletions against the ``Fraction``
-reference encoder. The last bounds each stage's traced memory, in bytes
-per QUBO term, on the 200-trip reference instance of the compile-large
-benchmark (9,541 terms, several chunks of export lines): a copy of any of
-these tables pushes its stage over the bound, which is set with margin over
-the measured figures. ``decode_many`` gets its own bound on the same QUBO.
+``QuboModel.q`` and ``IsingModel.j`` are ``Couplings``, three parallel
+arrays of the sorted nonzero entries, and ``IsingModel.h`` is one array of
+fields. The first tests pin the canonical form, the cancelled entries
+dropped and the rest in ``(i, j)`` order, against the ``Fraction``
+reference encoder, and that ``to_ising`` takes its couplings straight from
+``q``. The last bounds each stage's traced memory, in bytes per QUBO term,
+on the 200-trip reference instance of the compile-large benchmark (9,541
+terms, several chunks of export lines): a copy of any of these tables, or
+a table of Python objects per term, pushes its stage over the bound, which
+is set with margin over the measured figures. ``decode_many`` gets its own
+bound on the same QUBO.
 """
 
 import gc
@@ -17,6 +19,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rollstock.generate import GeneratorConfig, generate_synthetic
@@ -25,7 +28,7 @@ from rollstock.netbuild import build_hypergraph
 from rollstock.qubo import (DEFAULT_LAMBDAS, decode_many, encode_qubo,
                             export_ising_coo, export_qubo_coo, to_ising)
 
-from conftest import qubo_model
+from conftest import as_dict, qubo_model
 from test_qubo_integer_core import (assert_same_as_reference, assert_same_ising,
                                     fractional, reference_to_ising)
 
@@ -37,10 +40,9 @@ def reference_ilp():
     return encode_ilp(build_hypergraph(inst), inst)
 
 
-def test_cancelled_entries_are_dropped_in_first_hit_order():
+def test_cancelled_entries_are_dropped_and_the_rest_sorted():
     # the objective's 100 x0 cancels the coverage row's -100 x0 on q[0,0],
-    # and the coverage row's 2 * (-100) + 200 cancels on h_1; the entries
-    # around them keep their first-hit order
+    # and the coverage row's 2 * (-100) + 200 cancels on h_1
     ilp = IlpModel(
         num_vars=3,
         objective=((0, Fraction(100)), (2, Fraction(1))),
@@ -49,31 +51,36 @@ def test_cancelled_entries_are_dropped_in_first_hit_order():
     )
     assert_same_as_reference(ilp, DEFAULT_LAMBDAS)
     qubo = encode_qubo(ilp)
-    assert list(qubo.q) == [(2, 2), (0, 1), (1, 1)]
+    assert as_dict(qubo.q) == {(0, 1): 200, (1, 1): -100, (2, 2): 1}
+    assert list(as_dict(qubo.q)) == [(0, 1), (1, 1), (2, 2)]
     ising = to_ising(qubo)
-    assert list(ising.h) == [2, 0]
-    assert list(ising.j) == [(0, 1)]
-    # a stored zero coupling of a hand-made model leaves no j entry
+    assert ising.h.tolist() == [200, 0, 2]  # 2 q_aa + each q_ab naming a
+    assert as_dict(ising.j) == {(0, 1): 200}
+    # a zero coupling given to a hand-made model is dropped where it is built
     model = qubo_model(3, {(0, 1): 0, (1, 1): 2, (1, 2): -3})
+    assert list(as_dict(model.q)) == [(1, 1), (1, 2)]
     ising = to_ising(model)
     assert_same_ising(ising, reference_to_ising(fractional(model)))
-    assert list(ising.j) == [(1, 2)]
+    assert list(as_dict(ising.j)) == [(1, 2)]
 
 
-def test_ising_couplings_share_the_qubo_key_tuples():
+def test_ising_couplings_are_the_off_diagonal_qubo_arrays():
     qubo = encode_qubo(reference_ilp())
-    keys = {key: key for key in qubo.q}
     ising = to_ising(qubo)
+    off = qubo.q.i != qubo.q.j
     assert len(ising.j) > 8000
-    assert all(key is keys[key] for key in ising.j)
+    for name in ("i", "j", "value"):
+        got, want = getattr(ising.j, name), getattr(qubo.q, name)[off]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert ising.h.shape == (qubo.num_vars,) and ising.h.dtype == np.int64
 
 
 # bytes per term: (live after the call, peak during it), None = unchecked
 BOUNDS = {
-    "encode_qubo": (None, 150),
-    "to_ising": (65, 100),
-    "export_qubo_coo": (None, 90),
-    "export_ising_coo": (None, 100),
+    "encode_qubo": (60, 150),
+    "to_ising": (30, 50),
+    "export_qubo_coo": (20, 60),
+    "export_ising_coo": (20, 90),
 }
 
 
