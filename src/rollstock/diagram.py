@@ -115,6 +115,13 @@ def _station_order(instance: Instance) -> list[str]:
     return order
 
 
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped, as
+    ``xml.sax.saxutils.escape`` does, whose import would load ``urllib``,
+    ``http`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(instance: Instance, graph: Hypergraph,
                selected: Sequence[int], width: int = 900,
                height: int = 480) -> str:
@@ -151,7 +158,7 @@ def render_svg(instance: Instance, graph: Hypergraph,
         parts.append(f'<line x1="{margin_l}" y1="{y:.1f}" x2="{width - 20}" '
                      f'y2="{y:.1f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{margin_l - 8}" y="{y + 4:.1f}" '
-                     f'text-anchor="end" font-size="12">{station}</text>')
+                     f'text-anchor="end" font-size="12">{_xml_text(station)}</text>')
     first_hour = (t0 // 60 + 1) * 60
     for minute in range(first_hour, t1, 60):
         x = x_of(minute)

@@ -419,7 +419,9 @@ def enumerate_feasible(model: IlpModel, max_count: int = 100000
 
 
 def brute_force(model: IlpModel) -> SolutionPortfolio:
-    """Enumerate all 2^n assignments (n <= 24); the reference oracle."""
+    """Enumerate all 2^n assignments (n <= 24); the reference oracle.
+    ``ValueError`` names a row whose ``sum |c| + max(|lo|, |hi|)`` reaches
+    2**63, past which its int64 sums could wrap."""
     n = model.num_vars
     if n > 24:
         raise ValueError(f"brute_force supports at most 24 variables, got {n}")
@@ -428,7 +430,11 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
     hi = np.zeros(m, dtype=np.int64)
     a = np.zeros((m, max(n, 1)), dtype=np.int64)
     for i, row in enumerate(model.constraints):
-        lo[i], hi[i] = row.bounds()
+        bounds = row.bounds()
+        if sum(abs(c) for _, c in row.coeffs) + max(map(abs, bounds)) >= 2 ** 63:
+            raise ValueError(f"brute_force sums rows in int64; row {row.tag!r} "
+                             f"could reach 2**63")
+        lo[i], hi[i] = bounds
         for v, c in row.coeffs:
             a[i, v] += c
 

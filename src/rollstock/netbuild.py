@@ -284,13 +284,18 @@ def to_dot(graph: Hypergraph) -> str:
         shape = {"depot_source": "box", "depot_sink": "box",
                  "service_trip": "ellipse"}.get(node.kind, "circle")
         style = ' style=dashed' if node.kind == "service_trip" else ""
-        lines.append(f'  "{node.id}" [shape={shape}{style}];')
+        lines.append(f'  {_dot_string(node.id)} [shape={shape}{style}];')
     for arc in graph.arcs:
         for src in dict.fromkeys(arc.sources):
             for dst in dict.fromkeys(arc.targets):
-                attr = f'label="x{arc.id}:{arc.emu_type}"'
+                attr = f'label={_dot_string(f"x{arc.id}:{arc.emu_type}")}'
                 if arc.k == 2 or arc.k_prime == 2:
                     attr += " color=green penwidth=2"
-                lines.append(f'  "{src}" -> "{dst}" [{attr}];')
+                lines.append(f'  {_dot_string(src)} -> {_dot_string(dst)} [{attr}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

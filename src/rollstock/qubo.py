@@ -26,35 +26,36 @@ Both models hold their quadratic couplings as ``Couplings``: parallel
 sorted by ``(i, j)``, each pair once. ``Couplings`` is the one routine
 that makes entries canonical, and it does the work only when a vectorised
 check finds its input is not: it sums repeated pairs, drops zeros and
-sorts. ``encode_qubo`` emits raw ``(i, j, value)`` triples by family as
-numpy blocks, the rows of one length at a time and the unary slack chains
-(85 % of the 365,674 terms of the 1000-trip benchmark instance) one width
-at a time, and merges them there once. ``IsingModel.h`` is one array of
-``num_vars`` fields. Values are int64 while a model's
-``|offset| + sum |value|`` (and, for the Ising model, ``sum |h|``) stays
-below 2**63, and Python ints (``object`` arrays) otherwise, since an int64
-sum past that wraps silently: so every energy a model prices is exact.
+sorts. ``encode_qubo`` lays every penalty row end to end, its
+coefficients followed by its slack bits at coefficient -1, expands all
+the rows' squares in one numpy pass into raw ``(i, j, value)`` triples,
+and merges them there once. ``IsingModel.h`` is one array of ``num_vars``
+fields. Values are int64 while a model's ``|offset| + sum |value|`` (and,
+for the Ising model, ``sum |h|``) stays below 2**63, and Python ints
+(``object`` arrays) otherwise, since an int64 sum past that wraps
+silently: so every energy a model prices is exact.
 The builders pick their arithmetic the same way: ``encode_qubo`` expands
 its rows in int64 when a bound on every product they form is below 2**63,
 and ``to_ising`` sums in int64 when ``4 (|offset| + sum |q|)``, which
-bounds its offset and fields, is. A COO export streams the sorted arrays a chunk of lines at a time and
-formats each index and each distinct value once.
+bounds its offset and fields, is. A COO export streams the sorted arrays a
+chunk of lines at a time and formats each index and each distinct value
+once.
 
 A sample set is evaluated in one call per job: ``qubo_energies`` gives
 each sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
 ``decode_many``, which prices nothing, sums each ILP row and each slack
-chain over all samples at once, from the rows laid out once per call in
-CSR form (empty rows allowed). Only the (sample, row) pairs whose lhs
-leaves ``bounds()`` become Python objects, handed to
-``FeasibilityReport.of``, the helper ``check_feasibility`` reports with.
-Energies are summed in the dtype of ``q``'s
-values; decoding is int64 while for every row ``sum |c| + |lo| + |hi|``
-plus its chain's ``|constant| + width`` stays below 2**63, exact Python
-ints otherwise. Samples go through in blocks of at most ``_BLOCK`` = 2**17
-(sample, cell) pairs, a cell being a term, a row coefficient or a chain
-bit, so the scratch of a call stays within a few MiB whatever the sample
-count. ``decode`` and ``qubo_energy`` are the one-sample calls; a sample
-entry outside {0, 1} is a ``ValueError``.
+chain over all samples at once, from the rows laid out end to end once
+per call by the helper ``encode_qubo`` uses (empty rows allowed). Only
+the (sample, row) pairs whose lhs leaves ``bounds()`` become Python
+objects, handed to ``FeasibilityReport.of``, the helper
+``check_feasibility`` reports with. Energies are summed in the dtype of
+``q``'s values; decoding is int64 while for every row
+``sum |c| + |lo| + |hi|`` plus its chain's ``|constant| + width`` stays
+below 2**63, exact Python ints otherwise. Samples go through in blocks
+of at most ``_BLOCK`` = 2**17 (sample, cell) pairs, a cell being a term,
+a row coefficient or a chain bit, so the scratch of a call stays within a
+few MiB whatever the sample count. ``decode`` and ``qubo_energy`` are
+the one-sample calls; a sample entry outside {0, 1} is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -346,16 +347,7 @@ def encode_qubo(model: IlpModel,
                    *{c.denominator for _, c in model.objective})
     scaled = [w.numerator * (den // w.denominator) for w in lam]
     n = model.num_vars
-
-    # the diagonal terms of the objective and the capacity rows
-    diagonal = [v for v, _ in model.objective]
-    diagonal_values = [c.numerator * (den // c.denominator) for _, c in model.objective]
     offset = model.constant.numerator * (den // model.constant.denominator)
-    # the other rows by length: coeffs, weight, constant, chain (-1: none)
-    rows_by_length: dict[int, list[tuple]] = {}
-    chains: list[tuple[int, int, int, int]] = []  # first bit, width, pair, diagonal
-    reach = 0  # bounds every value a row expansion forms
-
     next_slack = n
     penalty_rows: list[PenaltyRow] = []
     capacity_vars: list[int] = []
@@ -364,37 +356,26 @@ def encode_qubo(model: IlpModel,
         kind = row.kind
         if kind not in _FAMILY_OF_KIND:
             raise ValueError(f"unsupported constraint kind {kind!r}")
-        family = _FAMILY_OF_KIND[kind]
-        weight = scaled[family]
-
         if kind == "capacity_forbid":
-            named = [v for v, _ in row.coeffs]
-            capacity_vars += named
-            diagonal += named
-            diagonal_values += [weight] * len(named)
+            capacity_vars += [v for v, _ in row.coeffs]
             continue
 
         lo, hi = row.bounds()
         if hi < lo:  # no x meets the row, and a slack chain cannot be < 0 long
             raise ValueError(f"row {row.tag!r} has lo {lo} > hi {hi}")
-        constant = -lo
         width = hi - lo
-        coeffs = row.coeffs
+        family = _FAMILY_OF_KIND[kind]
         penalty_rows.append(PenaltyRow(
-            family=family, tag=row.tag, coeffs=coeffs, constant=constant,
+            family=family, tag=row.tag, coeffs=row.coeffs, constant=-lo,
             slack_indices=tuple(range(next_slack, next_slack + width))))
-        if width:
-            chains.append((next_slack, width, 2 * weight, weight * (1 - 2 * constant)))
-        if coeffs:
-            top = max(abs(c) for _, c in coeffs)
-            reach = max(reach, 2 * abs(weight) * (top + 1) * (top + 2 * abs(constant) + 1))
-            rows_by_length.setdefault(len(coeffs), []).append(
-                (coeffs, weight, constant, len(chains) - 1 if width else -1))
         next_slack += width
-        offset += weight * constant * constant
+        offset += scaled[family] * lo * lo
 
-    q = Couplings(next_slack, *_raw_triples(
-        diagonal, diagonal_values, rows_by_length, chains, _dtype(reach)))
+    # the diagonal terms of the objective and the capacity rows
+    diagonal = [v for v, _ in model.objective] + capacity_vars
+    values = [c.numerator * (den // c.denominator) for _, c in model.objective]
+    values += [scaled[_FAMILY_OF_KIND["capacity_forbid"]]] * len(capacity_vars)
+    q = Couplings(next_slack, *_raw_triples(penalty_rows, scaled, diagonal, values))
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
@@ -407,56 +388,47 @@ def encode_qubo(model: IlpModel,
     )
 
 
-def _raw_triples(diagonal: list[int], diagonal_values: list[int],
-                 rows_by_length: dict[int, list[tuple]],
-                 chains: Sequence[tuple[int, int, int, int]], dtype):
+def _raw_triples(rows: Sequence[PenaltyRow], scaled: Sequence[int],
+                 diagonal: list[int], diagonal_values: list[int]):
     """The raw ``(i, j, value)`` arrays of ``encode_qubo``'s terms, with
-    repeated pairs; ``dtype`` holds every value a row expansion forms.
+    repeated pairs: ``diagonal_values`` on the ``diagonal``, then every
+    penalty row expanded in one pass.
 
-    A row ``(coeffs, weight, constant, chain)`` of ``m`` coefficients
-    ``c_a`` of variables ``v_a`` gives ``weight c_a (c_a + 2 constant)`` on
-    each ``(v_a, v_a)``, ``2 weight c_a c_b`` on each pair ``a < b``, and
-    ``-2 weight c_a`` on ``v_a``'s pair with each bit of its chain; rows of
-    one length are expanded as one block. A chain ``(first, width, pair,
-    diagonal)`` holds bits ``first`` to ``first + width - 1``, with
-    ``pair`` on each pair of them and ``diagonal`` on each diagonal, laid
-    out a block per width."""
-    i = [np.array(diagonal, np.intp)]
-    j = [i[0]]
-    value = [_integers(diagonal_values)]
-    links = []  # (variable, chain, value) arrays
-    for m, rows in rows_by_length.items():
-        coeffs = np.array([r[0] for r in rows], dtype).reshape(len(rows), m, 2)
-        var = coeffs[:, :, 0].astype(np.intp)
-        c = coeffs[:, :, 1]
-        weight = np.array([r[1] for r in rows], dtype)[:, None]
-        constant = np.array([r[2] for r in rows], dtype)[:, None]
-        a, b = np.triu_indices(m, 1)
-        i += [var.ravel(), np.minimum(var[:, a], var[:, b]).ravel()]
-        j += [var.ravel(), np.maximum(var[:, a], var[:, b]).ravel()]
-        value += [(weight * c * (c + 2 * constant)).ravel(),
-                  (2 * weight * c[:, a] * c[:, b]).ravel()]
-        chain = np.array([r[3] for r in rows], np.intp)
-        linked = chain >= 0
-        links.append((var[linked].ravel(), np.repeat(chain[linked], m),
-                      (-2 * weight * c)[linked].ravel()))
+    A row of weight ``w = scaled[family]`` and constant ``k`` is laid out
+    as its coefficients followed by its slack bits, each of coefficient
+    -1. Each entry ``a`` (variable ``v_a``, coefficient ``c_a``) gives
+    ``w c_a (c_a + 2 k)`` on ``(v_a, v_a)``, and each later entry ``b`` of
+    its row ``2 w c_a c_b`` on ``(min(v_a, v_b), max(v_a, v_b))``. The
+    values are int64 when a per-row bound on every product formed is below
+    2**63, Python ints otherwise."""
+    reach = 0  # bounds every value the expansion forms
+    for row in rows:
+        top = max((abs(c) for _, c in row.coeffs), default=0) + 1  # a bit's is 1
+        reach = max(reach, 2 * (abs(scaled[row.family]) + 1) * top
+                    * (top + 2 * abs(row.constant)))
+    dtype = _dtype(reach)
+    var, c, lengths = _end_to_end(
+        [row.coeffs + tuple(zip(row.slack_indices, repeat(-1))) for row in rows], dtype)
+    w = np.repeat(np.array([scaled[row.family] for row in rows], dtype), lengths)
+    k = np.repeat(np.array([row.constant for row in rows], dtype), lengths)
+    # entry a pairs with the later entries of its row, a + 1 to its row's end
+    later = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(var)) - 1
+    a = np.repeat(np.arange(len(var)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    diagonal = np.array(diagonal, np.intp)
+    return (np.concatenate([diagonal, var, np.minimum(var[a], var[b])]),
+            np.concatenate([diagonal, var, np.maximum(var[a], var[b])]),
+            np.concatenate([_integers(diagonal_values), w * c * (c + 2 * k),
+                            2 * w[a] * c[a] * c[b]]))
 
-    first, width = (np.array([ch[k] for ch in chains], np.intp) for k in (0, 1))
-    pair, diag = (_integers([ch[k] for ch in chains]) for k in (2, 3))
-    for w in sorted(set(width.tolist())):
-        rows = width == w
-        a, b = np.triu_indices(w)
-        start = first[rows][:, None]
-        i.append((start + a).ravel())
-        j.append((start + b).ravel())
-        value.append(np.where(a == b, diag[rows][:, None], pair[rows][:, None]).ravel())
-    for variable, chain, link_value in links:
-        count = width[chain]
-        bit = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        i.append(np.repeat(variable, count))
-        j.append(np.repeat(first[chain], count) + bit)
-        value.append(np.repeat(link_value, count))
-    return np.concatenate(i), np.concatenate(j), np.concatenate(value)
+
+def _end_to_end(rows: Sequence[Sequence[tuple[int, int]]], dtype):
+    """Rows of ``(variable, coefficient)`` pairs laid end to end: the
+    variables, the coefficients as ``dtype`` and each row's length."""
+    lengths = np.array([len(row) for row in rows], np.intp)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype)
+    pairs = pairs.reshape(-1, 2)
+    return pairs[:, 0].astype(np.intp), pairs[:, 1], lengths
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
@@ -573,25 +545,22 @@ def decode_many(model: QuboModel, ilp: IlpModel,
              for row, (lo, hi) in zip(rows, bounds)]
     reach += [reach[k] + abs(p.constant) + len(p.slack_indices)
               for k, p in zip(matched, penalties)]
-    dtype = np.int64 if max(reach, default=0) < _EXACT else object
+    dtype = _dtype(max(reach, default=0))
     lo, hi = np.array(bounds, dtype).reshape(-1, 2).T
     constant = np.array([p.constant for p in penalties], dtype)
-    width = np.array([len(p.slack_indices) for p in penalties], np.int64)
-    # CSR layout: the rows' (column, coefficient) pairs, then each chain's
-    # bits with coefficient 1, end to end; empty rows have no start
-    layout = [row.coeffs for row in rows]
-    layout += [tuple(zip(p.slack_indices, repeat(1))) for p in penalties]
-    lengths = np.array([len(pairs) for pairs in layout], np.intp)
+    # the rows' (column, coefficient) pairs, then each chain's bits with
+    # coefficient 1, end to end; empty rows have no start
+    columns, coeffs, lengths = _end_to_end(
+        [row.coeffs for row in rows]
+        + [tuple(zip(p.slack_indices, repeat(1))) for p in penalties], dtype)
+    width = lengths[len(rows):]
     nonempty = lengths > 0
     starts = (np.cumsum(lengths) - lengths)[nonempty]
-    flat = [pair for pairs in layout for pair in pairs]
-    columns = np.array([v for v, _ in flat], np.intp)
-    coeffs = np.array([c for _, c in flat], dtype)
     nd = model.num_decision
 
     decoded: list[DecodedSample] = []
-    for bits in _bit_blocks(ys, max(len(flat), model.num_vars)):
-        sums = np.zeros((len(bits), len(layout)), dtype)
+    for bits in _bit_blocks(ys, max(len(columns), model.num_vars)):
+        sums = np.zeros((len(bits), len(lengths)), dtype)
         if len(starts):
             sums[:, nonempty] = np.add.reduceat(bits[:, columns] * coeffs, starts, axis=1)
         lhs, chains = sums[:, :len(rows)], sums[:, len(rows):]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rollstock.anneal import AnnealParams, SampleSet, anneal, sample_portfolio
-from rollstock.exact import solve_exact
+from rollstock.exact import enumerate_feasible, solve_exact
 from rollstock.ilp import check_feasibility, encode_ilp
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.netbuild import build_hypergraph
@@ -164,6 +164,40 @@ def test_infeasible_instance_yields_empty_portfolio(toy_instance):
                                                      seed=0))
     assert run.portfolio.solutions == ()
     assert run.rejected
+
+
+def test_overcrowded_but_feasible_portfolio():
+    # 75 passengers on t006 overfill a single r1 unit: arc 4, the r1 single
+    # dispatch into t006, gets a capacity_forbid row, and the one plan left
+    # avoids it at the optimum of the instance before the surge
+    inst = generate_synthetic(GeneratorConfig(n_trips=12, n_types=2, n_depots=1), 1)
+    assert inst.trip_by_id("t006").passengers == 70
+    trips = tuple(dataclasses.replace(t, passengers=75) if t.id == "t006" else t
+                  for t in inst.trips)
+    graph = build_hypergraph(inst)
+    model = encode_ilp(graph, dataclasses.replace(inst, trips=trips))
+    capacity = [row for row in model.constraints if row.kind == "capacity_forbid"]
+    assert [row.coeffs for row in capacity] == [((4, 1),)]
+    arc = graph.arcs[4]
+    assert (arc.kind, arc.targets, arc.emu_type, arc.k) == (
+        "depot_out", ("trip:t006",), "r1", 1)
+    assert encode_ilp(graph, inst).constraints == tuple(
+        row for row in model.constraints if row.kind != "capacity_forbid")
+
+    plans = enumerate_feasible(model)
+    assert plans.exhaustive and len(plans.solutions) == 1
+    plan = plans.solutions[0]
+    assert plan.x[4] == 0
+    assert plan.objective == Fraction(1979, 250) == solve_exact(
+        encode_ilp(graph, inst)).solution.objective
+    crowded = list(plan.x)
+    crowded[4] = 1
+    assert "capacity_forbid" in check_feasibility(model, crowded).families()
+
+    run = sample_portfolio(None, params=AnnealParams(num_reads=50, sweeps=500, seed=1),
+                           ilp=model)
+    assert [s.x for s in run.portfolio.solutions] == [plan.x]
+    assert sum("capacity_forbid" in r.violated_families for r in run.rejected) == 3
 
 
 def test_success_rate_monotone_in_sweeps(toy_qubo):

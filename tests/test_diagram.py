@@ -1,3 +1,5 @@
+import dataclasses
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,21 @@ def test_empty_solution_axes_only(toy_instance, toy_graph):
     svg = render_svg(toy_instance, toy_graph, ())
     assert "0 rotation(s)" in svg
     assert svg.count("<line") >= len({"A", "B"})  # station gridlines remain
+
+
+def test_svg_escapes_station_names(toy_instance):
+    def renamed(station):
+        return "A & <B>" if station == "A" else station
+
+    trips = tuple(dataclasses.replace(t, origin=renamed(t.origin),
+                                      destination=renamed(t.destination))
+                  for t in toy_instance.trips)
+    depots = tuple(dataclasses.replace(d, station=renamed(d.station))
+                   for d in toy_instance.depots)
+    inst = dataclasses.replace(toy_instance, trips=trips, depots=depots)
+    svg = ET.fromstring(render_svg(inst, build_hypergraph(inst), (0, 2, 10)))
+    names = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "A & <B>" in names
 
 
 def test_bad_arc_id_rejected(toy_instance, toy_graph):

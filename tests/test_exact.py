@@ -139,6 +139,23 @@ def test_brute_force_rejects_large_models():
         brute_force(model)
 
 
+def test_brute_force_rejects_rows_past_int64():
+    # 2**62 (x0 + x1 + x2) in [-2**62, 0]: its lhs at (1, 1, 1) wraps int64
+    # to -2**62, which once passed the row and listed an infeasible plan
+    wraps = IlpModel(num_vars=3, objective=(), constraints=(
+        ConstraintRow(kind="driver", relation="range", lo=-2 ** 62, hi=0,
+                      coeffs=((0, 2 ** 62), (1, 2 ** 62), (2, 2 ** 62)), tag="d"),))
+    assert [s.x for s in enumerate_feasible(wraps).solutions] == [(0, 0, 0)]
+    with pytest.raises(ValueError, match="'d'"):
+        brute_force(wraps)
+    # a coefficient past int64 once raised a bare OverflowError
+    huge = IlpModel(num_vars=1, objective=(), constraints=(
+        ConstraintRow(kind="coverage", relation="=", rhs=0,
+                      coeffs=((0, 2 ** 70),), tag="huge"),))
+    with pytest.raises(ValueError, match="'huge'"):
+        brute_force(huge)
+
+
 def assert_agrees_with_brute_force(model):
     """enumerate_feasible lists the oracle's plans, and solve_exact finds
     a feasible plan at the oracle's optimum or reports infeasibility."""

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -282,6 +283,16 @@ def test_generated_arcs_within_bound_plus_depot(seed):
     inst = small_random_instance(seed, max_trips=10)
     b = size_bounds(inst, build_hypergraph(inst))
     assert b.actual_arcs <= b.var_bound + b.depot_arcs
+
+
+def test_dot_escapes_quotes_and_backslashes(toy_instance):
+    trips = tuple(dataclasses.replace(t, id='t1"x\\') if t.id == "t1" else t
+                  for t in toy_instance.trips)
+    dot = to_dot(build_hypergraph(dataclasses.replace(toy_instance, trips=trips)))
+    assert '"trip:t1\\"x\\\\" [shape=circle];' in dot
+    # each line is its quoted strings with no quote left between them
+    string = re.compile(r'"(?:[^"\\]|\\.)*"')
+    assert all('"' not in string.sub("", line) for line in dot.splitlines())
 
 
 def test_dot_export(toy_graph):

@@ -242,6 +242,22 @@ def test_wide_chains_with_repeated_variables_match_reference():
     assert [len(row.slack_indices) for row in encode_qubo(ilp).penalty_rows] == [4, 0, 3, 6, 4]
     for lambdas in (DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS, (Fraction(1, 2), 1, 0, 1, 3)):
         assert_same_as_reference(ilp, lambdas)
+    # rows with no coefficients, between rows with some: a chain alone and
+    # an equality that adds nothing
+    bare = IlpModel(
+        num_vars=3, objective=((2, Fraction(1, 4)),),
+        constraints=(
+            ConstraintRow(kind="coverage", relation="=", rhs=1,
+                          coeffs=((0, 1), (1, 1)), tag="c"),
+            ConstraintRow(kind="driver", relation="range", lo=1, hi=3,
+                          coeffs=(), tag="chain"),
+            ConstraintRow(kind="flow_balance", relation="=", rhs=0,
+                          coeffs=(), tag="empty"),
+            ConstraintRow(kind="depot_out", relation="range", lo=0, hi=1,
+                          coeffs=((2, 1), (1, 1)), tag="d"),
+        ))
+    for lambdas in (DEFAULT_LAMBDAS, FRACTIONAL_LAMBDAS):
+        assert_same_as_reference(bare, lambdas)
 
 
 def test_model_without_constraints_matches_reference():
