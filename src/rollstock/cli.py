@@ -86,20 +86,18 @@ def _lambdas(args) -> tuple:
         for i in range(1, 6))
 
 
-def _outdir(args) -> Optional[Path]:
+def _write(args, artifacts: dict[str, str]) -> None:
+    """Write each ``{name: text}`` artifact into ``--out``, if given. The
+    caller builds every text first, so a text that cannot be built leaves
+    no file and no directory behind."""
     if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write(outdir: Optional[Path], name: str, text: str) -> None:
-    if outdir is None:
         return
-    target = outdir / name
-    target.write_text(text, encoding="utf-8")
-    print(f"wrote {target}")
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        target = outdir / name
+        target.write_text(text, encoding="utf-8")
+        print(f"wrote {target}")
 
 
 def _num_str(value: Fraction) -> str:
@@ -203,12 +201,12 @@ def cmd_solve_ilp(args) -> int:
     result = solve_exact(model, time_limit=args.time_limit)
     solved = time.monotonic()
 
-    outdir = _outdir(args)
-    _write(outdir, "solution.json", _solution_json(inst, graph, model, result))
+    artifacts = {"solution.json": _solution_json(inst, graph, model, result)}
     if args.emit_lp:
-        _write(outdir, "model.lp", export_lp(model))
+        artifacts["model.lp"] = export_lp(model)
     if args.emit_dot:
-        _write(outdir, "hypergraph.dot", to_dot(graph))
+        artifacts["hypergraph.dot"] = to_dot(graph)
+    _write(args, artifacts)
 
     print(f"arcs={len(graph.arcs)} rows={len(model.constraints)} "
           f"build={built - tic:.3f}s solve={solved - built:.3f}s nodes={result.nodes}")
@@ -236,8 +234,6 @@ def cmd_solve_qubo(args) -> int:
     run = sample_portfolio(inst, params=params, graph=graph, ilp=model, qubo=qubo)
     sampled = time.monotonic()
 
-    outdir = _outdir(args)
-    _write(outdir, "portfolio.json", _portfolio_json(inst, graph, run.portfolio))
     rejected_payload = [
         {
             "x": list(r.x),
@@ -249,8 +245,10 @@ def cmd_solve_qubo(args) -> int:
         }
         for r in run.rejected
     ]
-    _write(outdir, "rejected.json",
-           json.dumps(rejected_payload, indent=2, sort_keys=True) + "\n")
+    _write(args, {
+        "portfolio.json": _portfolio_json(inst, graph, run.portfolio),
+        "rejected.json": json.dumps(rejected_payload, indent=2, sort_keys=True) + "\n",
+    })
 
     print(f"build={built - tic:.3f}s sample={sampled - built:.3f}s")
     print(f"samples={len(run.samples.entries)} feasible={len(run.portfolio.solutions)} "
@@ -273,8 +271,7 @@ def cmd_enumerate(args) -> int:
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
     portfolio = enumerate_feasible(model, max_count=args.max_count)
-    _write(_outdir(args), "portfolio.json",
-           _portfolio_json(inst, graph, portfolio))
+    _write(args, {"portfolio.json": _portfolio_json(inst, graph, portfolio)})
     print(f"feasible={len(portfolio.solutions)} exhaustive={portfolio.exhaustive}")
     for sol in portfolio.solutions[:args.show]:
         print(f"  objective={_as_float(sol.objective, or_text=True)} "
@@ -312,7 +309,7 @@ def cmd_report(args) -> int:
             " | ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    _write(_outdir(args), f"report.{args.format}", text)
+    _write(args, {f"report.{args.format}": text})
     return EXIT_OK
 
 
@@ -344,9 +341,7 @@ def cmd_diagram(args) -> int:
     selected = _selected_arcs(payload, graph)
     svg = render_svg(inst, graph, selected)
     ascii_art = render_ascii(inst, graph, selected)
-    outdir = _outdir(args)
-    _write(outdir, "diagram.svg", svg)
-    _write(outdir, "diagram.txt", ascii_art)
+    _write(args, {"diagram.svg": svg, "diagram.txt": ascii_art})
     sys.stdout.write(ascii_art)
     return EXIT_OK
 
@@ -356,11 +351,10 @@ def cmd_export_lp(args) -> int:
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
     text = export_lp(model)
-    outdir = _outdir(args)
-    if outdir is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        _write(outdir, "model.lp", text)
+        _write(args, {"model.lp": text})
     return EXIT_OK
 
 
@@ -369,12 +363,11 @@ def cmd_export_qubo(args) -> int:
     graph = build_hypergraph(inst)
     model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
     qubo = encode_qubo(model, _lambdas(args))
-    outdir = _outdir(args)
-    if outdir is None:
+    if args.out is None:
         sys.stdout.write(export_qubo_coo(qubo))
     else:
-        _write(outdir, "qubo.coo", export_qubo_coo(qubo))
-        _write(outdir, "ising.coo", export_ising_coo(to_ising(qubo)))
+        _write(args, {"qubo.coo": export_qubo_coo(qubo),
+                      "ising.coo": export_ising_coo(to_ising(qubo))})
     print(f"qubo vars={qubo.num_vars} terms={qubo.num_terms()}", file=sys.stderr)
     return EXIT_OK
 

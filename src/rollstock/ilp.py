@@ -404,21 +404,27 @@ def _lp_name(tag: str, fallback: str) -> str:
 
 def export_lp(model: IlpModel) -> str:
     """Serialize in LP file format with deterministic x{arc_id} naming; a
-    ``range`` row has a ``_lo`` line iff ``lo`` exceeds its least lhs."""
+    ``range`` row has a ``_lo`` line iff ``lo`` exceeds its least lhs. Row
+    names are the sanitized tags; where one would repeat a name already
+    written, its row index is appended."""
     lines = ["\\ Problem: rollstock", "Minimize"]
     lines.append(" obj: " + _lp_expr(model.objective))
     lines.append("Subject To")
+    names: set[str] = set()
     for i, row in enumerate(model.constraints):
-        base = _lp_name(row.tag, f"c{i}")
-        expr = _lp_expr(row.coeffs)
-        if row.relation == "=":
-            lines.append(f" {base}: {expr} = {row.rhs}")
-        elif row.relation == "<=":
-            lines.append(f" {base}: {expr} <= {row.rhs}")
+        if row.relation != "range":
+            parts = [("", row.relation, row.rhs)]
         else:
-            if row.lo > sum(c for _, c in row.coeffs if c < 0):
-                lines.append(f" {base}_lo: {expr} >= {row.lo}")
-            lines.append(f" {base}_hi: {expr} <= {row.hi}")
+            least = sum(c for _, c in row.coeffs if c < 0)
+            parts = [("_lo", ">=", row.lo)] if row.lo > least else []
+            parts.append(("_hi", "<=", row.hi))
+        base = _lp_name(row.tag, f"c{i}")
+        while any(base + suffix in names for suffix, _, _ in parts):
+            base += f"_{i}"
+        expr = _lp_expr(row.coeffs)
+        for suffix, relation, rhs in parts:
+            names.add(base + suffix)
+            lines.append(f" {base}{suffix}: {expr} {relation} {rhs}")
     lines.append("Bounds")
     for v in range(model.num_vars):
         lines.append(f" 0 <= x{v} <= 1")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational as _Rational
 from typing import Any, IO, Mapping, Optional, Union
@@ -513,7 +514,8 @@ def exact_number(value: Rational) -> Union[int, float, str]:
         return value.numerator
     try:
         as_float = float(value)
-        if Fraction(str(as_float)) == value:
+        # the text's exact decimal value, both in lowest terms
+        if Decimal(str(as_float)).as_integer_ratio() == (value.numerator, value.denominator):
             return as_float
     except OverflowError:  # beyond the float range
         pass

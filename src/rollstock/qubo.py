@@ -37,9 +37,10 @@ silently: so every energy a model prices is exact.
 The builders pick their arithmetic the same way: ``encode_qubo`` expands
 its rows in int64 when a bound on every product they form is below 2**63,
 and ``to_ising`` sums in int64 when ``4 (|offset| + sum |q|)``, which
-bounds its offset and fields, is. A COO export streams the sorted arrays a
-chunk of lines at a time and formats each index and each distinct value
-once.
+bounds its offset and fields, is. A COO export formats each index and
+each distinct value once, into tables of fixed-width byte rows padded with
+0 bytes, and writes a chunk of lines as one numpy gather from those tables
+with the 0 bytes dropped, so it builds no Python string per line.
 
 A sample set is evaluated in one call per job: ``qubo_energies`` gives
 each sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
@@ -700,30 +701,50 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
 # Deterministic text exports
 
 
-_COO_CHUNK = 2048  # lines formatted and joined at a time
+_COO_CHUNK = 2 ** 12  # lines gathered and decoded at a time
+
+
+def _index_table(n: int) -> np.ndarray:
+    """``f"{k} "`` for every ``k < n`` as fixed-width byte rows, a 0 byte
+    in place of each leading zero."""
+    width = len(str(max(n - 1, 0)))
+    k = np.arange(n)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    digits = (k // powers % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][k < powers[:-1]] = 0
+    space = np.full((n, 1), ord(" "), np.uint8)
+    return np.hstack([digits, space]).view(f"S{width + 1}").ravel()
 
 
 def _coo(kind: str, num_vars: int, offset: int, den: int,
          i: np.ndarray, j: np.ndarray, value: np.ndarray) -> str:
     """A header, then one `i j value` line per entry, in the order given,
-    with values in units of ``1/den``. Each index and each distinct value
-    is formatted once, and a chunk's lines are one join over a table of
-    those strings, so only the arrays, one chunk and the text are held at
-    once."""
-    names = np.array([f"{k} " for k in range(num_vars)], object)
-    text: dict[int, str] = {}
+    with values in units of ``1/den``.
+
+    Each index and each distinct value is formatted once, into a table of
+    fixed-width byte rows padded with 0 bytes. A chunk of lines is one
+    gather from those tables into an ``(i, j, value)`` record block, with
+    the values looked up in the sorted distinct ones; dropping the block's
+    0 bytes leaves the chunk's text, since no index and no
+    ``exact_number`` text holds one. Only the arrays, the tables, one
+    chunk and the text are held at once."""
+    distinct = np.sort(value)
+    first = np.ones(len(distinct), bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    texts = np.array([f"{exact_number(Fraction(v, den))}\n".encode()
+                      for v in distinct.tolist()], "S")
+    names = _index_table(num_vars)
+    line = np.dtype([("i", names.dtype), ("j", names.dtype), ("value", texts.dtype)])
     parts = [f"# {kind} num_vars={num_vars} "
              f"offset={exact_number(Fraction(offset, den))}\n"]
     for start in range(0, len(value), _COO_CHUNK):
-        stop = start + _COO_CHUNK
-        values = value[start:stop].tolist()
-        for v in set(values).difference(text):
-            text[v] = f"{exact_number(Fraction(v, den))}\n"
-        cells = np.empty((len(values), 3), object)
-        cells[:, 0] = names[i[start:stop]]
-        cells[:, 1] = names[j[start:stop]]
-        cells[:, 2] = list(map(text.__getitem__, values))
-        parts.append("".join(cells.ravel().tolist()))
+        rows = slice(start, start + _COO_CHUNK)
+        block = np.empty(len(value[rows]), line)
+        names.take(i[rows], out=block["i"])
+        names.take(j[rows], out=block["j"])
+        texts.take(np.searchsorted(distinct, value[rows]), out=block["value"])
+        parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 

@@ -284,10 +284,14 @@ def huge_toy(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", ["export-lp"])
+@pytest.mark.parametrize("command", ["export-lp", "solve-ilp --emit-lp"])
 def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys, command):
-    # LP text writes floats; 10^400/3 has none
-    assert_clean_error(*run(capsys, command, str(huge_toy(tmp_path))))
+    # LP text writes floats; 10^400/3 has none, and the command writes no
+    # artifact, not even the solution it found before the LP text failed
+    out = tmp_path / "out"
+    assert_clean_error(*run(capsys, *command.split(), str(huge_toy(tmp_path)),
+                            "--out", str(out)))
+    assert not out.exists()
 
 
 def test_qubo_diagonal_beyond_float_range_is_named(tmp_path, capsys):

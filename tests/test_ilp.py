@@ -452,6 +452,25 @@ def test_lp_range_row_lower_bound_against_negative_coefficients():
     assert round(milp_on_lp(export_lp(loose))[1].x[0]) == 1
 
 
+def test_lp_row_names_are_distinct():
+    # "a,b" and "a_b" sanitize alike, a range row "x" writes "x_lo" after a
+    # row tagged "x_lo", and "x_lo_5" is already taken when row 5 repeats
+    # "x_lo": each later name gains its row index until it is new
+    def row(tag, relation="=", **bounds):
+        return ConstraintRow(kind="driver", relation=relation, coeffs=((0, 1),),
+                             tag=tag, **(bounds or dict(rhs=1)))
+
+    model = IlpModel(num_vars=1, objective=(), constraints=(
+        row("a,b"), row("a_b"), row("x_lo", "<="), row("x_lo_5"),
+        row("x", "range", lo=1, hi=1), row("x_lo"), row("")))
+    names = [line.split(":")[0].strip()
+             for line in export_lp(model).split("Subject To\n")[1].split("Bounds")[0].splitlines()]
+    assert names == ["a_b", "a_b_1", "x_lo", "x_lo_5", "x_4_lo", "x_4_hi",
+                     "x_lo_5_5", "c6"]
+    _, result = milp_on_lp(export_lp(model))
+    assert result.success and round(result.x[0]) == 1
+
+
 def test_bicycle_shortage_forbids_arcs(toy_instance):
     r1 = dataclasses.replace(toy_instance.type_by_id("r1"), bike_slots=2)
     t3 = dataclasses.replace(toy_instance.trip_by_id("t3"), bicycles=3)

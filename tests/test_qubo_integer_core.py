@@ -12,8 +12,10 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from rollstock import qubo as qubo_module
 from rollstock.anneal import _schedule
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import ConstraintRow, IlpModel, encode_ilp
@@ -295,6 +297,34 @@ def test_empty_qubo_to_ising():
     assert_same_ising(got, reference_to_ising(fractional(model)))
     assert Fraction(got.offset, got.den) == Fraction(2, 3)
     assert got.h.shape == (0,) and len(got.j) == 0
+
+
+# texts of the scaled values: ints, floats (1/4, -5/8) and n/d (1/3, -2/3)
+COO_VALUES = (Fraction(-7), Fraction(3), Fraction(1, 4), Fraction(-5, 8),
+              Fraction(1, 3), Fraction(-2, 3))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+@pytest.mark.parametrize("scale", [1, 2 ** 70], ids=["int64", "object"])
+@pytest.mark.parametrize("n", [0, 1, 10, 11, 100, 101])
+def test_coo_writers_match_reference(monkeypatch, n, scale, chunk):
+    # the index column gains a digit at 10 and 100 variables; every value
+    # but 1/32 is scaled, so at 2**70 the values, ints, floats and n/d
+    # alike, are Python ints past int64 next to small ones
+    if chunk is not None:
+        monkeypatch.setattr(qubo_module, "_COO_CHUNK", chunk)
+    rng = random.Random(n)
+    keys = {(0, 0), (0, n - 1), (n - 1, n - 1)} if n else set()
+    keys |= {tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(3 * n)}
+    values = [v * scale for v in COO_VALUES] + [Fraction(1, 32)]
+    q = {key: values[k % len(values)] for k, key in enumerate(sorted(keys))}
+    model = qubo_model(n, q, offset=-values[n % len(values)])
+    if n > 1:
+        assert model.q.value.dtype == (object if scale > 1 else np.int64)
+    text = export_qubo_coo(model)
+    assert text == reference_qubo_coo(fractional(model))
+    assert len(text.splitlines()) == 1 + len(q)
+    assert_same_ising(to_ising(model), reference_to_ising(fractional(model)))
 
 
 @pytest.mark.parametrize("name", ["12", "80", "80-alpha-2/3"])
