@@ -11,7 +11,9 @@ stdout only. ``ROLLSTOCK_LOG`` sets the level of the ``rollstock`` logger.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -299,15 +301,17 @@ def cmd_report(args) -> int:
         ])
 
     if args.format == "csv":
-        lines = [",".join(columns)] + [",".join(row) for row in rows]
+        # quoted where a field holds a comma, a quote or a line break
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([columns] + rows)
+        text = buffer.getvalue()
     else:
-        widths = [max(len(col), *(len(r[i]) for r in rows))
-                  if rows else len(col) for i, col in enumerate(columns)]
-        header = " | ".join(c.ljust(w) for c, w in zip(columns, widths))
-        sep = "-|-".join("-" * w for w in widths)
-        lines = [header, sep] + [
-            " | ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
-    text = "\n".join(lines) + "\n"
+        # a pipe inside a cell, as in the header's |T|, is escaped
+        table = [[cell.replace("|", "\\|") for cell in row] for row in [columns, *rows]]
+        widths = [max(len(row[i]) for row in table) for i in range(len(columns))]
+        lines = [" | ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
+        lines.insert(1, "-|-".join("-" * w for w in widths))
+        text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     _write(args, {f"report.{args.format}": text})
     return EXIT_OK

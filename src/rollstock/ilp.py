@@ -22,6 +22,15 @@ Nodes without outgoing arcs are day-end rests and get no balance row.
 Driver rows weight arcs by en-route EMUs (``per_emu``) or en-route trains
 (``per_train``); both readings keep the reference instances' optima intact.
 
+Arcs share few distinct prices (about 20 on a generated 100-trip day), so
+each objective coefficient ``alpha * cost`` (plus the EMUs a depot arc
+dispatches) is computed once per distinct (cost value, EMUs dispatched)
+and shared by the arcs that have it. ``objective_value`` sums the chosen
+coefficients as integers over their least common denominator, and it and
+``check_feasibility`` refuse an assignment entry outside {0, 1}.
+``ConstraintRow`` defines its own one-step ``__init__``, as
+``netbuild.HyperArc`` does.
+
 An arc overcrowds a trip t it points to when its k units of type r leave
 ``passengers - k*seats > seat_tol`` or ``bicycles - k*bike_slots > bike_tol``,
 the tolerances being t's ``*_coupled`` overrides for k = 2, its ``*_single``
@@ -46,6 +55,7 @@ feasibility report and the LP export read its rows unchecked.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -85,6 +95,11 @@ class ConstraintRow:
     lo: int = 0
     hi: int = 0
     tag: str = ""
+
+    def __init__(self, kind: str, coeffs: tuple[tuple[int, int], ...], relation: str,
+                 rhs: int = 0, lo: int = 0, hi: int = 0, tag: str = ""):
+        self.__dict__.update(kind=kind, coeffs=coeffs, relation=relation, rhs=rhs,
+                             lo=lo, hi=hi, tag=tag)
 
     def bounds(self) -> tuple[int, int]:
         """``(lo, hi)`` with ``lo <= coeffs . x <= hi``. A ``<=`` row's lo is
@@ -199,9 +214,17 @@ class FeasibilityReport:
         return cls({k: tuple(v) for k, v in violations.items()})
 
 
-def _check_len(x: Sequence[int], num_vars: int) -> None:
+_BINARY = frozenset((0, 1))
+
+
+def _check_assignment(x: Sequence[int], num_vars: int) -> None:
+    """``ValueError`` for an ``x`` of the wrong length, or naming its first
+    entry outside {0, 1}."""
     if len(x) != num_vars:
         raise ValueError(f"assignment length {len(x)} != num_vars {num_vars}")
+    if not _BINARY.issuperset(x):
+        i, value = next((i, v) for i, v in enumerate(x) if v not in _BINARY)
+        raise ValueError(f"assignment entry {i} is {value!r}, not 0 or 1")
 
 
 def driver_row_weight(arc_k: int, running: int, weighting: str) -> int:
@@ -239,11 +262,17 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
     """Encode the hypergraph as a binary linear program."""
     driver_row_weight(1, 1, driver_weighting)  # unknown: fails with or without driver rows
     arcs = graph.arcs
+    # one coefficient per distinct (cost value, EMUs dispatched)
+    alpha = instance.alpha
+    priced: dict[tuple[int, int, int], Fraction] = {}
     objective: list[tuple[int, Fraction]] = []
     for arc in arcs:
-        coeff = instance.alpha * arc.cost
-        if arc.kind == "depot_out":
-            coeff += arc.k_prime
+        cost = arc.cost
+        dispatched = arc.k_prime if arc.kind == "depot_out" else 0
+        key = (cost.numerator, cost.denominator, dispatched)
+        coeff = priced.get(key)
+        if coeff is None:
+            coeff = priced[key] = alpha * cost + dispatched
         if coeff:
             objective.append((arc.id, coeff))
 
@@ -259,20 +288,22 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
     crowded: dict[tuple[str, str, int], bool] = {}  # (trip, type, k)
     over_capacity: list[int] = []
     for arc in arcs:
-        a, r = arc.id, arc.emu_type
-        heads = [trip_of[t] for t in arc.targets]
+        a, r, k = arc.id, arc.emu_type, arc.k
         running: dict[tuple[str, int], int] = {}
-        for trip_id in heads:
+        over = False
+        for target in arc.targets:
+            trip_id = trip_of[target]
             if trip_id is None:  # depot sink
                 continue
             cover.setdefault(trip_id, []).append((a, 1))
-            flow.setdefault((trip_id, r), []).append((a, arc.k))
+            flow.setdefault((trip_id, r), []).append((a, k))
             for key in en_route[trip_id]:
                 running[key] = running.get(key, 0) + 1
-            key = (trip_id, r, arc.k)
+            key = (trip_id, r, k)
             if key not in crowded:
                 crowded[key] = _overcrowded(instance, instance.trip_by_id(trip_id),
-                                            instance.type_by_id(r), arc.k)
+                                            instance.type_by_id(r), k)
+            over = over or crowded[key]
         for source in arc.sources:
             trip_id = trip_of[source]
             if trip_id is None:  # depot source
@@ -284,10 +315,10 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
             depot_rows.setdefault(key, []).append((a, arc.k_prime))
         elif arc.kind == "depot_in":
             key = ("depot_in", graph.node(arc.targets[0]).depot, r)
-            depot_rows.setdefault(key, []).append((a, arc.k))
+            depot_rows.setdefault(key, []).append((a, k))
         for key, count in running.items():
             driver.setdefault(key, []).append((a, count))
-        if any(crowded[t, r, arc.k] for t in heads if t is not None):
+        if over:
             over_capacity.append(a)
 
     rows: list[ConstraintRow] = []
@@ -363,12 +394,17 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
 
 
 def objective_value(model: IlpModel, x: Sequence[int]) -> Fraction:
-    _check_len(x, model.num_vars)
-    return sum((c for v, c in model.objective if x[v]), model.constant)
+    """The objective at the 0/1 assignment ``x``, summed as integers over
+    the least common denominator of the chosen coefficients."""
+    _check_assignment(x, model.num_vars)
+    chosen = [c for v, c in model.objective if x[v]]
+    chosen.append(model.constant)
+    den = math.lcm(*{c.denominator for c in chosen})
+    return Fraction(sum(c.numerator * (den // c.denominator) for c in chosen), den)
 
 
 def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:
-    _check_len(x, model.num_vars)
+    _check_assignment(x, model.num_vars)
     rows = model.constraints
     return FeasibilityReport.of(rows, [row.lhs(x) for row in rows])
 

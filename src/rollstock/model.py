@@ -11,17 +11,24 @@ Exact arithmetic: monetary-ish quantities (``alpha``, ``cost_per_km``,
 values and QUBO coefficients downstream stay exact. The JSON loader
 parses number literals directly into fractions, so ``0.01`` in a file
 means exactly 1/100.
+
+Errors carry a JSON-pointer path, formatted only when a check fails: the
+field readers take the record's path and the field's key and build
+``path/key`` only to raise, and validation formats ``/trips/i/...`` only
+for the check that fails. ``Trip`` defines its own one-step ``__init__``,
+as ``netbuild.HyperArc`` does, since a load builds one per trip.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational as _Rational
-from typing import Any, IO, Mapping, Optional, Union
+from typing import Any, IO, Optional, Union
 
 __all__ = [
     "InstanceError",
@@ -53,17 +60,31 @@ class InstanceError(ValueError):
 Rational = Union[int, Fraction]
 
 
-def _frac(value: Any, path: str) -> Fraction:
+# Field readers: ``obj[key]``, else ``default``, checked and converted.
+# ``path`` is the record's own; ``path/key`` is formatted only to raise.
+_REQUIRED = object()  # the default of a field that a record must have
+
+
+def _present(value: Any, key: str, path: str) -> Any:
+    """``value`` unless it stands for a missing required field."""
+    if value is _REQUIRED:
+        raise InstanceError(f"{path}/{key}", "required field missing")
+    return value
+
+
+def _frac(obj: Mapping[str, Any], key: str, path: str, default: int) -> Fraction:
+    value = obj.get(key, default)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise InstanceError(path, "expected a number")
+        raise InstanceError(f"{path}/{key}", "expected a number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         # JSON NaN and Infinity load as floats; no Fraction holds them
         if not math.isfinite(value):
-            raise InstanceError(path, f"expected a finite number, got {value}")
+            raise InstanceError(f"{path}/{key}",
+                                f"expected a finite number, got {value}")
         # str() of a float is the shortest round-tripping decimal, so this
         # converts "what was written in the file" exactly.
         return Fraction(str(value))
@@ -71,14 +92,16 @@ def _frac(value: Any, path: str) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InstanceError(path, f"not a rational number: {value!r}")
-    raise InstanceError(path, f"expected a number, got {type(value).__name__}")
+            raise InstanceError(f"{path}/{key}", f"not a rational number: {value!r}")
+    raise InstanceError(f"{path}/{key}",
+                        f"expected a number, got {type(value).__name__}")
 
 
-def _check_rational(value: Any, path: str) -> None:
+def _check_rational(value: Any, path: str, key: str) -> None:
     """Reject what exact arithmetic downstream cannot use: floats, bools."""
     if isinstance(value, bool) or not isinstance(value, _Rational):
-        raise InstanceError(path, f"expected an int or a Fraction, got {value!r}")
+        raise InstanceError(f"{path}/{key}",
+                            f"expected an int or a Fraction, got {value!r}")
 
 
 def _mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -87,38 +110,50 @@ def _mapping(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def _type_list(value: Any, path: str) -> frozenset[str]:
+def _type_list(obj: Mapping[str, Any], key: str, path: str) -> frozenset[str]:
+    value = _present(obj.get(key, _REQUIRED), key, path)
     if not isinstance(value, list):
-        raise InstanceError(path, "expected a list of type ids")
-    return frozenset(_str(x, path) for x in value)
+        raise InstanceError(f"{path}/{key}", "expected a list of type ids")
+    for type_id in value:
+        if not isinstance(type_id, str) or not type_id:
+            raise InstanceError(f"{path}/{key}",
+                                f"expected a non-empty string, got {type_id!r}")
+    return frozenset(value)
 
 
-def _require(obj: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in obj:
-        raise InstanceError(f"{path}/{key}", "required field missing")
-    return obj[key]
-
-
-def _int(value: Any, path: str) -> int:
+def _int(obj: Mapping[str, Any], key: str, path: str, default: Any = _REQUIRED) -> int:
+    value = obj.get(key, default)
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InstanceError(path, f"expected an integer, got {value!r}")
+        _present(value, key, path)
+        raise InstanceError(f"{path}/{key}", f"expected an integer, got {value!r}")
     if isinstance(value, Fraction):
         if value.denominator != 1:
-            raise InstanceError(path, f"expected an integer, got {value}")
+            raise InstanceError(f"{path}/{key}", f"expected an integer, got {value}")
         return int(value)
     return value
 
 
-def _bool(value: Any, path: str) -> bool:
+def _bool(obj: Mapping[str, Any], key: str, path: str, default: bool) -> bool:
+    value = obj.get(key, default)
     if not isinstance(value, bool):
-        raise InstanceError(path, f"expected a boolean, got {value!r}")
+        raise InstanceError(f"{path}/{key}", f"expected a boolean, got {value!r}")
     return value
 
 
-def _str(value: Any, path: str) -> str:
+def _str(obj: Mapping[str, Any], key: str, path: str) -> str:
+    value = obj.get(key, _REQUIRED)
     if not isinstance(value, str) or not value:
-        raise InstanceError(path, f"expected a non-empty string, got {value!r}")
+        _present(value, key, path)
+        raise InstanceError(f"{path}/{key}",
+                            f"expected a non-empty string, got {value!r}")
     return value
+
+
+# per-trip overrides of the instance-wide tolerances of the same names
+_TOLERANCES = ("seat_tolerance_single", "seat_tolerance_coupled",
+               "bike_tolerance_single", "bike_tolerance_coupled")
 
 
 @dataclass(frozen=True)
@@ -148,6 +183,26 @@ class Trip:
     seat_tolerance_coupled: Optional[int] = None
     bike_tolerance_single: Optional[int] = None
     bike_tolerance_coupled: Optional[int] = None
+
+    def __init__(self, id: str, origin: str, destination: str, depart: int,
+                 arrive: int, passengers: int, bicycles: int = 0,
+                 couplable: bool = False,
+                 allowed_types: frozenset[str] = frozenset(),
+                 distance: Fraction = Fraction(1), obligatory: bool = True,
+                 driver_depot: Optional[str] = None,
+                 seat_tolerance_single: Optional[int] = None,
+                 seat_tolerance_coupled: Optional[int] = None,
+                 bike_tolerance_single: Optional[int] = None,
+                 bike_tolerance_coupled: Optional[int] = None):
+        self.__dict__.update(
+            id=id, origin=origin, destination=destination, depart=depart,
+            arrive=arrive, passengers=passengers, bicycles=bicycles,
+            couplable=couplable, allowed_types=allowed_types, distance=distance,
+            obligatory=obligatory, driver_depot=driver_depot,
+            seat_tolerance_single=seat_tolerance_single,
+            seat_tolerance_coupled=seat_tolerance_coupled,
+            bike_tolerance_single=bike_tolerance_single,
+            bike_tolerance_coupled=bike_tolerance_coupled)
 
 
 @dataclass(frozen=True)
@@ -280,37 +335,36 @@ def _validate(inst: Instance) -> None:
             raise InstanceError(f"{path}/seats", "must be > 0")
         if r.bike_slots < 0:
             raise InstanceError(f"{path}/bike_slots", "must be >= 0")
-        _check_rational(r.cost_per_km, f"{path}/cost_per_km")
+        _check_rational(r.cost_per_km, path, "cost_per_km")
         if r.cost_per_km < 0:
             raise InstanceError(f"{path}/cost_per_km", "must be >= 0")
 
+    # paths are formatted only for the check that fails
     trip_ids = set()
     for i, t in enumerate(inst.trips):
-        path = f"/trips/{i}"
         if t.id in trip_ids:
-            raise InstanceError(f"{path}/id", f"duplicate trip id {t.id!r}")
+            raise InstanceError(f"/trips/{i}/id", f"duplicate trip id {t.id!r}")
         trip_ids.add(t.id)
         if t.arrive <= t.depart:
-            raise InstanceError(f"{path}/arrive", "arrive must be > depart")
+            raise InstanceError(f"/trips/{i}/arrive", "arrive must be > depart")
         if t.passengers < 0:
-            raise InstanceError(f"{path}/passengers", "must be >= 0")
+            raise InstanceError(f"/trips/{i}/passengers", "must be >= 0")
         if t.bicycles < 0:
-            raise InstanceError(f"{path}/bicycles", "must be >= 0")
-        _check_rational(t.distance, f"{path}/distance")
+            raise InstanceError(f"/trips/{i}/bicycles", "must be >= 0")
+        _check_rational(t.distance, f"/trips/{i}", "distance")
         if t.distance < 0:
-            raise InstanceError(f"{path}/distance", "must be >= 0")
+            raise InstanceError(f"/trips/{i}/distance", "must be >= 0")
         if t.obligatory and not t.allowed_types:
-            raise InstanceError(f"{path}/allowed_types",
+            raise InstanceError(f"/trips/{i}/allowed_types",
                                 "obligatory trip admits no EMU type")
-        for name in ("seat_tolerance_single", "seat_tolerance_coupled",
-                     "bike_tolerance_single", "bike_tolerance_coupled"):
+        for name in _TOLERANCES:
             override = getattr(t, name)
             if override is not None and override < 0:
-                raise InstanceError(f"{path}/{name}", "must be >= 0")
-        for rid in sorted(t.allowed_types):
-            if rid not in type_ids:
-                raise InstanceError(f"{path}/allowed_types",
-                                    f"unknown EMU type {rid!r}")
+                raise InstanceError(f"/trips/{i}/{name}", "must be >= 0")
+        if not type_ids.issuperset(t.allowed_types):
+            unknown = min(rid for rid in t.allowed_types if rid not in type_ids)
+            raise InstanceError(f"/trips/{i}/allowed_types",
+                                f"unknown EMU type {unknown!r}")
 
     depot_ids = set()
     for i, d in enumerate(inst.depots):
@@ -371,11 +425,10 @@ def _validate(inst: Instance) -> None:
         raise InstanceError("/delta_min", "must be >= 0")
     if inst.delta_min > inst.delta_max:
         raise InstanceError("/delta_min", "delta_min must be <= delta_max")
-    for name in ("seat_tolerance_single", "seat_tolerance_coupled",
-                 "bike_tolerance_single", "bike_tolerance_coupled"):
+    for name in _TOLERANCES:
         if getattr(inst, name) < 0:
             raise InstanceError(f"/tolerances/{name}", "must be >= 0")
-    _check_rational(inst.alpha, "/alpha")
+    _check_rational(inst.alpha, "", "alpha")
     if inst.alpha < 0:
         raise InstanceError("/alpha", "must be >= 0")
 
@@ -384,70 +437,70 @@ def _validate(inst: Instance) -> None:
 # JSON schema <-> Instance
 
 
-def _type_bounds(obj: Any, path: str) -> dict[str, int]:
-    if not isinstance(obj, Mapping):
-        raise InstanceError(path, "expected an object mapping type id -> integer")
-    return {str(k): _int(v, f"{path}/{k}") for k, v in obj.items()}
+def _type_bounds(obj: Mapping[str, Any], key: str, path: str,
+                 default: Any = _REQUIRED) -> dict[str, int]:
+    bounds = _present(obj.get(key, default), key, path)
+    if not isinstance(bounds, Mapping):
+        raise InstanceError(f"{path}/{key}",
+                            "expected an object mapping type id -> integer")
+    path = f"{path}/{key}"
+    return {str(type_id): _int(bounds, type_id, path) for type_id in bounds}
 
 
 def _parse_trip(obj: Any, path: str) -> Trip:
     obj = _mapping(obj, path)
-    allowed = _type_list(_require(obj, "allowed_types", path), f"{path}/allowed_types")
+    allowed = _type_list(obj, "allowed_types", path)
     return Trip(
-        id=_str(_require(obj, "id", path), f"{path}/id"),
-        origin=_str(_require(obj, "origin", path), f"{path}/origin"),
-        destination=_str(_require(obj, "destination", path), f"{path}/destination"),
-        depart=_int(_require(obj, "depart", path), f"{path}/depart"),
-        arrive=_int(_require(obj, "arrive", path), f"{path}/arrive"),
-        passengers=_int(obj.get("passengers", 0), f"{path}/passengers"),
-        bicycles=_int(obj.get("bicycles", 0), f"{path}/bicycles"),
-        couplable=_bool(obj.get("couplable", False), f"{path}/couplable"),
+        id=_str(obj, "id", path),
+        origin=_str(obj, "origin", path),
+        destination=_str(obj, "destination", path),
+        depart=_int(obj, "depart", path),
+        arrive=_int(obj, "arrive", path),
+        passengers=_int(obj, "passengers", path, 0),
+        bicycles=_int(obj, "bicycles", path, 0),
+        couplable=_bool(obj, "couplable", path, False),
         allowed_types=allowed,
-        distance=_frac(obj.get("distance", 1), f"{path}/distance"),
-        obligatory=_bool(obj.get("obligatory", True), f"{path}/obligatory"),
+        distance=_frac(obj, "distance", path, 1),
+        obligatory=_bool(obj, "obligatory", path, True),
         driver_depot=(None if obj.get("driver_depot") is None
-                      else _str(obj["driver_depot"], f"{path}/driver_depot")),
-        **{name: (None if obj.get(name) is None
-                  else _int(obj[name], f"{path}/{name}"))
-           for name in ("seat_tolerance_single", "seat_tolerance_coupled",
-                        "bike_tolerance_single", "bike_tolerance_coupled")},
+                      else _str(obj, "driver_depot", path)),
+        **{name: None if obj.get(name) is None else _int(obj, name, path)
+           for name in _TOLERANCES},
     )
 
 
 def _parse_emu_type(obj: Any, path: str) -> EmuType:
     obj = _mapping(obj, path)
     return EmuType(
-        id=_str(_require(obj, "id", path), f"{path}/id"),
-        seats=_int(_require(obj, "seats", path), f"{path}/seats"),
-        bike_slots=_int(obj.get("bike_slots", 0), f"{path}/bike_slots"),
-        cost_per_km=_frac(obj.get("cost_per_km", 1), f"{path}/cost_per_km"),
-        couplable=_bool(obj.get("couplable", False), f"{path}/couplable"),
+        id=_str(obj, "id", path),
+        seats=_int(obj, "seats", path),
+        bike_slots=_int(obj, "bike_slots", path, 0),
+        cost_per_km=_frac(obj, "cost_per_km", path, 1),
+        couplable=_bool(obj, "couplable", path, False),
     )
 
 
 def _parse_depot(obj: Any, path: str) -> Depot:
     obj = _mapping(obj, path)
-    in_min = obj.get("in_min")
-    in_max = obj.get("in_max")
     return Depot(
-        id=_str(_require(obj, "id", path), f"{path}/id"),
-        station=_str(_require(obj, "station", path), f"{path}/station"),
-        out_min=_type_bounds(obj.get("out_min", {}), f"{path}/out_min"),
-        out_max=_type_bounds(_require(obj, "out_max", path), f"{path}/out_max"),
-        in_min=None if in_min is None else _type_bounds(in_min, f"{path}/in_min"),
-        in_max=None if in_max is None else _type_bounds(in_max, f"{path}/in_max"),
+        id=_str(obj, "id", path),
+        station=_str(obj, "station", path),
+        out_min=_type_bounds(obj, "out_min", path, {}),
+        out_max=_type_bounds(obj, "out_max", path),
+        in_min=None if obj.get("in_min") is None else _type_bounds(obj, "in_min", path),
+        in_max=None if obj.get("in_max") is None else _type_bounds(obj, "in_max", path),
     )
 
 
 def _parse_window(obj: Any, path: str) -> DriverWindow:
     obj = _mapping(obj, path)
     return DriverWindow(
-        depot=_str(_require(obj, "depot", path), f"{path}/depot"),
-        at=_int(_require(obj, "at", path), f"{path}/at"),
-        min_drivers=_int(obj.get("min_drivers", 0), f"{path}/min_drivers"),
-        max_drivers=_int(_require(obj, "max_drivers", path), f"{path}/max_drivers"),
+        depot=_str(obj, "depot", path),
+        at=_int(obj, "at", path),
+        min_drivers=_int(obj, "min_drivers", path, 0),
+        max_drivers=_int(obj, "max_drivers", path),
         license=(None if obj.get("license") is None
-                 else _str(obj["license"], f"{path}/license")),
+                 else _str(obj, "license", path)),
     )
 
 
@@ -468,8 +521,8 @@ def loads_instance(text: str) -> Instance:
             raise InstanceError(f"/{key}", "expected a list")
         return value
 
-    licenses = {str(k): _type_list(v, f"/licenses/{k}")
-                for k, v in _mapping(data.get("licenses", {}), "/licenses").items()}
+    listed = _mapping(data.get("licenses", {}), "/licenses")
+    licenses = {str(k): _type_list(listed, k, "/licenses") for k in listed}
 
     return Instance(
         trips=tuple(_parse_trip(t, f"/trips/{i}") for i, t in enumerate(seq("trips"))),
@@ -479,13 +532,13 @@ def loads_instance(text: str) -> Instance:
                      for i, d in enumerate(seq("depots"))),
         driver_windows=tuple(_parse_window(w, f"/driver_windows/{i}")
                              for i, w in enumerate(seq("driver_windows"))),
-        delta_min=_int(_require(data, "delta_min", ""), "/delta_min"),
-        delta_max=_int(_require(data, "delta_max", ""), "/delta_max"),
-        seat_tolerance_single=_int(tol.get("seat_single", 0), "/tolerances/seat_single"),
-        seat_tolerance_coupled=_int(tol.get("seat_coupled", 0), "/tolerances/seat_coupled"),
-        bike_tolerance_single=_int(tol.get("bike_single", 0), "/tolerances/bike_single"),
-        bike_tolerance_coupled=_int(tol.get("bike_coupled", 0), "/tolerances/bike_coupled"),
-        alpha=_frac(data.get("alpha", 0), "/alpha"),
+        delta_min=_int(data, "delta_min", ""),
+        delta_max=_int(data, "delta_max", ""),
+        seat_tolerance_single=_int(tol, "seat_single", "/tolerances", 0),
+        seat_tolerance_coupled=_int(tol, "seat_coupled", "/tolerances", 0),
+        bike_tolerance_single=_int(tol, "bike_single", "/tolerances", 0),
+        bike_tolerance_coupled=_int(tol, "bike_coupled", "/tolerances", 0),
+        alpha=_frac(data, "alpha", "", 0),
         licenses=licenses,
         meta=dict(_mapping(data.get("meta", {}), "/meta")),
     )
@@ -546,8 +599,7 @@ def serialize_instance(inst: Instance) -> str:
         }
         if t.driver_depot is not None:
             obj["driver_depot"] = t.driver_depot
-        for name in ("seat_tolerance_single", "seat_tolerance_coupled",
-                     "bike_tolerance_single", "bike_tolerance_coupled"):
+        for name in _TOLERANCES:
             if getattr(t, name) is not None:
                 obj[name] = getattr(t, name)
         return obj

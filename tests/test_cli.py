@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import re
 
 import pytest
 
@@ -144,6 +147,25 @@ def test_report_toy_row(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("instance,|T|")
     assert lines[1] == "toy,3,2/1,1,2,10,60,11,20/88"
+
+
+def test_report_quotes_csv_fields_and_escapes_md_pipes(tmp_path, capsys):
+    data = json.loads(TOY_PATH.read_text())
+    data["meta"]["name"] = 'Katowice, Gliwice "S1" | 2'
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(path), "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert len(row) == len(header) == 9
+    assert row == ['Katowice, Gliwice "S1" | 2', "3", "2/1", "1", "2", "10", "60",
+                   "11", "20/88"]
+    code, out, _ = run(capsys, "report", str(path))
+    assert code == 0
+    header, _, row = out.splitlines()
+    cells = re.split(r"(?<!\\)\|", row)
+    assert len(cells) == len(re.split(r"(?<!\\)\|", header)) == 9
+    assert cells[0].strip() == r'Katowice, Gliwice "S1" \| 2'
 
 
 def test_report_empty_list(capsys):

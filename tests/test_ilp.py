@@ -2,6 +2,7 @@ import dataclasses
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rollstock.exact import brute_force, enumerate_feasible, solve_exact
@@ -102,6 +103,26 @@ def test_feasibility_reports(toy_ilp):
     assert zero.count() == 3
     with pytest.raises(ValueError):
         check_feasibility(toy_ilp, (0,) * 12)
+
+
+@pytest.mark.parametrize("at,value", [(0, 2), (0, -1), (5, 2), (10, Fraction(1, 2)),
+                                      (3, 0.5), (1, None)])
+def test_entries_outside_0_1_are_refused(toy_ilp, at, value):
+    # the objective would price an entry of 2 once, the rows would count it twice
+    x = list(toy_x(0, 2, 10))
+    x[at] = value
+    for evaluate in (objective_value, check_feasibility):
+        with pytest.raises(ValueError, match=re.escape(f"entry {at} is {value!r}, not 0 or 1")):
+            evaluate(toy_ilp, x)
+
+
+def test_binary_entries_of_any_numeric_type_are_accepted(toy_ilp):
+    want = objective_value(toy_ilp, toy_x(0, 2, 10))
+    for x in (tuple(bool(v) for v in toy_x(0, 2, 10)),
+              tuple(float(v) for v in toy_x(0, 2, 10)),
+              np.array(toy_x(0, 2, 10), dtype=np.int8)):
+        assert objective_value(toy_ilp, x) == want
+        assert check_feasibility(toy_ilp, x).feasible
 
 
 def test_empty_instance_empty_model():

@@ -308,3 +308,133 @@ def test_toy_with_one_field_replaced_loads_or_raises_instance_error(path, value)
         owner = owner[key]
     owner[path[-1]] = value
     _loads_or_instance_error(json.dumps(data))
+
+
+# ---------------------------------------------------------------------------
+# Error paths: one record field replaced (or removed, MISSING) in the toy.
+# The paths and messages were recorded before the loader formatted a path
+# only for the check that fails, and must not change.
+
+MISSING = object()
+
+# (array, index) -> (field, value, message); the path is /array/index/field
+RECORD_ERRORS = {
+    ("trips", 2): [
+        ("id", 5, "expected a non-empty string, got 5"),
+        ("id", "", "expected a non-empty string, got ''"),
+        ("origin", 5, "expected a non-empty string, got 5"),
+        ("destination", "", "expected a non-empty string, got ''"),
+        ("depart", "x", "expected an integer, got 'x'"),
+        ("arrive", 1.5, "expected an integer, got 3/2"),
+        ("passengers", "x", "expected an integer, got 'x'"),
+        ("bicycles", True, "expected an integer, got True"),
+        ("couplable", 1, "expected a boolean, got 1"),
+        ("allowed_types", "r1", "expected a list of type ids"),
+        ("allowed_types", [5], "expected a non-empty string, got 5"),
+        ("distance", [], "expected a number, got list"),
+        ("distance", "abc", "not a rational number: 'abc'"),
+        ("distance", "1/0", "not a rational number: '1/0'"),
+        ("obligatory", "yes", "expected a boolean, got 'yes'"),
+        ("driver_depot", 5, "expected a non-empty string, got 5"),
+        ("seat_tolerance_single", "x", "expected an integer, got 'x'"),
+        ("seat_tolerance_coupled", 1.5, "expected an integer, got 3/2"),
+        ("bike_tolerance_single", True, "expected an integer, got True"),
+        ("bike_tolerance_coupled", [], "expected an integer, got []"),
+        ("arrive", 100, "arrive must be > depart"),
+        ("passengers", -1, "must be >= 0"),
+        ("bicycles", -1, "must be >= 0"),
+        ("distance", -1, "must be >= 0"),
+        ("allowed_types", [], "obligatory trip admits no EMU type"),
+        ("allowed_types", ["zz", "ab", "r1"], "unknown EMU type 'ab'"),
+        ("seat_tolerance_single", -1, "must be >= 0"),
+        ("seat_tolerance_coupled", -2, "must be >= 0"),
+        ("bike_tolerance_single", -1, "must be >= 0"),
+        ("bike_tolerance_coupled", -1, "must be >= 0"),
+        ("driver_depot", "nope", "unknown depot 'nope'"),
+        ("id", "t1", "duplicate trip id 't1'"),
+        ("id", MISSING, "required field missing"),
+        ("origin", MISSING, "required field missing"),
+        ("destination", MISSING, "required field missing"),
+        ("depart", MISSING, "required field missing"),
+        ("arrive", MISSING, "required field missing"),
+        ("allowed_types", MISSING, "required field missing"),
+    ],
+    ("driver_windows", 1): [
+        ("depot", 5, "expected a non-empty string, got 5"),
+        ("at", "x", "expected an integer, got 'x'"),
+        ("min_drivers", "x", "expected an integer, got 'x'"),
+        ("max_drivers", 1.5, "expected an integer, got 3/2"),
+        ("license", 5, "expected a non-empty string, got 5"),
+        ("license", "", "expected a non-empty string, got ''"),
+        ("depot", "nope", "unknown depot 'nope'"),
+        ("min_drivers", 3, "need 0 <= min_drivers <= max_drivers"),
+        ("license", "rX", "unknown license 'rX'"),
+        ("at", 485, "duplicate window ('depA', 485, None)"),
+        ("depot", MISSING, "required field missing"),
+        ("at", MISSING, "required field missing"),
+        ("max_drivers", MISSING, "required field missing"),
+    ],
+    ("emu_types", 1): [
+        ("id", 5, "expected a non-empty string, got 5"),
+        ("seats", "x", "expected an integer, got 'x'"),
+        ("bike_slots", 1.5, "expected an integer, got 3/2"),
+        ("cost_per_km", "x", "not a rational number: 'x'"),
+        ("couplable", "no", "expected a boolean, got 'no'"),
+        ("seats", 0, "must be > 0"),
+        ("bike_slots", -1, "must be >= 0"),
+        ("cost_per_km", -1, "must be >= 0"),
+        ("id", "r1", "duplicate EMU type id 'r1'"),
+        ("id", MISSING, "required field missing"),
+        ("seats", MISSING, "required field missing"),
+    ],
+    ("depots", 0): [
+        ("id", 5, "expected a non-empty string, got 5"),
+        ("station", "", "expected a non-empty string, got ''"),
+        ("out_min", [], "expected an object mapping type id -> integer"),
+        ("in_min", {"r1": 1}, "in_min and in_max must be given together"),
+        ("in_max", 3, "expected an object mapping type id -> integer"),
+        ("out_max", {"zz": 1}, "unknown EMU type 'zz'"),
+        ("id", MISSING, "required field missing"),
+        ("station", MISSING, "required field missing"),
+        ("out_max", MISSING, "required field missing"),
+    ],
+}
+
+# (top-level field or None, record field, value, path, message)
+OTHER_ERRORS = [
+    (("depots", 0), "out_max", {"r1": "x"}, "/depots/0/out_max/r1",
+     "expected an integer, got 'x'"),
+    (None, "delta_min", MISSING, "/delta_min", "required field missing"),
+    (None, "delta_max", MISSING, "/delta_max", "required field missing"),
+    (None, "delta_max", "x", "/delta_max", "expected an integer, got 'x'"),
+    (None, "alpha", "x", "/alpha", "not a rational number: 'x'"),
+    (None, "alpha", -1, "/alpha", "must be >= 0"),
+    (None, "tolerances", {"seat_single": "x"}, "/tolerances/seat_single",
+     "expected an integer, got 'x'"),
+    # the validator names the instance field, not the JSON key bike_coupled
+    (None, "tolerances", {"bike_coupled": -1}, "/tolerances/bike_tolerance_coupled",
+     "must be >= 0"),
+    (None, "trips", {}, "/trips", "expected a list"),
+    (None, "licenses", {"L": ["zz", "ab"]}, "/licenses/L", "unknown EMU type 'ab'"),
+]
+
+ERROR_CASES = [(record, key, value, f"/{record[0]}/{record[1]}/{key}", message)
+               for record, cases in RECORD_ERRORS.items()
+               for key, value, message in cases] + OTHER_ERRORS
+
+
+@pytest.mark.parametrize("record,key,value,path,message", ERROR_CASES,
+                         ids=[f"{path}={value!r}" if value is not MISSING
+                              else f"{path}-missing"
+                              for _, _, value, path, _ in ERROR_CASES])
+def test_field_errors_keep_their_paths_and_messages(record, key, value, path,
+                                                    message):
+    data = json.loads(TOY_PATH.read_text())
+    owner = data if record is None else data[record[0]][record[1]]
+    if value is MISSING:
+        del owner[key]
+    else:
+        owner[key] = value
+    with pytest.raises(InstanceError) as err:
+        loads_instance(json.dumps(data))
+    assert (err.value.path, err.value.message) == (path, message)

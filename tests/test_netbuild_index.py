@@ -406,6 +406,47 @@ def test_generated_instances_match_scan(n_trips, n_couplable, n_types, n_depots,
             assert_same_graph(generate_synthetic(cfg, seed))
 
 
+def _priced_variant(variant: str) -> Instance:
+    """A generated instance with its prices given in one of the ways the
+    build and the encoder share them by value: every trip at its own
+    distance, equal distances as ``int`` on some trips and as ``Fraction``
+    on others next to one of the same numerator, ``int`` costs per km, or
+    ``alpha`` 0 as a Fraction or an int."""
+    cfg = GeneratorConfig(n_trips=40, n_couplable=20, n_types=3, n_depots=2,
+                          cross_type_prob=0.5)
+    inst = generate_synthetic(cfg, 7)
+    trips = inst.trips
+    if variant == "distinct_distances":
+        trips = [dataclasses.replace(t, distance=Fraction(1000 + i, 7))
+                 for i, t in enumerate(trips)]
+    elif variant in ("int_and_fraction_distances", "int_cost_per_km"):
+        trips = [dataclasses.replace(t, distance=(38, Fraction(38), Fraction(38, 7), 12)[i % 4])
+                 for i, t in enumerate(trips)]
+    if variant == "int_cost_per_km":
+        inst = dataclasses.replace(inst, emu_types=tuple(
+            dataclasses.replace(r, cost_per_km=i + 2) for i, r in enumerate(inst.emu_types)))
+    alpha = {"alpha_zero": Fraction(0), "alpha_int_zero": 0}.get(variant, inst.alpha)
+    return dataclasses.replace(inst, trips=tuple(trips), alpha=alpha)
+
+
+@pytest.mark.parametrize("variant", [
+    "distinct_distances", "int_and_fraction_distances", "int_cost_per_km",
+    "alpha_zero", "alpha_int_zero"])
+def test_prices_shared_by_value_match_scan(variant):
+    # assert_same_graph checks both driver weightings, per_train included
+    inst = _priced_variant(variant)
+    distances = {t.distance for t in inst.trips}
+    if variant == "distinct_distances":
+        assert len(distances) == len(inst.trips)
+    if variant == "int_and_fraction_distances":
+        assert {type(t.distance) for t in inst.trips} == {int, Fraction}
+        assert distances == {38, Fraction(38, 7), 12}
+    graph = assert_same_graph(inst)
+    for weighting in WEIGHTINGS:
+        objective = encode_ilp(graph, inst, weighting).objective
+        assert objective and all(type(c) is Fraction for _, c in objective)
+
+
 TOLERANCES = ("seat_tolerance_single", "seat_tolerance_coupled",
               "bike_tolerance_single", "bike_tolerance_coupled")
 

@@ -8,10 +8,12 @@ dropped and the rest in ``(i, j)`` order, against the ``Fraction``
 reference encoder, and that ``to_ising`` takes its couplings straight from
 ``q``. The last bounds each stage's traced memory, in bytes per QUBO term,
 on the 200-trip reference instance of the compile-large benchmark (9,541
-terms, several chunks of export lines): a copy of any of these tables, or
+terms, three chunks of export lines): a copy of any of these tables, or
 a table of Python objects per term, pushes its stage over the bound, which
-is set with margin over the measured figures. ``decode_many`` gets its own
-bound on the same QUBO.
+is set with margin over the measured figures. The two exports are bounded
+again on a QUBO of ten chunks, where a chunk's buffers add only a few
+bytes per term, so a per-term table shows apart from them.
+``decode_many`` gets its own bound on the 200-trip QUBO.
 """
 
 import gc
@@ -25,7 +27,7 @@ import pytest
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import ConstraintRow, IlpModel, encode_ilp
 from rollstock.netbuild import build_hypergraph
-from rollstock.qubo import (DEFAULT_LAMBDAS, decode_many, encode_qubo,
+from rollstock.qubo import (_COO_CHUNK, DEFAULT_LAMBDAS, decode_many, encode_qubo,
                             export_ising_coo, export_qubo_coo, to_ising)
 
 from conftest import as_dict, qubo_model
@@ -84,10 +86,22 @@ BOUNDS = {
 }
 
 
-@pytest.fixture(scope="module")
-def traced_stages():
-    """Live and peak traced bytes per term of each stage, run in order."""
-    ilp = reference_ilp()
+# bytes per term of the two exports on a QUBO of ten export chunks (41,450
+# terms; 37,514 Ising couplings), where the chunk's own buffers add a few
+# bytes per term: (live, peak). The peaks measured 29 and 53 B/term, so a
+# table of one Python object per term (about 60 B/term) exceeds either bound.
+MANY_CHUNKS = dict(n_trips=400, n_couplable=80, n_types=3, n_depots=8)
+MANY_CHUNK_BOUNDS = {
+    "export_qubo_coo": (20, 40),
+    "export_ising_coo": (20, 70),
+}
+
+
+def trace_stages(config: dict) -> tuple[int, dict[str, tuple[float, float]]]:
+    """The QUBO term count of generator seed 0 under ``config``, and the
+    live and peak traced bytes per term of each stage, run in order."""
+    inst = generate_synthetic(GeneratorConfig(**config), 0)
+    ilp = encode_ilp(build_hypergraph(inst), inst)
     gc.collect()
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -112,17 +126,42 @@ def traced_stages():
         if not was_tracing:
             tracemalloc.stop()
     terms = qubo.num_terms()
+    return terms, {name: (live / terms, peak / terms)
+                   for name, (live, peak) in sizes.items()}
+
+
+@pytest.fixture(scope="module")
+def traced_stages():
+    """Live and peak traced bytes per term of each stage, run in order."""
+    terms, sizes = trace_stages(REFERENCE)
     assert terms > 9000
-    return {name: (live / terms, peak / terms) for name, (live, peak) in sizes.items()}
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def traced_stages_many_chunks():
+    terms, sizes = trace_stages(MANY_CHUNKS)
+    assert terms >= 8 * _COO_CHUNK
+    return sizes
+
+
+def assert_bounded(sizes, bounds, name):
+    live, peak = sizes[name]
+    live_bound, peak_bound = bounds[name]
+    if live_bound is not None:
+        assert live <= live_bound, f"{name} keeps {live:.0f} B/term"
+    assert peak <= peak_bound, f"{name} peaks at {peak:.0f} B/term"
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_stage_memory_per_term_is_bounded(traced_stages, name):
-    live, peak = traced_stages[name]
-    live_bound, peak_bound = BOUNDS[name]
-    if live_bound is not None:
-        assert live <= live_bound, f"{name} keeps {live:.0f} B/term"
-    assert peak <= peak_bound, f"{name} peaks at {peak:.0f} B/term"
+    assert_bounded(traced_stages, BOUNDS, name)
+
+
+@pytest.mark.parametrize("name", sorted(MANY_CHUNK_BOUNDS))
+def test_export_memory_per_term_over_many_chunks_is_bounded(traced_stages_many_chunks,
+                                                            name):
+    assert_bounded(traced_stages_many_chunks, MANY_CHUNK_BOUNDS, name)
 
 
 def test_decode_many_memory_on_the_200_trip_reference_is_bounded():
