@@ -154,6 +154,9 @@ def _str(obj: Mapping[str, Any], key: str, path: str) -> str:
 # per-trip overrides of the instance-wide tolerances of the same names
 _TOLERANCES = ("seat_tolerance_single", "seat_tolerance_coupled",
                "bike_tolerance_single", "bike_tolerance_coupled")
+# the JSON key under "tolerances" of each instance-wide tolerance
+_TOLERANCE_KEYS = dict(zip(("seat_single", "seat_coupled",
+                            "bike_single", "bike_coupled"), _TOLERANCES))
 
 
 @dataclass(frozen=True)
@@ -425,9 +428,9 @@ def _validate(inst: Instance) -> None:
         raise InstanceError("/delta_min", "must be >= 0")
     if inst.delta_min > inst.delta_max:
         raise InstanceError("/delta_min", "delta_min must be <= delta_max")
-    for name in _TOLERANCES:
+    for key, name in _TOLERANCE_KEYS.items():
         if getattr(inst, name) < 0:
-            raise InstanceError(f"/tolerances/{name}", "must be >= 0")
+            raise InstanceError(f"/tolerances/{key}", "must be >= 0")
     _check_rational(inst.alpha, "", "alpha")
     if inst.alpha < 0:
         raise InstanceError("/alpha", "must be >= 0")
@@ -534,10 +537,8 @@ def loads_instance(text: str) -> Instance:
                              for i, w in enumerate(seq("driver_windows"))),
         delta_min=_int(data, "delta_min", ""),
         delta_max=_int(data, "delta_max", ""),
-        seat_tolerance_single=_int(tol, "seat_single", "/tolerances", 0),
-        seat_tolerance_coupled=_int(tol, "seat_coupled", "/tolerances", 0),
-        bike_tolerance_single=_int(tol, "bike_single", "/tolerances", 0),
-        bike_tolerance_coupled=_int(tol, "bike_coupled", "/tolerances", 0),
+        **{name: _int(tol, key, "/tolerances", 0)
+           for key, name in _TOLERANCE_KEYS.items()},
         alpha=_frac(data, "alpha", "", 0),
         licenses=licenses,
         meta=dict(_mapping(data.get("meta", {}), "/meta")),
@@ -630,12 +631,8 @@ def serialize_instance(inst: Instance) -> str:
         "alpha": exact_number(inst.alpha),
         "delta_min": inst.delta_min,
         "delta_max": inst.delta_max,
-        "tolerances": {
-            "seat_single": inst.seat_tolerance_single,
-            "seat_coupled": inst.seat_tolerance_coupled,
-            "bike_single": inst.bike_tolerance_single,
-            "bike_coupled": inst.bike_tolerance_coupled,
-        },
+        "tolerances": {key: getattr(inst, name)
+                       for key, name in _TOLERANCE_KEYS.items()},
         "emu_types": [emu(r) for r in inst.emu_types],
         "depots": [depot(d) for d in inst.depots],
         "trips": [trip(t) for t in inst.trips],

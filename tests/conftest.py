@@ -41,17 +41,16 @@ def toy_x(*ones):
 
 def small_random_instance(seed, max_trips=12, with_couplable=True):
     """Deterministic small instances for oracle cross-checks."""
+    n_trips = 2 + seed % (max_trips - 1)
     cfg = GeneratorConfig(
-        n_trips=2 + seed % (max_trips - 1),
-        n_couplable=(seed % 4) if with_couplable else 0,
+        n_trips=n_trips,
+        n_couplable=min(seed % 4, n_trips) if with_couplable else 0,
         n_depots=1 + seed % 2,
         n_types=1 + seed % 3,
         rotation_legs=(2, 4),
         cross_type_prob=0.5,
         with_return_bounds=(seed % 3 != 0),
     )
-    cfg = GeneratorConfig(**{**cfg.__dict__,
-                             "n_couplable": min(cfg.n_couplable, cfg.n_trips)})
     return generate_synthetic(cfg, seed=seed)
 
 

@@ -187,6 +187,14 @@ def test_generate_then_solve(tmp_path, capsys):
     assert "status=optimal" in out
 
 
+def test_generate_open_corridors_to_stdout_matches_golden(capsys):
+    code, out, _ = run(capsys, "generate", "-", "--trips", "13", "--couplable", "3",
+                       "--types", "2", "--depots", "2", "--seed", "5",
+                       "--no-return-bounds")
+    assert code == 0
+    assert out == (REPO / "tests" / "golden" / "generate" / "t13-open.json").read_text()
+
+
 def test_generate_rejects_zero_trips(capsys):
     code, _, err = run(capsys, "generate", "-", "--trips", "0")
     assert code == 1

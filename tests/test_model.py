@@ -411,8 +411,14 @@ OTHER_ERRORS = [
     (None, "alpha", -1, "/alpha", "must be >= 0"),
     (None, "tolerances", {"seat_single": "x"}, "/tolerances/seat_single",
      "expected an integer, got 'x'"),
-    # the validator names the instance field, not the JSON key bike_coupled
-    (None, "tolerances", {"bike_coupled": -1}, "/tolerances/bike_tolerance_coupled",
+    # the validator names the JSON key, not the field bike_tolerance_coupled
+    (None, "tolerances", {"bike_coupled": -1}, "/tolerances/bike_coupled",
+     "must be >= 0"),
+    (None, "tolerances", {"seat_single": -1}, "/tolerances/seat_single",
+     "must be >= 0"),
+    (None, "tolerances", {"seat_coupled": -2}, "/tolerances/seat_coupled",
+     "must be >= 0"),
+    (None, "tolerances", {"bike_single": -1}, "/tolerances/bike_single",
      "must be >= 0"),
     (None, "trips", {}, "/trips", "expected a list"),
     (None, "licenses", {"L": ["zz", "ab"]}, "/licenses/L", "unknown EMU type 'ab'"),
