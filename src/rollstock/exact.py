@@ -15,10 +15,12 @@ with ``lo >= 1`` and no negative coefficient: on those, ``least`` sums
 only the variables already set, so a row with ``least >= 1`` is covered.
 A mixed-sign coverage row is still propagated.
 
-The search first compiles the model, in one pass over its rows, into flat
-integer tables: per row a list of ``(var, |c|, the value of var that
-raises the lhs)``, per variable the same entries keyed by row, and per row
-``lo``, ``hi``, ``least``, ``most`` and a static ``widest = max |c|``.
+The search first lays the compiled model out as flat integer tables: per
+row a list of ``(var, |c|, the value of var that raises the lhs)``, filled
+from the rows' coefficients, per variable the same entries keyed by row,
+and per row the model's ``lo`` and ``hi`` and, summed from its CSR arrays
+by the model's row evaluator, ``least`` and ``most``, with a static
+``widest = max |c|``.
 Assigning a variable then adds its ``|c|`` to each row's ``least`` or
 takes it from its ``most``, with no sign test. A free entry is forced
 when its ``|c|`` exceeds the row's room to rise, ``hi - least``, or to
@@ -44,30 +46,33 @@ them against the kernel that scanned every queued row.
 The search is one loop over one assignment trail: a stack of frames, each
 holding the trail mark, the branched variable and the values left to try,
 so its depth is not limited by Python's recursion limit. It sums the
-objective, the shares and the bound as integers over one denominator, so
+objective, the shares and the bound as integers: the model's ``obj``,
+already over its one ``den``, times the LCM of the coverage counts, so
 ties are pruned exactly and the first optimum found is kept; ``Fraction``
 appears only in the returned ``Solution``s. A deadline is checked every
 512 nodes.
 
 ``brute_force`` enumerates all 2^n assignments (n <= 24) with vectorized
-feasibility checks; it is the reference oracle the search is tested
-against. ``enumerate_feasible`` reuses the same search tree without bound
-pruning to list every feasible assignment; given a budget of k plans it
-stops on finding plan k + 1, so a portfolio that holds every plan is
-reported exhaustive.
+feasibility checks, against a dense int64 matrix filled from the model's
+CSR arrays; it is the reference oracle the search is tested against.
+``enumerate_feasible`` reuses the same search tree without bound pruning
+to list every feasible assignment; given a budget of k plans it stops on
+finding plan k + 1, so a portfolio that holds every plan is reported
+exhaustive.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ilp import FeasibilityReport, IlpModel, check_feasibility, objective_value
+from .ilp import FeasibilityReport, IlpModel, _row_sums, check_feasibility, objective_value
 
 __all__ = [
     "Solution",
@@ -140,56 +145,41 @@ class _Search:
         self.use_bound = max_count is None
         self.deadline = deadline
         self.max_count = max_count
-        # one pass over the rows: each entry is (var, |c|, the value of var
-        # that raises the lhs), filed under its row and, with the row id in
-        # place of var, under its variable
-        self.rows: list[list[tuple[int, int, int]]] = []
+        # each entry is (var, |c|, the value of var that raises the lhs),
+        # filed under its row and, with the row id in place of var, under
+        # its variable
+        self.rows = [[(v, c, 1) if c > 0 else (v, -c, 0) for v, c in row.coeffs]
+                     for row in model.constraints]
         var_rows = self.var_rows = [[] for _ in range(n)]
-        self.lo: list[int] = []
-        self.hi: list[int] = []
-        self.least: list[int] = []  # lhs with every free variable lowering it
-        self.most: list[int] = []  # lhs with every free variable raising it
-        self.widest: list[int] = []  # the row's largest |c|
-        # coverage rows that need a selected arc while uncovered; the share
-        # bound and the branching rule read only these
-        self.cover_rows: list[int] = []
-        cover_of_var = [0] * n
-        for idx, row in enumerate(model.constraints):
-            lo, hi = row.bounds()
-            entries = [(v, c, 1) if c > 0 else (v, -c, 0) for v, c in row.coeffs]
-            least = most = widest = 0
+        for idx, entries in enumerate(self.rows):
             for v, c, raising in entries:
                 var_rows[v].append((idx, c, raising))
-                if raising:
-                    most += c
-                else:
-                    least -= c
-                if c > widest:
-                    widest = c
-            self.rows.append(entries)
-            self.lo.append(lo)
-            self.hi.append(hi)
-            self.least.append(least)
-            self.most.append(most)
-            self.widest.append(widest)
-            # least == 0: no coefficient is negative
-            if row.kind == "coverage" and lo >= 1 and least == 0:
-                self.cover_rows.append(idx)
-                for v, _ in row.coeffs:
-                    cover_of_var[v] += 1
-        # objective values are integers in units of 1/(den * spread): den
-        # clears the coefficients' denominators and spread, the LCM of the
-        # coverage counts, makes every share obj[v] / cover[v] exact
-        den = math.lcm(*{c.denominator for _, c in model.objective})
-        spread = math.lcm(*{k for k in cover_of_var if k})
-        self.obj = [0] * n
-        for v, c in model.objective:
-            self.obj[v] += c.numerator * (den // c.denominator) * spread
+        self.lo, self.hi = model.lo.tolist(), model.hi.tolist()
+        # the lhs with every free variable lowering it, and raising it
+        ones, csr = np.ones((1, n), np.int8), (model.indptr, model.indices)
+        self.least: list[int] = _row_sums(ones, *csr, np.minimum(model.data, 0))[0].tolist()
+        self.most: list[int] = _row_sums(ones, *csr, np.maximum(model.data, 0))[0].tolist()
+        # the row's largest |c|; an empty row's, whatever it reads, is never
+        # used, since its most - least is 0
+        self.widest: list[int] = np.maximum.reduceat(
+            np.append(np.abs(model.data), 0), model.indptr[:-1]).tolist()
+        # coverage rows that need a selected arc while uncovered; the share
+        # bound and the branching rule read only these. least == 0: no
+        # coefficient is negative
+        self.cover_rows = [idx for idx, row in enumerate(model.constraints)
+                           if row.kind == "coverage" and self.lo[idx] >= 1
+                           and self.least[idx] == 0]
+        cover = Counter(v for idx in self.cover_rows for v, _, _ in self.rows[idx])
+        # objective values are integers in units of 1/(model.den * spread):
+        # spread, the LCM of the coverage counts, makes every share
+        # obj[v] / cover[v] exact
+        spread = math.lcm(*set(cover.values()))
+        self.obj = [o * spread for o in model.obj.tolist()]
         negative = [v for v, o in enumerate(self.obj) if o < 0]
         if self.use_bound and negative:
             raise ValueError("branch and bound needs nonnegative objective "
                              f"coefficients; variable {negative[0]} has one < 0")
-        self.share = [o // max(1, k) for o, k in zip(self.obj, cover_of_var)]
+        self.share = [o // cover.get(v, 1) for v, o in enumerate(self.obj)]
         self.x = [-1] * n  # -1 = free
         self.trail: list[int] = []
         self.committed = 0
@@ -425,35 +415,25 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
     n = model.num_vars
     if n > 24:
         raise ValueError(f"brute_force supports at most 24 variables, got {n}")
-    m = len(model.constraints)
-    lo = np.zeros(m, dtype=np.int64)
-    hi = np.zeros(m, dtype=np.int64)
-    a = np.zeros((m, max(n, 1)), dtype=np.int64)
-    for i, row in enumerate(model.constraints):
-        bounds = row.bounds()
-        if sum(abs(c) for _, c in row.coeffs) + max(map(abs, bounds)) >= 2 ** 63:
-            raise ValueError(f"brute_force sums rows in int64; row {row.tag!r} "
-                             f"could reach 2**63")
-        lo[i], hi[i] = bounds
-        for v, c in row.coeffs:
-            a[i, v] += c
+    if model.data.dtype == object:  # only then can a row reach 2**63
+        for row, lo, hi in zip(model.constraints, model.lo.tolist(), model.hi.tolist()):
+            if sum(abs(c) for _, c in row.coeffs) + max(abs(lo), abs(hi)) >= 2 ** 63:
+                raise ValueError(f"brute_force sums rows in int64; row {row.tag!r} "
+                                 f"could reach 2**63")
+    lo, hi = model.lo.astype(np.int64), model.hi.astype(np.int64)
+    a = np.zeros((len(model.constraints), max(n, 1)), dtype=np.int64)
+    a[np.repeat(np.arange(len(a)), np.diff(model.indptr)), model.indices] = model.data
 
-    feasible_ids: list[int] = []
+    solutions: list[Solution] = []
     total = 1 << n
     chunk = 1 << 16
     bits = np.arange(max(n, 1), dtype=np.uint32)
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.uint32)
         x = ((ids[:, None] >> bits[None, :]) & 1).astype(np.int64)
-        lhs = x @ a.T if m else np.zeros((len(ids), 0), dtype=np.int64)
+        lhs = x @ a.T
         ok = np.all((lhs >= lo[None, :]) & (lhs <= hi[None, :]), axis=1)
-        feasible_ids.extend(int(i) for i in ids[ok])
-
-    entries = []
-    for ident in feasible_ids:
-        x = tuple((ident >> b) & 1 for b in range(n))
-        entries.append((objective_value(model, x), x))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return SolutionPortfolio(
-        solutions=tuple(Solution.from_assignment(model, x) for _, x in entries),
-        exhaustive=True)
+        solutions += [Solution.from_assignment(model, tuple((i >> b) & 1 for b in range(n)))
+                      for i in ids[ok].tolist()]
+    solutions.sort(key=lambda s: (s.objective, s.x))
+    return SolutionPortfolio(solutions=tuple(solutions), exhaustive=True)

@@ -10,10 +10,14 @@ node of each chain terminal.
 
 Rotation ``i`` belongs to depot ``i % n_depots`` and EMU type
 ``i % n_types``; its corridor is its depot's, or ``i`` itself without
-return bounds. An odd total trip count is absorbed by one single-leg
-rotation, always the last, scheduled ``delta_max + 10`` minutes after the
-latest arrival, so its far-station arrival has no onward departure inside
-the turnaround window.
+return bounds. Each rotation draws an even leg count from
+``rotation_legs``, but the last one is cut to the trips that are left, so
+it can be shorter than the lower bound, down to 2 legs (68 of generator
+seeds 0-199 at 100 trips and the default ``(4, 8)``). Drawing it again
+would change every generated day, so the cut is kept. An odd total trip
+count is absorbed by one single-leg rotation, always the last, scheduled
+``delta_max + 10`` minutes after the latest arrival, so its far-station
+arrival has no onward departure inside the turnaround window.
 
 Determinism: all randomness flows from one ``numpy`` PCG64 generator
 seeded by the caller, and instances carry no timestamps, so equal
@@ -27,6 +31,7 @@ bicycles.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +58,9 @@ class GeneratorConfig:
     n_types: int = 1
     delta_min: int = 5
     delta_max: int = 60
-    rotation_legs: tuple[int, int] = (4, 8)  # even leg counts drawn from here
+    # even leg counts drawn from here; the last rotation is cut to the
+    # trips that are left, so it can be shorter (down to 2 legs)
+    rotation_legs: tuple[int, int] = (4, 8)
     demand_fill: tuple[float, float] = (0.35, 0.9)  # share of own type's seats
     bike_fill: tuple[float, float] = (0.0, 0.0)
     cross_type_prob: float = 0.3
@@ -73,6 +80,12 @@ class GeneratorConfig:
         lo, hi = self.rotation_legs
         if lo < 2 or (lo + 1) // 2 > hi // 2:
             raise GeneratorError("rotation_legs must span even counts >= 2")
+        for name in ("demand_fill", "bike_fill"):  # above 1 is overcrowding
+            lo, hi = getattr(self, name)
+            if not 0 <= lo <= hi < math.inf:  # also rejects NaN
+                raise GeneratorError(f"need finite 0 <= lo <= hi in {name}, got {(lo, hi)}")
+        if not 0 <= self.cross_type_prob <= 1:  # also rejects NaN
+            raise GeneratorError(f"need 0 <= cross_type_prob <= 1, got {self.cross_type_prob}")
         # a float alpha means the decimal it prints as, exactly
         if isinstance(self.alpha, float):
             object.__setattr__(self, "alpha", Fraction(str(self.alpha)))

@@ -25,11 +25,8 @@ Driver rows weight arcs by en-route EMUs (``per_emu``) or en-route trains
 Arcs share few distinct prices (about 20 on a generated 100-trip day), so
 each objective coefficient ``alpha * cost`` (plus the EMUs a depot arc
 dispatches) is computed once per distinct (cost value, EMUs dispatched)
-and shared by the arcs that have it. ``objective_value`` sums the chosen
-coefficients as integers over their least common denominator, and it and
-``check_feasibility`` refuse an assignment entry outside {0, 1}.
-``ConstraintRow`` defines its own one-step ``__init__``, as
-``netbuild.HyperArc`` does.
+and shared by the arcs that have it. ``ConstraintRow`` defines its own
+one-step ``__init__``, as ``netbuild.HyperArc`` does.
 
 An arc overcrowds a trip t it points to when its k units of type r leave
 ``passengers - k*seats > seat_tol`` or ``bicycles - k*bike_slots > bike_tol``,
@@ -48,21 +45,40 @@ checkpoints are found once, by bisecting its driver depot's sorted
 checkpoint times. The pass costs O(arcs x (endpoints + en-route
 checkpoints)); the rows are then emitted in the family order above.
 
-An ``IlpModel`` is valid where it is built (see the class), so branch
-and bound, the QUBO encoder and decoder, the ``brute_force`` oracle, the
-feasibility report and the LP export read its rows unchecked.
+An ``IlpModel`` is valid where it is built (see the class), and the same
+pass compiles it once into read-only arrays: the rows in CSR form
+(``indptr``, ``indices``, ``data``, scipy's names), their bounds ``lo``
+and ``hi``, and the objective as integers ``obj`` over one ``den``. This
+is the one place the objective is scaled to integers, and the one
+row layout: branch and bound, the QUBO encoder and decoder, the
+``brute_force`` oracle and the feasibility report read the arrays
+unchecked, and only the LP export reads the rows as built. Values are
+int64 while a bound on every sum they form stays below 2**63, and Python
+ints in ``object`` arrays otherwise (``_dtype``), the policy the QUBO
+arrays follow too.
+
+One row evaluator serves every check: ``_row_sums`` sums each row over a
+block of 0/1 samples with one ``np.add.reduceat``, and ``_reports`` turns
+only the (sample, row) pairs off their bounds into Python objects.
+``check_feasibility`` is the two on one sample, ``decode_many`` the two on
+a sample set; ``objective_value`` sums the chosen entries of ``obj``. Both
+refuse an assignment entry outside {0, 1}. ``ConstraintRow.lhs`` is the
+per-row reference the tests check the evaluator against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .model import Depot, EmuType, Instance, Trip
 from .netbuild import Hypergraph
@@ -84,8 +100,10 @@ class ConstraintRow:
     """A sparse integer row ``lo <= coeffs . x <= hi``.
 
     It is built as ``= rhs``, ``<= rhs`` or a ``range`` over ``[lo, hi]``.
-    Every consumer reads the two ints of ``bounds()``, except ``export_lp``,
-    which writes the row as it was built.
+    ``IlpModel`` compiles the two ints of ``bounds()`` into its ``lo`` and
+    ``hi``, which every consumer reads, except ``export_lp``, which writes
+    the row as it was built. ``lhs`` is the per-row reference of the
+    model's row evaluator; no library path calls it.
     """
 
     kind: str
@@ -116,6 +134,7 @@ class ConstraintRow:
 
 
 _RELATIONS = frozenset(("=", "<=", "range"))
+_EXACT = 2 ** 63  # int64 holds every sum bounded below this; beyond, Python ints
 
 
 @dataclass(frozen=True)
@@ -125,17 +144,40 @@ class IlpModel:
     Building one, also through ``dataclasses.replace``, raises
     ``ValueError`` for an objective or row entry outside
     ``range(num_vars)`` and for a relation other than ``=``, ``<=`` or
-    ``range``, and sums a row's repeated variable into its first entry, so
+    ``range``, ``TypeError`` for a row coefficient or bound that is not an
+    integer, and sums a row's repeated variable into its first entry, so
     every row names each variable once. Other rows stay the same objects.
+
+    The same pass compiles the model into read-only arrays, which every
+    consumer but ``export_lp`` reads: the rows in CSR form (row ``r`` is
+    ``data[k]`` at variable ``indices[k]`` for ``k`` in
+    ``indptr[r]:indptr[r + 1]``, in entry order), their ``bounds()`` as
+    ``lo`` and ``hi``, and the objective summed per variable as ``obj``,
+    with the constant as ``offset``, both integers in units of ``1/den``,
+    ``den`` being the LCM of the objective's and the constant's
+    denominators. ``reach`` bounds ``|lhs| + |lo| + |hi|`` of every row at
+    every 0/1 assignment. ``data``, ``lo`` and ``hi`` are int64 when
+    ``reach`` is below 2**63, and ``obj`` when ``|offset|`` plus the
+    objective entries' ``|c|``, in units of ``1/den``, is; otherwise they
+    are ``object`` arrays of Python ints. So no sum they form wraps.
     """
 
     num_vars: int
     objective: tuple[tuple[int, Fraction], ...]
     constraints: tuple[ConstraintRow, ...]
     constant: Fraction = Fraction(0)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    data: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    reach: int = field(init=False, repr=False, compare=False)
+    obj: np.ndarray = field(init=False, repr=False, compare=False)
+    offset: int = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # each check is one pass over all rows; a row is looked at on its
+        # each step is one pass over all rows; a row is looked at on its
         # own only to name what failed or to merge it
         n, rows = self.num_vars, self.constraints
         if not set(map(attrgetter("relation"), rows)) <= _RELATIONS:
@@ -143,29 +185,43 @@ class IlpModel:
             raise ValueError(f"row {row.tag!r} has relation {row.relation!r}, "
                              "not one of =, <=, range")
         coeffs = list(map(attrgetter("coeffs"), rows))
-        if _outside(chain.from_iterable(coeffs), n) is not None:
-            for row in rows:
-                bad = _outside(row.coeffs, n)
-                if bad is not None:
-                    raise ValueError(f"row {row.tag!r} names variable {bad}, "
-                                     f"outside range({n})")
-        bad = _outside(self.objective, n)
-        if bad is not None:
-            raise ValueError(f"objective names variable {bad}, outside range({n})")
-        sizes = list(map(len, coeffs))
-        distinct = list(map(len, map(dict, coeffs)))
-        if distinct != sizes:
+        indptr = np.zeros(len(rows) + 1, np.intp)
+        np.cumsum(np.fromiter(map(len, coeffs), np.intp, len(rows)), out=indptr[1:])
+        pairs = _integers(chain.from_iterable(chain.from_iterable(coeffs)))  # var, coeff, ...
+        # the rows' variables in row and entry order, then the objective's
+        named = np.concatenate([pairs[0::2], _integers(map(itemgetter(0), self.objective))])
+        outside = (named < 0) | (named >= n)
+        if outside.any():
+            k = int(outside.argmax())
+            owner = ("objective" if k >= indptr[-1]
+                     else f"row {rows[np.searchsorted(indptr, k, 'right') - 1].tag!r}")
+            raise ValueError(f"{owner} names variable {named[k]}, outside range({n})")
+        indices, named = named[:indptr[-1]].astype(np.intp), named[indptr[-1]:].astype(np.intp)
+        # a repeated variable sorts next to itself within its row
+        key = np.sort(np.repeat(np.arange(len(rows)), np.diff(indptr)) * n + indices)
+        if (key[1:] == key[:-1]).any():
             object.__setattr__(self, "constraints", tuple(
-                row if size == count else replace(row, coeffs=_merged(row.coeffs))
-                for row, size, count in zip(rows, sizes, distinct)))
+                row if len(row.coeffs) == len(dict(row.coeffs))
+                else replace(row, coeffs=_merged(row.coeffs)) for row in rows))
+            return self.__post_init__()  # compile the merged rows
+        bounds = _integers(chain.from_iterable(row.bounds() for row in rows))
+        # the longest row times the largest |c|, plus twice the largest bound
+        reach = max(map(len, coeffs), default=0) * _largest(pairs[1::2]) + 2 * _largest(bounds)
+        data, bounds = pairs[1::2].astype(_dtype(reach)), bounds.astype(_dtype(reach))
 
+        den = math.lcm(self.constant.denominator, *{c.denominator for _, c in self.objective})
+        scaled = [c.numerator * (den // c.denominator) for _, c in self.objective]
+        offset = self.constant.numerator * (den // self.constant.denominator)
+        obj = np.zeros(n, _dtype(sum(map(abs, scaled)) + abs(offset)))
+        np.add.at(obj, named, np.array(scaled, obj.dtype))
+        self.__dict__.update(
+            indptr=_frozen(indptr), indices=_frozen(indices), data=_frozen(data),
+            lo=_frozen(bounds[0::2]), hi=_frozen(bounds[1::2]), reach=reach,
+            obj=_frozen(obj), offset=offset, den=den)
 
-def _outside(pairs: Iterable[tuple[int, object]], n: int) -> Optional[int]:
-    """The first variable of ``pairs`` outside ``range(n)``, else ``None``."""
-    named = list(map(itemgetter(0), pairs))
-    if named and (min(named) < 0 or max(named) >= n):
-        return next(v for v in named if not 0 <= v < n)
-    return None
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy's arrays are compiled read-only
+        return type(self), (self.num_vars, self.objective, self.constraints, self.constant)
 
 
 def _merged(coeffs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -175,6 +231,40 @@ def _merged(coeffs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     for v, c in coeffs:
         sums[v] = sums.get(v, 0) + c
     return tuple(sums.items())
+
+
+def _largest(values: np.ndarray) -> int:
+    """``max |values|``, exact; 0 for none."""
+    return max(-int(values.min()), int(values.max())) if len(values) else 0
+
+
+def _integers(values) -> np.ndarray:
+    """``values`` as an int64 array, or as an ``object`` array of Python
+    ints if given one or if one of them does not fit int64; a non-integer
+    is a ``TypeError``. An int64 array is taken as it is."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values
+        if values.dtype == object:
+            return np.array(list(map(operator.index, values.tolist())), object)
+        values = values.tolist()
+    ints = list(map(operator.index, values))
+    try:
+        return np.fromiter(ints, np.int64, len(ints))
+    except OverflowError:
+        return np.array(ints, object)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _dtype(bound: int):
+    """The value dtype of a model whose sums stay within ``bound``."""
+    return np.int64 if bound < _EXACT else object
 
 
 @dataclass(frozen=True)
@@ -394,19 +484,40 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
 
 
 def objective_value(model: IlpModel, x: Sequence[int]) -> Fraction:
-    """The objective at the 0/1 assignment ``x``, summed as integers over
-    the least common denominator of the chosen coefficients."""
+    """The objective at the 0/1 assignment ``x``: the chosen entries of
+    ``obj`` and the ``offset``, over ``den``."""
     _check_assignment(x, model.num_vars)
-    chosen = [c for v, c in model.objective if x[v]]
-    chosen.append(model.constant)
-    den = math.lcm(*{c.denominator for c in chosen})
-    return Fraction(sum(c.numerator * (den // c.denominator) for c in chosen), den)
+    return Fraction(int(model.obj[np.flatnonzero(x)].sum()) + model.offset, model.den)
 
 
 def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:
     _check_assignment(x, model.num_vars)
+    bits = np.asarray(x, np.int8)[None]
+    return _reports(model, _row_sums(bits, model.indptr, model.indices, model.data))[0]
+
+
+def _row_sums(bits: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+              data: np.ndarray) -> np.ndarray:
+    """Each CSR row's ``sum of data * bits[:, indices]`` for each sample of
+    the 0/1 array ``bits``: a (sample, row) array in ``data``'s dtype,
+    where an empty row sums to 0."""
+    cells = np.zeros((len(bits), len(indices) + 1), data.dtype)  # a 0 past the end
+    np.multiply(bits[:, indices], data, out=cells[:, :-1])
+    # an empty row's reduceat reads the cell at its start, not 0
+    return np.where(np.diff(indptr) > 0, np.add.reduceat(cells, indptr[:-1], axis=1), 0)
+
+
+def _reports(model: IlpModel, lhs: np.ndarray) -> list[FeasibilityReport]:
+    """Each sample's report from its row sums ``lhs``, a (sample, row)
+    array: only the pairs whose lhs leaves ``[lo, hi]`` become Python
+    objects, handed to ``FeasibilityReport.of``."""
     rows = model.constraints
-    return FeasibilityReport.of(rows, [row.lhs(x) for row in rows])
+    off: dict[int, list[tuple[ConstraintRow, int]]] = {}
+    at, k = np.nonzero((lhs < model.lo) | (lhs > model.hi))
+    for s, row, value in zip(at.tolist(), k.tolist(), lhs[at, k].tolist()):
+        off.setdefault(s, []).append((rows[row], value))
+    return [FeasibilityReport.of(*zip(*off[s])) if s in off else FeasibilityReport()
+            for s in range(len(lhs))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,23 +17,26 @@ order, one unary chain per inequality row: ``PenaltyRow.slack_indices``.
 
 Both models are integers over one common denominator: ``QuboModel.q``
 and ``offset`` count in units of ``1/den``, ``den`` being the LCM of the
-penalty weights' denominators, the objective's and the ILP constant's;
-``IsingModel`` counts in units of ``1/(4 qubo.den)``. ``Fraction``s
-appear only at the boundaries: the energies returned and the COO text.
+penalty weights' denominators and the ILP's ``den``, in whose units
+``IlpModel.obj`` and ``offset`` already hold the objective, so it is not
+scaled again here; ``IsingModel`` counts in units of ``1/(4 qubo.den)``.
+``Fraction``s appear only at the boundaries: the energies returned and
+the COO text.
 
 Both models hold their quadratic couplings as ``Couplings``: parallel
 ``i``, ``j`` and ``value`` arrays of the nonzero upper-triangular entries,
 sorted by ``(i, j)``, each pair once. ``Couplings`` is the one routine
 that makes entries canonical, and it does the work only when a vectorised
 check finds its input is not: it sums repeated pairs, drops zeros and
-sorts. ``encode_qubo`` lays every penalty row end to end, its
-coefficients followed by its slack bits at coefficient -1, expands all
-the rows' squares in one numpy pass into raw ``(i, j, value)`` triples,
-and merges them there once. ``IsingModel.h`` is one array of ``num_vars``
+sorts. ``encode_qubo`` lays every penalty row end to end, its entries in
+the ILP's CSR arrays followed by its slack bits at coefficient -1,
+expands all the rows' squares in one numpy pass into raw ``(i, j,
+value)`` triples, and merges them there once. ``IsingModel.h`` is one array of ``num_vars``
 fields. Values are int64 while a model's ``|offset| + sum |value|`` (and,
 for the Ising model, ``sum |h|``) stays below 2**63, and Python ints
 (``object`` arrays) otherwise, since an int64 sum past that wraps
-silently: so every energy a model prices is exact.
+silently: so every energy a model prices is exact. That int64-or-exact
+policy (``_dtype``, ``_integers``) lives in ``rollstock.ilp``.
 The builders pick their arithmetic the same way: ``encode_qubo`` expands
 its rows in int64 when a bound on every product they form is below 2**63,
 and ``to_ising`` sums in int64 when ``4 (|offset| + sum |q|)``, which
@@ -44,15 +47,16 @@ with the 0 bytes dropped, so it builds no Python string per line.
 
 A sample set is evaluated in one call per job: ``qubo_energies`` gives
 each sample's ``offset + sum of (y_i & y_j) q_ij`` over the terms, and
-``decode_many``, which prices nothing, sums each ILP row and each slack
-chain over all samples at once, from the rows laid out end to end once
-per call by the helper ``encode_qubo`` uses (empty rows allowed). Only
-the (sample, row) pairs whose lhs leaves ``bounds()`` become Python
-objects, handed to ``FeasibilityReport.of``, the helper
-``check_feasibility`` reports with. Energies are summed in the dtype of
-``q``'s values; decoding is int64 while for every row
-``sum |c| + |lo| + |hi|`` plus its chain's ``|constant| + width`` stays
-below 2**63, exact Python ints otherwise. Samples go through in blocks
+``decode_many``, which prices nothing, sums each ILP row over all samples
+at once with the ILP's row evaluator, the one ``check_feasibility`` uses,
+and reports through the same routine, which turns only the (sample, row)
+pairs off their bounds into Python objects. Its own work is the slack
+check: each chain is read at its ``slack_indices`` (a hand-built model
+need not number them contiguously) and summed by the same evaluator.
+Energies are summed in the dtype of ``q``'s values; row sums in the
+dtype of the ILP's ``data``, and a chain's target in int64 while the
+ILP's ``reach`` plus the largest ``|constant|`` stays below 2**63, exact
+Python ints otherwise. Samples go through in blocks
 of at most ``_BLOCK`` = 2**17 (sample, cell) pairs, a cell being a term,
 a row coefficient or a chain bit, so the scratch of a call stays within a
 few MiB whatever the sample count. ``decode`` and ``qubo_energy`` are
@@ -62,15 +66,15 @@ the one-sample calls; a sample entry outside {0, 1} is a ``ValueError``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
 
-from .ilp import ConstraintRow, FeasibilityReport, IlpModel
+from .ilp import (ConstraintRow, FeasibilityReport, IlpModel, _dtype, _EXACT, _frozen,
+                  _integers, _largest, _reports, _row_sums)
 from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
@@ -206,41 +210,12 @@ def _canonical(n: int, i: np.ndarray, j: np.ndarray, value: np.ndarray):
     return i, j, value[kept]
 
 
-def _integers(values) -> np.ndarray:
-    """``values`` as an int64 array, or as an ``object`` array of Python
-    ints if given one or if one of them does not fit int64; a non-integer
-    is a ``TypeError``. An int64 array is taken as it is."""
-    if isinstance(values, np.ndarray):
-        if values.dtype == np.int64:
-            return values
-        if values.dtype == object:
-            return np.array(list(map(operator.index, values.tolist())), object)
-        values = values.tolist()
-    ints = list(map(operator.index, values))
-    try:
-        return np.array(ints, np.int64)
-    except OverflowError:
-        return np.array(ints, object)
-
-
 def _magnitude(values: np.ndarray) -> int:
     """``sum |values|``, exact: an int64 sum when a float64 estimate shows
     it cannot wrap, Python ints otherwise."""
     if values.dtype != object and np.abs(values, dtype=np.float64).sum() < 2.0 ** 62:
         return int(np.abs(values).sum())
     return sum(map(abs, values.tolist()))
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
-def _dtype(bound: int):
-    """The value dtype of a model whose sums stay within ``bound``."""
-    return np.int64 if bound < _EXACT else object
 
 
 @dataclass(frozen=True)
@@ -335,25 +310,25 @@ def encode_qubo(model: IlpModel,
                 lambdas: Sequence[Rational] = DEFAULT_LAMBDAS) -> QuboModel:
     """Compile the ILP into an unconstrained quadratic form.
 
-    Each row ``lo <= a . x <= hi`` (from ``bounds()``), capacity aside,
-    adds ``lambda * (a . x - lo - sum of s)^2`` over ``hi - lo`` unary
-    slack bits ``s``.
+    Each row ``lo <= a . x <= hi`` (``model.lo`` and ``model.hi``),
+    capacity aside, adds ``lambda * (a . x - lo - sum of s)^2`` over
+    ``hi - lo`` unary slack bits ``s``.
 
     The objective and the expanded penalty rows are summed as integers in
-    units of ``1/den``, ``den`` being the LCM of the denominators of the
-    penalty weights, the objective coefficients and the ILP constant.
+    units of ``1/den``, ``den`` being the LCM of the penalty weights'
+    denominators and ``model.den``, in whose units ``model.obj`` and
+    ``model.offset`` hold the objective.
     """
     lam = _as_lambdas(lambdas)
-    den = math.lcm(model.constant.denominator, *(w.denominator for w in lam),
-                   *{c.denominator for _, c in model.objective})
+    den = math.lcm(model.den, *(w.denominator for w in lam))
     scaled = [w.numerator * (den // w.denominator) for w in lam]
     n = model.num_vars
-    offset = model.constant.numerator * (den // model.constant.denominator)
+    offset = model.offset * (den // model.den)
     next_slack = n
     penalty_rows: list[PenaltyRow] = []
     capacity_vars: list[int] = []
 
-    for row in model.constraints:
+    for row, lo, hi in zip(model.constraints, model.lo.tolist(), model.hi.tolist()):
         kind = row.kind
         if kind not in _FAMILY_OF_KIND:
             raise ValueError(f"unsupported constraint kind {kind!r}")
@@ -361,7 +336,6 @@ def encode_qubo(model: IlpModel,
             capacity_vars += [v for v, _ in row.coeffs]
             continue
 
-        lo, hi = row.bounds()
         if hi < lo:  # no x meets the row, and a slack chain cannot be < 0 long
             raise ValueError(f"row {row.tag!r} has lo {lo} > hi {hi}")
         width = hi - lo
@@ -373,10 +347,11 @@ def encode_qubo(model: IlpModel,
         offset += scaled[family] * lo * lo
 
     # the diagonal terms of the objective and the capacity rows
-    diagonal = [v for v, _ in model.objective] + capacity_vars
-    values = [c.numerator * (den // c.denominator) for _, c in model.objective]
+    chosen = np.flatnonzero(model.obj)
+    diagonal = chosen.tolist() + capacity_vars
+    values = [v * (den // model.den) for v in model.obj[chosen].tolist()]
     values += [scaled[_FAMILY_OF_KIND["capacity_forbid"]]] * len(capacity_vars)
-    q = Couplings(next_slack, *_raw_triples(penalty_rows, scaled, diagonal, values))
+    q = Couplings(next_slack, *_raw_triples(model, penalty_rows, scaled, diagonal, values))
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
@@ -389,27 +364,33 @@ def encode_qubo(model: IlpModel,
     )
 
 
-def _raw_triples(rows: Sequence[PenaltyRow], scaled: Sequence[int],
+def _raw_triples(model: IlpModel, rows: Sequence[PenaltyRow], scaled: Sequence[int],
                  diagonal: list[int], diagonal_values: list[int]):
     """The raw ``(i, j, value)`` arrays of ``encode_qubo``'s terms, with
     repeated pairs: ``diagonal_values`` on the ``diagonal``, then every
     penalty row expanded in one pass.
 
-    A row of weight ``w = scaled[family]`` and constant ``k`` is laid out
-    as its coefficients followed by its slack bits, each of coefficient
-    -1. Each entry ``a`` (variable ``v_a``, coefficient ``c_a``) gives
-    ``w c_a (c_a + 2 k)`` on ``(v_a, v_a)``, and each later entry ``b`` of
-    its row ``2 w c_a c_b`` on ``(min(v_a, v_b), max(v_a, v_b))``. The
-    values are int64 when a per-row bound on every product formed is below
-    2**63, Python ints otherwise."""
-    reach = 0  # bounds every value the expansion forms
-    for row in rows:
-        top = max((abs(c) for _, c in row.coeffs), default=0) + 1  # a bit's is 1
-        reach = max(reach, 2 * (abs(scaled[row.family]) + 1) * top
-                    * (top + 2 * abs(row.constant)))
-    dtype = _dtype(reach)
-    var, c, lengths = _end_to_end(
-        [row.coeffs + tuple(zip(row.slack_indices, repeat(-1))) for row in rows], dtype)
+    The penalty ``rows`` are ``model``'s rows but its capacity row, in
+    order. Each is laid out as its CSR entries followed by its slack bits,
+    each of coefficient -1. An entry ``a`` (variable ``v_a``,
+    coefficient ``c_a``) of a row of weight ``w = scaled[family]`` and
+    constant ``k`` gives ``w c_a (c_a + 2 k)`` on ``(v_a, v_a)``, and each
+    later entry ``b`` of its row ``2 w c_a c_b`` on
+    ``(min(v_a, v_b), max(v_a, v_b))``. The values are int64 when a bound
+    on every product formed, from the largest weight, coefficient and
+    constant, is below 2**63, Python ints otherwise."""
+    top = _largest(model.data) + 1  # a slack bit's |c| is 1
+    constant = max((abs(row.constant) for row in rows), default=0)
+    dtype = _dtype(2 * (max(scaled) + 1) * top * (top + 2 * constant))
+    penalty = np.array([row.kind != "capacity_forbid" for row in model.constraints], bool)
+    kept = np.repeat(penalty, np.diff(model.indptr))  # the penalty rows' entries
+    sizes = np.diff(model.indptr)[penalty]
+    width = np.fromiter((len(row.slack_indices) for row in rows), np.intp, len(rows))
+    at = np.repeat(np.cumsum(sizes), width)  # each chain follows its row's entries
+    slack = np.fromiter(chain.from_iterable(row.slack_indices for row in rows), np.intp)
+    var = np.insert(model.indices[kept], at, slack)
+    c = np.insert(model.data[kept].astype(dtype), at, -1)
+    lengths = sizes + width
     w = np.repeat(np.array([scaled[row.family] for row in rows], dtype), lengths)
     k = np.repeat(np.array([row.constant for row in rows], dtype), lengths)
     # entry a pairs with the later entries of its row, a + 1 to its row's end
@@ -421,15 +402,6 @@ def _raw_triples(rows: Sequence[PenaltyRow], scaled: Sequence[int],
             np.concatenate([diagonal, var, np.maximum(var[a], var[b])]),
             np.concatenate([_integers(diagonal_values), w * c * (c + 2 * k),
                             2 * w[a] * c[a] * c[b]]))
-
-
-def _end_to_end(rows: Sequence[Sequence[tuple[int, int]]], dtype):
-    """Rows of ``(variable, coefficient)`` pairs laid end to end: the
-    variables, the coefficients as ``dtype`` and each row's length."""
-    lengths = np.array([len(row) for row in rows], np.intp)
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype)
-    pairs = pairs.reshape(-1, 2)
-    return pairs[:, 0].astype(np.intp), pairs[:, 1], lengths
 
 
 def qubo_energy(model: QuboModel, y: Sequence[int]) -> Fraction:
@@ -524,9 +496,10 @@ def decode_many(model: QuboModel, ilp: IlpModel,
     """Decode the samples ``ys``, in order; their energies are
     ``qubo_energies``'s to give.
 
-    Each row's lhs is summed once per sample and feeds both the
-    ``FeasibilityReport.of`` report, built from the rows whose lhs leaves
-    ``bounds()``, and the row's slack check: its chain must hold
+    Each row's lhs is summed once per sample, by the row evaluator
+    ``check_feasibility`` uses, and feeds both the report, built by the
+    same routine from the rows whose lhs leaves ``[lo, hi]``, and the
+    row's slack check: its chain, read at its ``slack_indices``, must hold
     ``min(max(lhs - lo, 0), width)`` bits, as ``PenaltyRow.best_slack_sum``
     counts them (a penalty row's ``constant`` is ``-lo``).
     ``ilp`` must be the model ``model`` was encoded from, its non-capacity
@@ -538,46 +511,25 @@ def decode_many(model: QuboModel, ilp: IlpModel,
     if ilp.num_vars != model.num_decision:
         raise ValueError(f"ILP has {ilp.num_vars} variables, "
                          f"QUBO has {model.num_decision} decision variables")
-    rows, penalties = ilp.constraints, model.penalty_rows
-    matched = _matched_rows(penalties, rows)
-    bounds = [row.bounds() for row in rows]
-    # every row sum, bound and chain count below lies within its reach
-    reach = [sum(abs(c) for _, c in row.coeffs) + abs(lo) + abs(hi)
-             for row, (lo, hi) in zip(rows, bounds)]
-    reach += [reach[k] + abs(p.constant) + len(p.slack_indices)
-              for k, p in zip(matched, penalties)]
-    dtype = _dtype(max(reach, default=0))
-    lo, hi = np.array(bounds, dtype).reshape(-1, 2).T
+    penalties = model.penalty_rows
+    matched = _matched_rows(penalties, ilp.constraints)
+    # each chain is a row of coefficient-1 entries at its slack indices
+    width = np.array([len(p.slack_indices) for p in penalties], np.intp)
+    chain_ptr = np.concatenate([[0], np.cumsum(width)])
+    slack = np.fromiter(chain.from_iterable(p.slack_indices for p in penalties), np.intp)
+    # a chain's target, lhs + constant clipped to its width, stays within this
+    dtype = _dtype(ilp.reach + max((abs(p.constant) for p in penalties), default=0))
     constant = np.array([p.constant for p in penalties], dtype)
-    # the rows' (column, coefficient) pairs, then each chain's bits with
-    # coefficient 1, end to end; empty rows have no start
-    columns, coeffs, lengths = _end_to_end(
-        [row.coeffs for row in rows]
-        + [tuple(zip(p.slack_indices, repeat(1))) for p in penalties], dtype)
-    width = lengths[len(rows):]
-    nonempty = lengths > 0
-    starts = (np.cumsum(lengths) - lengths)[nonempty]
-    nd = model.num_decision
 
     decoded: list[DecodedSample] = []
-    for bits in _bit_blocks(ys, max(len(columns), model.num_vars)):
-        sums = np.zeros((len(bits), len(lengths)), dtype)
-        if len(starts):
-            sums[:, nonempty] = np.add.reduceat(bits[:, columns] * coeffs, starts, axis=1)
-        lhs, chains = sums[:, :len(rows)], sums[:, len(rows):]
+    for bits in _bit_blocks(ys, max(len(ilp.indices) + len(slack), model.num_vars)):
+        lhs = _row_sums(bits, ilp.indptr, ilp.indices, ilp.data)
+        chains = _row_sums(bits, chain_ptr, slack, np.ones(len(slack), np.int64))
         consistent = (chains == np.clip(lhs[:, matched] + constant, 0, width)).all(axis=1)
-        # Python objects only for the (sample, row) pairs off their bounds
-        off: dict[int, tuple[list, list]] = {}
-        at, k = np.nonzero((lhs < lo) | (lhs > hi))
-        for s, row, value in zip(at.tolist(), k.tolist(), lhs[at, k].tolist()):
-            pair = off.get(s) or off.setdefault(s, ([], []))
-            pair[0].append(rows[row])
-            pair[1].append(value)
-        for s, (y, ok) in enumerate(zip(bits.tolist(), consistent.tolist())):
+        for y, ok, report in zip(bits.tolist(), consistent.tolist(), _reports(ilp, lhs)):
             y = tuple(y)
-            decoded.append(DecodedSample(
-                y=y, x=y[:nd], slack_consistent=ok,
-                report=FeasibilityReport.of(*off[s]) if s in off else FeasibilityReport()))
+            decoded.append(DecodedSample(y=y, x=y[:model.num_decision],
+                                         slack_consistent=ok, report=report))
     return decoded
 
 
@@ -586,7 +538,6 @@ def decode_many(model: QuboModel, ilp: IlpModel,
 
 
 _BLOCK = 2 ** 17  # (sample, cell) pairs a batch routine evaluates at a time
-_EXACT = 2 ** 63  # int64 holds every sum bounded below this; beyond, Python ints
 
 
 def _check_lengths(ys: Sequence[Sequence[int]], n: int) -> None:

@@ -11,6 +11,7 @@ generator's rules one at a time.
 
 import dataclasses
 import hashlib
+import math
 from collections import defaultdict
 
 import pytest
@@ -115,3 +116,38 @@ def test_late_single_leg_follows_the_day_at_its_rotations_depot(seed):
         assert (late.origin, late.destination) == (f"D{depot}", f"F{corridor}")
         assert late.driver_depot == f"dep{depot}"
         assert f"r{late_rotation % 2 + 1}" in late.allowed_types
+
+
+@pytest.mark.parametrize("changes", [
+    dict(demand_fill=(-1, -0.5)), dict(demand_fill=(0.9, 0.2)),
+    dict(demand_fill=(math.nan, 0.5)), dict(demand_fill=(0.1, math.inf)),
+    dict(bike_fill=(0.5, 0.1)), dict(bike_fill=(-0.1, 0.2)), dict(bike_fill=(0, math.nan)),
+    dict(cross_type_prob=1.5), dict(cross_type_prob=-0.1), dict(cross_type_prob=math.nan)])
+def test_fill_and_probability_are_checked_where_the_config_is_built(changes):
+    # these once passed, then failed inside Instance (a negative demand),
+    # in numpy (high < low) or not at all (a probability of 1.5)
+    name = next(iter(changes))
+    with pytest.raises(GeneratorError, match=name):
+        GeneratorConfig(n_trips=4, **changes)
+    with pytest.raises(GeneratorError, match=name):
+        dataclasses.replace(GeneratorConfig(n_trips=4), **changes)
+
+
+def test_fills_above_one_are_overcrowding_and_stay_legal():
+    cfg = GeneratorConfig(n_trips=4, demand_fill=(1.2, 1.5), bike_fill=(0.5, 2.0),
+                          cross_type_prob=1.0)
+    inst = generate_synthetic(cfg, 0)
+    seats = {e.id: e.seats for e in inst.emu_types}
+    assert all(t.passengers >= 1.2 * seats["r1"] - 1 for t in inst.trips)
+
+
+def test_last_rotation_is_cut_to_the_trips_left():
+    # kept on purpose: drawing the last rotation again would change every
+    # generated day and every recorded digest
+    cfg = GeneratorConfig(n_trips=100, with_return_bounds=False)
+    last = []
+    for seed in range(20):
+        *rest, end = rotation_lengths(generate_synthetic(cfg, seed))
+        assert all(n in (4, 6, 8) for n in rest)
+        last.append(end)
+    assert [seed for seed, n in enumerate(last) if n == 2] == [8, 9, 11, 18]
