@@ -2,9 +2,8 @@
 
 Synthetic corridor networks of growing size, solved exactly on the ILP
 side and compiled to QUBOs on the other. Variable counts stay close
-between the two encodings (slack overhead is small), but the stored
-quadratic term count grows much faster, which is the bottleneck long
-before variable counts are: that is the frontier this toolkit measures.
+between the two encodings (slack overhead is small), while the stored
+quadratic term count grows much faster.
 """
 
 import time

@@ -6,6 +6,13 @@ byte-stable for fixed inputs and seeds. Library results carry no clock:
 the solve commands time their own stages (solve-ilp prints ``build=``
 and ``solve=``, solve-qubo ``build=`` and ``sample=``) and print them to
 stdout only. ``ROLLSTOCK_LOG`` sets the level of the ``rollstock`` logger.
+
+The six model commands (solve-ilp, solve-qubo, enumerate, report,
+export-lp, export-qubo) load, build and encode through ``_compile``.
+Every sampler, generator and penalty-weight option defaults to the
+library's own default (``AnnealParams``, ``GeneratorConfig``,
+``DEFAULT_LAMBDAS``), and both plan files write a plan through
+``_plan_record``.
 """
 
 from __future__ import annotations
@@ -22,22 +29,25 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .anneal import AnnealParams, sample_portfolio
 from .diagram import render_ascii, render_svg
-from .exact import SolutionPortfolio, SolveResult, enumerate_feasible, solve_exact
+from .exact import (Solution, SolutionPortfolio, SolveResult, enumerate_feasible,
+                    solve_exact)
 from .generate import GeneratorConfig, generate_synthetic
 from .ilp import IlpModel, encode_ilp, export_lp
 from .model import Instance, load_instance, serialize_instance
 from .netbuild import Hypergraph, build_hypergraph, to_dot
-from .qubo import (DEFAULT_LAMBDAS, encode_qubo, export_ising_coo,
+from .qubo import (DEFAULT_LAMBDAS, QuboModel, encode_qubo, export_ising_coo,
                    export_qubo_coo, scaling_report, to_ising)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIME_LIMIT = 3
+_EXIT_OF_STATUS = {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE,
+                   "time_limit": EXIT_TIME_LIMIT}
 
 
 def _frac_arg(text: str) -> Fraction:
@@ -62,9 +72,9 @@ def _add_instance_opts(p: argparse.ArgumentParser, alpha: bool = True,
 
 
 def _add_lambda_opts(p: argparse.ArgumentParser) -> None:
-    for i in range(1, 6):
-        p.add_argument(f"--lambda{i}", type=_frac_arg, default=None,
-                       help=f"penalty weight lambda{i} (default 100)")
+    for i, default in enumerate(DEFAULT_LAMBDAS, 1):
+        p.add_argument(f"--lambda{i}", type=_frac_arg, default=default,
+                       help=f"penalty weight lambda{i} (default {default})")
 
 
 def _add_out_opt(p: argparse.ArgumentParser) -> None:
@@ -81,11 +91,27 @@ def _load(args, path: Optional[str] = None) -> Instance:
     return dataclasses.replace(inst, **overrides) if overrides else inst
 
 
-def _lambdas(args) -> tuple:
-    return tuple(
-        getattr(args, f"lambda{i}") if getattr(args, f"lambda{i}") is not None
-        else DEFAULT_LAMBDAS[i - 1]
-        for i in range(1, 6))
+class _Compiled(NamedTuple):
+    instance: Instance
+    graph: Hypergraph
+    ilp: IlpModel
+    qubo: Optional[QuboModel]
+    build_s: float  # building and encoding, the load not included
+
+
+def _compile(args, path: Optional[str] = None, qubo: bool = False) -> _Compiled:
+    """Load ``path`` as ``_load`` does, build its hypergraph and encode the
+    ILP under the command's --driver-weighting (report has none and keeps
+    the library default), and with ``qubo`` the QUBO under --lambda1..5."""
+    inst = _load(args, path)
+    tic = time.monotonic()
+    graph = build_hypergraph(inst)
+    weighting = ({"driver_weighting": args.driver_weighting}
+                 if "driver_weighting" in args else {})
+    model = encode_ilp(graph, inst, **weighting)
+    encoded = (encode_qubo(model, [getattr(args, f"lambda{i}") for i in range(1, 6)])
+               if qubo else None)
+    return _Compiled(inst, graph, model, encoded, time.monotonic() - tic)
 
 
 def _write(args, artifacts: dict[str, str]) -> None:
@@ -129,6 +155,15 @@ def _arc_record(graph: Hypergraph, arc_id: int) -> dict:
     }
 
 
+def _plan_record(graph: Hypergraph, plan: Solution) -> dict:
+    """A plan's objective and selected arcs, as both plan files write it."""
+    return {
+        "objective": _num_str(plan.objective),
+        "objective_float": _as_float(plan.objective),
+        "selected_arcs": [_arc_record(graph, a) for a in plan.decoded],
+    }
+
+
 def _solution_json(instance: Instance, graph: Hypergraph, model: IlpModel,
                    result: SolveResult) -> str:
     payload: dict = {
@@ -138,12 +173,9 @@ def _solution_json(instance: Instance, graph: Hypergraph, model: IlpModel,
         "nodes": result.nodes,
     }
     if result.solution is not None:
-        sol = result.solution
-        payload["objective"] = _num_str(sol.objective)
-        payload["objective_float"] = _as_float(sol.objective)
-        payload["selected_arcs"] = [_arc_record(graph, a) for a in sol.decoded]
-        payload["feasible"] = sol.report.feasible
-        payload["constraints"] = Counter(row.kind for row in model.constraints)
+        payload.update(_plan_record(graph, result.solution),
+                       feasible=result.solution.report.feasible,
+                       constraints=Counter(row.kind for row in model.constraints))
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -152,14 +184,7 @@ def _portfolio_json(instance: Instance, graph: Hypergraph,
     payload = {
         "instance": instance.meta.get("name", ""),
         "exhaustive": portfolio.exhaustive,
-        "solutions": [
-            {
-                "objective": _num_str(s.objective),
-                "objective_float": _as_float(s.objective),
-                "selected_arcs": [_arc_record(graph, a) for a in s.decoded],
-            }
-            for s in portfolio.solutions
-        ],
+        "solutions": [_plan_record(graph, plan) for plan in portfolio.solutions],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -181,8 +206,7 @@ def cmd_generate(args) -> int:
     cfg = GeneratorConfig(
         n_trips=args.trips, n_couplable=args.couplable,
         n_depots=args.depots, n_types=args.types,
-        delta_min=args.delta_min, delta_max=args.delta_max,
-        alpha=args.alpha if args.alpha is not None else Fraction(1, 100),
+        delta_min=args.delta_min, delta_max=args.delta_max, alpha=args.alpha,
         with_return_bounds=not args.no_return_bounds)
     inst = generate_synthetic(cfg, seed=args.seed)
     text = serialize_instance(inst)
@@ -195,13 +219,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve_ilp(args) -> int:
-    inst = _load(args)
+    inst, graph, model, _, build_s = _compile(args)
     tic = time.monotonic()
-    graph = build_hypergraph(inst)
-    model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
-    built = time.monotonic()
     result = solve_exact(model, time_limit=args.time_limit)
-    solved = time.monotonic()
+    solve_s = time.monotonic() - tic
 
     artifacts = {"solution.json": _solution_json(inst, graph, model, result)}
     if args.emit_lp:
@@ -211,30 +232,22 @@ def cmd_solve_ilp(args) -> int:
     _write(args, artifacts)
 
     print(f"arcs={len(graph.arcs)} rows={len(model.constraints)} "
-          f"build={built - tic:.3f}s solve={solved - built:.3f}s nodes={result.nodes}")
+          f"build={build_s:.3f}s solve={solve_s:.3f}s nodes={result.nodes}")
     summary = f"status={result.status}"
     if result.solution is not None:
         summary += f" objective={_as_float(result.solution.objective, or_text=True)}"
     print(summary)
-    if result.status == "optimal":
-        return EXIT_OK
-    if result.status == "infeasible":
-        return EXIT_INFEASIBLE
-    return EXIT_TIME_LIMIT
+    return _EXIT_OF_STATUS[result.status]
 
 
 def cmd_solve_qubo(args) -> int:
-    inst = _load(args)
     params = AnnealParams(
         num_reads=args.reads, sweeps=args.sweeps,
         beta_min=args.beta_min, beta_max=args.beta_max, seed=args.seed)
+    inst, graph, model, qubo, build_s = _compile(args, qubo=True)
     tic = time.monotonic()
-    graph = build_hypergraph(inst)
-    model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
-    qubo = encode_qubo(model, _lambdas(args))
-    built = time.monotonic()
     run = sample_portfolio(inst, params=params, graph=graph, ilp=model, qubo=qubo)
-    sampled = time.monotonic()
+    sample_s = time.monotonic() - tic
 
     rejected_payload = [
         {
@@ -252,7 +265,7 @@ def cmd_solve_qubo(args) -> int:
         "rejected.json": json.dumps(rejected_payload, indent=2, sort_keys=True) + "\n",
     })
 
-    print(f"build={built - tic:.3f}s sample={sampled - built:.3f}s")
+    print(f"build={build_s:.3f}s sample={sample_s:.3f}s")
     print(f"samples={len(run.samples.entries)} feasible={len(run.portfolio.solutions)} "
           f"rejected={len(run.rejected)} "
           f"success_rate={run.success_rate:.3f} (share of reads at the lowest "
@@ -269,9 +282,7 @@ def cmd_solve_qubo(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.show < 0:  # a negative slice end would drop plans from the end
         raise ValueError(f"show must be >= 0, got {args.show}")
-    inst = _load(args)
-    graph = build_hypergraph(inst)
-    model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
+    inst, graph, model, _, _ = _compile(args)
     portfolio = enumerate_feasible(model, max_count=args.max_count)
     _write(args, {"portfolio.json": _portfolio_json(inst, graph, portfolio)})
     print(f"feasible={len(portfolio.solutions)} exhaustive={portfolio.exhaustive}")
@@ -286,10 +297,7 @@ def cmd_report(args) -> int:
                "Delta", "ILP vars", "QUBO vars/terms"]
     rows = []
     for path in args.instances:
-        inst = _load(args, path)
-        graph = build_hypergraph(inst)
-        model = encode_ilp(graph, inst)
-        qubo = encode_qubo(model, _lambdas(args))
+        inst, graph, model, qubo, _ = _compile(args, path, qubo=True)
         rep = scaling_report(inst, graph, model, qubo,
                              name=str(inst.meta.get("name", path)))
         rows.append([
@@ -351,10 +359,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    inst = _load(args)
-    graph = build_hypergraph(inst)
-    model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
-    text = export_lp(model)
+    text = export_lp(_compile(args).ilp)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -363,10 +368,7 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_export_qubo(args) -> int:
-    inst = _load(args)
-    graph = build_hypergraph(inst)
-    model = encode_ilp(graph, inst, driver_weighting=args.driver_weighting)
-    qubo = encode_qubo(model, _lambdas(args))
+    qubo = _compile(args, qubo=True).qubo
     if args.out is None:
         sys.stdout.write(export_qubo_coo(qubo))
     else:
@@ -390,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic instance")
     p.add_argument("output", help="target file, or - for stdout")
     p.add_argument("--trips", type=int, required=True)
-    p.add_argument("--couplable", type=int, default=0)
-    p.add_argument("--depots", type=int, default=1)
-    p.add_argument("--types", type=int, default=1)
-    p.add_argument("--delta-min", type=int, default=5)
-    p.add_argument("--delta-max", type=int, default=60)
+    p.add_argument("--couplable", type=int, default=GeneratorConfig.n_couplable)
+    p.add_argument("--depots", type=int, default=GeneratorConfig.n_depots)
+    p.add_argument("--types", type=int, default=GeneratorConfig.n_types)
+    p.add_argument("--delta-min", type=int, default=GeneratorConfig.delta_min)
+    p.add_argument("--delta-max", type=int, default=GeneratorConfig.delta_max)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=_frac_arg, default=None)
+    p.add_argument("--alpha", type=_frac_arg, default=GeneratorConfig.alpha)
     p.add_argument("--no-return-bounds", action="store_true",
                    help="omit depot return bounds (no sink nodes)")
     p.set_defaults(func=cmd_generate)
@@ -414,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_opts(p)
     _add_lambda_opts(p)
     _add_out_opt(p)
-    p.add_argument("--reads", type=int, default=100)
-    p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--beta-min", type=float, default=0.01)
-    p.add_argument("--beta-max", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reads", type=int, default=AnnealParams.num_reads)
+    p.add_argument("--sweeps", type=int, default=AnnealParams.sweeps)
+    p.add_argument("--beta-min", type=float, default=AnnealParams.beta_min)
+    p.add_argument("--beta-max", type=float, default=AnnealParams.beta_max)
+    p.add_argument("--seed", type=int, default=AnnealParams.seed)
     p.set_defaults(func=cmd_solve_qubo)
 
     p = sub.add_parser("enumerate", help="list every feasible plan")

@@ -49,21 +49,30 @@ An ``IlpModel`` is valid where it is built (see the class), and the same
 pass compiles it once into read-only arrays: the rows in CSR form
 (``indptr``, ``indices``, ``data``, scipy's names), their bounds ``lo``
 and ``hi``, and the objective as integers ``obj`` over one ``den``. This
-is the one place the objective is scaled to integers, and the one
-row layout: branch and bound, the QUBO encoder and decoder, the
-``brute_force`` oracle and the feasibility report read the arrays
-unchecked, and only the LP export reads the rows as built. Values are
-int64 while a bound on every sum they form stays below 2**63, and Python
-ints in ``object`` arrays otherwise (``_dtype``), the policy the QUBO
-arrays follow too.
+is the one place the objective is scaled to integers, and every sum over
+the rows is taken from the arrays, unchecked: the row evaluator below,
+branch and bound's activity bounds, ``brute_force``'s dense matrix and
+the QUBO encoder's expanded squares. The rows as built are read where
+a row's entries or name are needed one by one: branch and bound fills its
+per-row entry tables from ``row.coeffs``, ``brute_force``'s 2**63 guard
+sums each row's ``|c|``, the QUBO encoder copies each row's entries into
+its ``PenaltyRow`` and the capacity row's variables into its linear
+terms, ``decode_many`` matches penalty rows to rows by tag, a report
+names the rows a sample leaves, and ``export_lp`` writes every row. Values
+are int64 while a bound on every sum they form stays below 2**63, and
+Python ints in ``object`` arrays otherwise (``_dtype``), the policy the
+QUBO arrays follow too.
 
 One row evaluator serves every check: ``_row_sums`` sums each row over a
 block of 0/1 samples with one ``np.add.reduceat``, and ``_reports`` turns
 only the (sample, row) pairs off their bounds into Python objects.
 ``check_feasibility`` is the two on one sample, ``decode_many`` the two on
-a sample set; ``objective_value`` sums the chosen entries of ``obj``. Both
-refuse an assignment entry outside {0, 1}. ``ConstraintRow.lhs`` is the
-per-row reference the tests check the evaluator against.
+a sample set; ``objective_value`` sums the chosen entries of ``obj``.
+One routine, ``_bits``, checks every 0/1 assignment these and the QUBO
+batch routines are given: it turns a list of samples into one int8 block
+and names the first sample of the wrong length, else the first entry
+outside {0, 1}. ``ConstraintRow.lhs`` is the per-row reference the tests
+check the evaluator against.
 """
 
 from __future__ import annotations
@@ -101,7 +110,7 @@ class ConstraintRow:
 
     It is built as ``= rhs``, ``<= rhs`` or a ``range`` over ``[lo, hi]``.
     ``IlpModel`` compiles the two ints of ``bounds()`` into its ``lo`` and
-    ``hi``, which every consumer reads, except ``export_lp``, which writes
+    ``hi``, which every row sum is checked against; ``export_lp`` writes
     the row as it was built. ``lhs`` is the per-row reference of the
     model's row evaluator; no library path calls it.
     """
@@ -148,9 +157,10 @@ class IlpModel:
     integer, and sums a row's repeated variable into its first entry, so
     every row names each variable once. Other rows stay the same objects.
 
-    The same pass compiles the model into read-only arrays, which every
-    consumer but ``export_lp`` reads: the rows in CSR form (row ``r`` is
-    ``data[k]`` at variable ``indices[k]`` for ``k`` in
+    The same pass compiles the model into read-only arrays, from which
+    every sum over the rows or the objective is taken (the module
+    docstring says what reads the rows as built): the rows in CSR form
+    (row ``r`` is ``data[k]`` at variable ``indices[k]`` for ``k`` in
     ``indptr[r]:indptr[r + 1]``, in entry order), their ``bounds()`` as
     ``lo`` and ``hi``, and the objective summed per variable as ``obj``,
     with the constant as ``offset``, both integers in units of ``1/den``,
@@ -304,17 +314,21 @@ class FeasibilityReport:
         return cls({k: tuple(v) for k, v in violations.items()})
 
 
-_BINARY = frozenset((0, 1))
-
-
-def _check_assignment(x: Sequence[int], num_vars: int) -> None:
-    """``ValueError`` for an ``x`` of the wrong length, or naming its first
-    entry outside {0, 1}."""
-    if len(x) != num_vars:
-        raise ValueError(f"assignment length {len(x)} != num_vars {num_vars}")
-    if not _BINARY.issuperset(x):
-        i, value = next((i, v) for i, v in enumerate(x) if v not in _BINARY)
-        raise ValueError(f"assignment entry {i} is {value!r}, not 0 or 1")
+def _bits(ys: Sequence[Sequence[int]], n: int, first: int = 0) -> np.ndarray:
+    """The samples ``ys``, each ``n`` long, as one int8 (sample, n) array;
+    ``ValueError`` names the first sample of another length, else the
+    first entry outside {0, 1}, numbering the samples from ``first``."""
+    for y in ys:
+        if len(y) != n:
+            raise ValueError(f"assignment length {len(y)} != {n}")
+    block = np.asarray(ys)
+    if block.dtype != bool:
+        bad = (block != 0) & (block != 1)
+        if bad.any():
+            s, i = divmod(int(bad.argmax()), n)
+            raise ValueError(f"sample {first + s} entry {i} is "
+                             f"{block[s].tolist()[i]!r}, not 0 or 1")
+    return block.astype(np.int8)
 
 
 def driver_row_weight(arc_k: int, running: int, weighting: str) -> int:
@@ -486,13 +500,12 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
 def objective_value(model: IlpModel, x: Sequence[int]) -> Fraction:
     """The objective at the 0/1 assignment ``x``: the chosen entries of
     ``obj`` and the ``offset``, over ``den``."""
-    _check_assignment(x, model.num_vars)
-    return Fraction(int(model.obj[np.flatnonzero(x)].sum()) + model.offset, model.den)
+    bits = _bits([x], model.num_vars)[0]
+    return Fraction(int(model.obj[np.flatnonzero(bits)].sum()) + model.offset, model.den)
 
 
 def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:
-    _check_assignment(x, model.num_vars)
-    bits = np.asarray(x, np.int8)[None]
+    bits = _bits([x], model.num_vars)
     return _reports(model, _row_sums(bits, model.indptr, model.indices, model.data))[0]
 
 

@@ -59,8 +59,10 @@ ILP's ``reach`` plus the largest ``|constant|`` stays below 2**63, exact
 Python ints otherwise. Samples go through in blocks
 of at most ``_BLOCK`` = 2**17 (sample, cell) pairs, a cell being a term,
 a row coefficient or a chain bit, so the scratch of a call stays within a
-few MiB whatever the sample count. ``decode`` and ``qubo_energy`` are
-the one-sample calls; a sample entry outside {0, 1} is a ``ValueError``.
+few MiB whatever the sample count; each block is checked and converted by
+the ILP's one assignment check, ``_bits``, so a sample of the wrong length
+or with an entry outside {0, 1} is a ``ValueError`` that names it.
+``decode`` and ``qubo_energy`` are the one-sample calls.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .ilp import (ConstraintRow, FeasibilityReport, IlpModel, _dtype, _EXACT, _frozen,
-                  _integers, _largest, _reports, _row_sums)
+from .ilp import (ConstraintRow, FeasibilityReport, IlpModel, _bits, _dtype, _EXACT,
+                  _frozen, _integers, _largest, _reports, _row_sums)
 from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
@@ -414,10 +416,9 @@ def qubo_energies(model: QuboModel, ys: Sequence[Sequence[int]]) -> list[Fractio
     names the first sample of the wrong length or the first entry outside
     {0, 1}. The sums are in the dtype of ``q``'s values, which the model
     keeps exact."""
-    _check_lengths(ys, model.num_vars)
     q = model.q
     energies: list[Fraction] = []
-    for bits in _bit_blocks(ys, len(q)):
+    for bits in _bit_blocks(ys, model.num_vars, len(q)):
         # einsum sums the products in buffered chunks, with no int64 copy
         # of the (sample, term) table
         totals = np.einsum("st,t->s", bits[:, q.i] & bits[:, q.j], q.value)
@@ -507,7 +508,6 @@ def decode_many(model: QuboModel, ilp: IlpModel,
     ``ValueError`` names the first mismatch. ``ValueError`` also names the
     first sample of the wrong length and the first entry outside {0, 1}.
     """
-    _check_lengths(ys, model.num_vars)
     if ilp.num_vars != model.num_decision:
         raise ValueError(f"ILP has {ilp.num_vars} variables, "
                          f"QUBO has {model.num_decision} decision variables")
@@ -522,7 +522,8 @@ def decode_many(model: QuboModel, ilp: IlpModel,
     constant = np.array([p.constant for p in penalties], dtype)
 
     decoded: list[DecodedSample] = []
-    for bits in _bit_blocks(ys, max(len(ilp.indices) + len(slack), model.num_vars)):
+    cells = max(len(ilp.indices) + len(slack), model.num_vars)
+    for bits in _bit_blocks(ys, model.num_vars, cells):
         lhs = _row_sums(bits, ilp.indptr, ilp.indices, ilp.data)
         chains = _row_sums(bits, chain_ptr, slack, np.ones(len(slack), np.int64))
         consistent = (chains == np.clip(lhs[:, matched] + constant, 0, width)).all(axis=1)
@@ -540,26 +541,12 @@ def decode_many(model: QuboModel, ilp: IlpModel,
 _BLOCK = 2 ** 17  # (sample, cell) pairs a batch routine evaluates at a time
 
 
-def _check_lengths(ys: Sequence[Sequence[int]], n: int) -> None:
-    for y in ys:
-        if len(y) != n:
-            raise ValueError(f"assignment length {len(y)} != {n}")
-
-
-def _bit_blocks(ys: Sequence[Sequence[int]], cells: int):
-    """The samples ``ys`` in order as int8 arrays of at most
-    ``_BLOCK // cells`` samples each (at least one); ``ValueError`` names
-    the first entry outside {0, 1}."""
+def _bit_blocks(ys: Sequence[Sequence[int]], n: int, cells: int):
+    """The samples ``ys`` in order as ``_bits`` blocks of at most
+    ``_BLOCK // cells`` samples each (at least one)."""
     step = max(1, _BLOCK // max(cells, 1))
     for start in range(0, len(ys), step):
-        block = np.asarray(ys[start:start + step])
-        if block.dtype != bool:
-            bad = (block != 0) & (block != 1)
-            if bad.any():
-                s, i = divmod(int(bad.argmax()), block.shape[1])
-                raise ValueError(f"sample {start + s} entry {i} is "
-                                 f"{block[s].tolist()[i]!r}, not 0 or 1")
-        yield block.astype(np.int8)
+        yield _bits(ys[start:start + step], n, start)
 
 
 def _matched_rows(penalties: Sequence[PenaltyRow],

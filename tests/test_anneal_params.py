@@ -14,6 +14,7 @@ from rollstock.anneal import AnnealParams
     dict(beta_max=math.inf),
     dict(beta_min=math.inf, beta_max=math.inf),
     dict(beta_min=-math.inf),
+    dict(beta_min=0),
     dict(beta_min=True),
     dict(beta_max="10"),
     dict(num_reads=10.0),
@@ -23,6 +24,7 @@ from rollstock.anneal import AnnealParams
     dict(sweeps=100.0),
     dict(sweeps=None),
     dict(sweeps=False),
+    dict(sweeps=-1),
     dict(seed=-1),
     dict(seed=1.5),
     dict(seed=None),

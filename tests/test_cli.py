@@ -6,11 +6,14 @@ import re
 import pytest
 
 from rollstock import cli
+from rollstock.anneal import AnnealParams
 from rollstock.cli import main
 from rollstock.exact import solve_exact
+from rollstock.generate import GeneratorConfig
 from rollstock.ilp import encode_ilp
 from rollstock.model import load_instance
 from rollstock.netbuild import build_hypergraph
+from rollstock.qubo import DEFAULT_LAMBDAS
 
 from conftest import REPO, TOY_PATH
 
@@ -455,3 +458,98 @@ def test_solution_json_counts_rows_per_kind(tmp_path, capsys, toy_ilp):
     assert payload["constraints"] == {
         "coverage": 3, "flow_balance": 4, "out_degree": 2, "depot_out": 2,
         "capacity_forbid": 1, "driver": 2}
+
+
+def test_export_lp_out_writes_the_golden_lp(tmp_path, capsys):
+    code, out, _ = run(capsys, "export-lp", TOY, "--out", str(tmp_path))
+    assert code == 0
+    assert out == f"wrote {tmp_path / 'model.lp'}\n"
+    assert (tmp_path / "model.lp").read_text() == (GOLDEN_TOY / "model.lp").read_text()
+
+
+def test_diagram_of_an_enumerated_portfolio_draws_its_first_plan(tmp_path, capsys):
+    # the portfolio is sorted by objective, so its first plan is the optimum
+    # and the diagram equals the golden one drawn from solve-ilp's solution
+    code, _, _ = run(capsys, "enumerate", TOY, "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "portfolio.json").read_text())
+    assert [a["id"] for a in payload["solutions"][0]["selected_arcs"]] == [0, 2, 10]
+    code, out, _ = run(capsys, "diagram", TOY, "--solution",
+                       str(tmp_path / "portfolio.json"), "--out", str(tmp_path))
+    assert code == 0
+    for name in ("diagram.svg", "diagram.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_TOY / name).read_bytes(), name
+    assert out.endswith((GOLDEN_TOY / "diagram.txt").read_text())
+
+
+def test_malformed_solution_file_is_invalid_json(tmp_path, capsys):
+    solution = tmp_path / "solution.json"
+    solution.write_text('{"selected_arcs": [')
+    code, out, err = run(capsys, "diagram", TOY, "--solution", str(solution))
+    assert_clean_error(code, out, err)
+    assert err.startswith("error: invalid JSON")
+
+
+def test_non_rational_alpha_is_an_input_error(capsys):
+    code, out, err = run(capsys, "solve-ilp", TOY, "--alpha", "abc")
+    assert code == 1
+    assert "not a rational number: 'abc'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("setting,level", [("bogus", "WARNING"), ("info", "INFO"),
+                                           (None, "WARNING")])
+def test_log_level_comes_from_the_environment(monkeypatch, capsys, setting, level):
+    seen = {}
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: seen.update(kw))
+    if setting is None:
+        monkeypatch.delenv("ROLLSTOCK_LOG", raising=False)
+    else:
+        monkeypatch.setenv("ROLLSTOCK_LOG", setting)
+    code, _, _ = run(capsys, "validate", TOY)
+    assert code == 0
+    assert seen["level"] == level
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_generate_defaults_are_the_generator_config_defaults(monkeypatch, capsys):
+    seen = {}
+
+    def capture(cfg, seed):
+        seen.update(cfg=cfg, seed=seed)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "generate_synthetic", capture)
+    with pytest.raises(_Stop):
+        main(["generate", "-", "--trips", "12"])
+    assert seen == {"cfg": GeneratorConfig(n_trips=12), "seed": 0}
+
+
+def test_solve_qubo_defaults_are_the_sampler_defaults(monkeypatch, capsys):
+    seen = {}
+
+    def capture(instance, params, **stages):
+        seen.update(params=params)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "sample_portfolio", capture)
+    with pytest.raises(_Stop):
+        main(["solve-qubo", TOY])
+    assert seen == {"params": AnnealParams()}
+
+
+@pytest.mark.parametrize("command", ["solve-qubo", "export-qubo", "report"])
+def test_lambda_defaults_are_the_library_defaults(monkeypatch, capsys, command):
+    seen = []
+
+    def capture(model, lambdas):
+        seen.append(tuple(lambdas))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "encode_qubo", capture)
+    with pytest.raises(_Stop):
+        main([command, TOY])
+    assert seen == [DEFAULT_LAMBDAS]

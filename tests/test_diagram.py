@@ -112,3 +112,14 @@ def test_decouple_tracing_splits_units():
         assert rot.coupled[0] is True and rot.coupled[1] is False
     svg = render_svg(inst, graph, selected)
     assert "#2ca02c" in svg
+
+
+def test_two_selected_arcs_out_of_one_trip_rejected(toy_instance, toy_graph):
+    # arcs 4 and 6 both leave t1, one to t3, one to t4
+    with pytest.raises(DiagramError, match="trip t1 has two outgoing selected arcs"):
+        render_svg(toy_instance, toy_graph, (0, 4, 6))
+
+
+def test_empty_instance_renders_the_empty_text(toy_instance):
+    empty = dataclasses.replace(toy_instance, trips=(), driver_windows=())
+    assert render_ascii(empty, build_hypergraph(empty), ()) == "(empty diagram)\n"

@@ -76,6 +76,11 @@ def test_negative_delta_min_rejected():
     (lambda d: d["driver_windows"].append(
         {"depot": "depA", "at": 600, "min_drivers": 1, "max_drivers": 3,
          "license": "rX"}), "/driver_windows/2/license"),
+    (lambda d: d["depots"].append(dict(d["depots"][0])), "/depots/1/id"),
+    (lambda d: d["depots"][0].update(out_min={"r1": 3}), "/depots/0/out_min"),
+    (lambda d: d["depots"][0].update(in_min={}, in_max={"rX": 1}), "/depots/0/in_max"),
+    (lambda d: d["depots"][0].update(in_min={"r1": 2}, in_max={"r1": 1}),
+     "/depots/0/in_min"),
 ])
 def test_invariant_violations_report_paths(mutate, path):
     data = json.loads(TOY_PATH.read_text())
@@ -444,3 +449,24 @@ def test_field_errors_keep_their_paths_and_messages(record, key, value, path,
     with pytest.raises(InstanceError) as err:
         loads_instance(json.dumps(data))
     assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_invalid_json_is_an_instance_error_at_the_root():
+    with pytest.raises(InstanceError) as err:
+        loads_instance("{")
+    assert err.value.path == "/"
+    assert "invalid JSON" in err.value.message
+
+
+def test_licenses_and_licensed_windows_roundtrip():
+    data = json.loads(TOY_PATH.read_text())
+    data["licenses"] = {"L": ["r2", "r1"]}
+    data["driver_windows"].append(
+        {"depot": "depA", "at": 600, "min_drivers": 0, "max_drivers": 1, "license": "L"})
+    inst = loads_instance(json.dumps(data))
+    assert inst.licenses == {"L": frozenset({"r1", "r2"})}
+    assert inst.driver_windows[-1].license == "L"
+    text = serialize_instance(inst)
+    again = loads_instance(text)
+    assert again == inst
+    assert serialize_instance(again) == text

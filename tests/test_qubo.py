@@ -357,3 +357,10 @@ def test_row_without_solutions_rejected(row):
     model = IlpModel(num_vars=1, objective=(), constraints=(row,))
     with pytest.raises(ValueError, match="lo"):
         encode_qubo(model)
+
+
+@pytest.mark.parametrize("length", [10, 12, 20])
+def test_consistent_slacks_refuses_a_wrong_length_decision(toy_qubo, length):
+    # the toy has 11 decision bits; 20 is the length of a whole sample
+    with pytest.raises(ValueError, match=f"decision length {length} != 11"):
+        consistent_slacks(toy_qubo, (0,) * length)

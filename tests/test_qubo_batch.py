@@ -258,3 +258,15 @@ def test_numpy_bools_and_ints_decode_like_python_ints(toy_qubo, toy_ilp):
     assert [decode(toy_qubo, toy_ilp, tuple(map(bool, y))) for y in ys] == want
     assert (qubo_energies(toy_qubo, np.array(ys, dtype=np.int8))
             == [per_sample_energy(toy_qubo, y) for y in ys])
+
+
+def test_one_sample_blocks_name_the_sample_by_its_place_in_the_list(
+        monkeypatch, toy_qubo, toy_ilp):
+    monkeypatch.setattr(QUBO, "_BLOCK", 1)
+    y = [0] * toy_qubo.num_vars
+    y[5] = 2
+    ys = [(0,) * toy_qubo.num_vars] * 3 + [tuple(y)]
+    for call in (lambda: decode_many(toy_qubo, toy_ilp, ys),
+                 lambda: qubo_energies(toy_qubo, ys)):
+        with pytest.raises(ValueError, match="sample 3 entry 5 is 2, not 0 or 1"):
+            call()
