@@ -16,6 +16,11 @@ It prints each tree's geometric mean over instances of the per-instance
 median time, and their ratio (second tree over first). A ratio below 1
 means the second tree is faster. The times are raw wall clock, not scaled
 by perfbench's calibration loop, and the ratio is the figure to read.
+
+One repetition checks answers, not time. On anneal-portfolio, resolving a
+difference of a few percent takes ``--repeat 3`` or more: runs of two
+identical trees read 0.940 to 1.068 at ``--repeat 1`` and 0.999 to 1.028 at
+``--repeat 3`` (16 instances).
 """
 
 from __future__ import annotations

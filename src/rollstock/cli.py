@@ -11,8 +11,9 @@ The six model commands (solve-ilp, solve-qubo, enumerate, report,
 export-lp, export-qubo) load, build and encode through ``_compile``.
 Every sampler, generator and penalty-weight option defaults to the
 library's own default (``AnnealParams``, ``GeneratorConfig``,
-``DEFAULT_LAMBDAS``), and both plan files write a plan through
-``_plan_record``.
+``DEFAULT_LAMBDAS``), as do --driver-weighting and enumerate's
+--max-count (``encode_ilp``'s and ``enumerate_feasible``'s signatures),
+and both plan files write a plan through ``_plan_record``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import logging
@@ -57,6 +59,11 @@ def _frac_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _default_of(func, name: str):
+    """``func``'s own default for its parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _add_instance_opts(p: argparse.ArgumentParser, alpha: bool = True,
                        driver_weighting: bool = True) -> None:
     p.add_argument("instance", help="instance JSON file")
@@ -67,7 +74,7 @@ def _add_instance_opts(p: argparse.ArgumentParser, alpha: bool = True,
                    help="override the maximum turnaround window (arc pruning)")
     if driver_weighting:
         p.add_argument("--driver-weighting", choices=("per_emu", "per_train"),
-                       default="per_emu",
+                       default=_default_of(encode_ilp, "driver_weighting"),
                        help="weight driver rows by en-route EMUs or trains")
 
 
@@ -101,14 +108,13 @@ class _Compiled(NamedTuple):
 
 def _compile(args, path: Optional[str] = None, qubo: bool = False) -> _Compiled:
     """Load ``path`` as ``_load`` does, build its hypergraph and encode the
-    ILP under the command's --driver-weighting (report has none and keeps
-    the library default), and with ``qubo`` the QUBO under --lambda1..5."""
+    ILP under the command's --driver-weighting (report has no such option:
+    its parser sets the library default), and with ``qubo`` the QUBO under
+    --lambda1..5."""
     inst = _load(args, path)
     tic = time.monotonic()
     graph = build_hypergraph(inst)
-    weighting = ({"driver_weighting": args.driver_weighting}
-                 if "driver_weighting" in args else {})
-    model = encode_ilp(graph, inst, **weighting)
+    model = encode_ilp(graph, inst, args.driver_weighting)
     encoded = (encode_qubo(model, [getattr(args, f"lambda{i}") for i in range(1, 6)])
                if qubo else None)
     return _Compiled(inst, graph, model, encoded, time.monotonic() - tic)
@@ -426,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every feasible plan")
     _add_instance_opts(p)
     _add_out_opt(p)
-    p.add_argument("--max-count", type=int, default=100000)
+    p.add_argument("--max-count", type=int, default=_default_of(enumerate_feasible, "max_count"))
     p.add_argument("--show", type=int, default=10)
     p.set_defaults(func=cmd_enumerate)
 
@@ -437,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lambda_opts(p)
     p.add_argument("--format", choices=("csv", "md"), default="md")
     _add_out_opt(p)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, driver_weighting=_default_of(encode_ilp, "driver_weighting"))
 
     p = sub.add_parser("diagram", help="render a plan as SVG + ASCII")
     _add_instance_opts(p, alpha=False, driver_weighting=False)

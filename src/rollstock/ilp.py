@@ -322,6 +322,8 @@ def _bits(ys: Sequence[Sequence[int]], n: int, first: int = 0) -> np.ndarray:
         if len(y) != n:
             raise ValueError(f"assignment length {len(y)} != {n}")
     block = np.asarray(ys)
+    if block.dtype.kind in "SU":  # numpy read every entry as text: compare them as given
+        block = np.asarray(ys, dtype=object)
     if block.dtype != bool:
         bad = (block != 0) & (block != 1)
         if bad.any():

@@ -12,11 +12,18 @@ values and QUBO coefficients downstream stay exact. The JSON loader
 parses number literals directly into fractions, so ``0.01`` in a file
 means exactly 1/100.
 
+The file format is declared once, in one field table per record
+(``_EMU_TYPE``, ``_DEPOT``, ``_TRIP``, ``_WINDOW``): each field's JSON key,
+which is also its attribute, its reader, its default and how it is written
+back. ``loads_instance`` reads and ``serialize_instance`` writes every
+record through its table; docs/instance-format.md lists the same keys.
+
 Errors carry a JSON-pointer path, formatted only when a check fails: the
 field readers take the record's path and the field's key and build
 ``path/key`` only to raise, and validation formats ``/trips/i/...`` only
-for the check that fails. ``Trip`` defines its own one-step ``__init__``,
-as ``netbuild.HyperArc`` does, since a load builds one per trip.
+for the check that fails. A record's first bad field in table order is the
+one reported. ``Trip`` defines its own one-step ``__init__``, as
+``netbuild.HyperArc`` does, since a load builds one per trip.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational as _Rational
-from typing import Any, IO, Optional, Union
+from typing import Any, Callable, IO, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "InstanceError",
@@ -99,19 +106,21 @@ def _frac(obj: Mapping[str, Any], key: str, path: str, default: int) -> Fraction
 
 def _check_rational(value: Any, path: str, key: str) -> None:
     """Reject what exact arithmetic downstream cannot use: floats, bools."""
+    if type(value) is Fraction:  # every loaded number: no ABC check
+        return
     if isinstance(value, bool) or not isinstance(value, _Rational):
         raise InstanceError(f"{path}/{key}",
                             f"expected an int or a Fraction, got {value!r}")
 
 
-def _mapping(value: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
+def _mapping(value: Any, path: str) -> dict[str, Any]:
+    if not isinstance(value, dict):  # json.loads makes every JSON object a dict
         raise InstanceError(path, "expected an object")
     return value
 
 
-def _type_list(obj: Mapping[str, Any], key: str, path: str) -> frozenset[str]:
-    value = _present(obj.get(key, _REQUIRED), key, path)
+def _type_list(obj: Mapping[str, Any], key: str, path: str, default: Any) -> frozenset[str]:
+    value = _present(obj.get(key, default), key, path)
     if not isinstance(value, list):
         raise InstanceError(f"{path}/{key}", "expected a list of type ids")
     for type_id in value:
@@ -121,7 +130,7 @@ def _type_list(obj: Mapping[str, Any], key: str, path: str) -> frozenset[str]:
     return frozenset(value)
 
 
-def _int(obj: Mapping[str, Any], key: str, path: str, default: Any = _REQUIRED) -> int:
+def _int(obj: Mapping[str, Any], key: str, path: str, default: Any) -> int:
     value = obj.get(key, default)
     if type(value) is int:
         return value
@@ -142,8 +151,8 @@ def _bool(obj: Mapping[str, Any], key: str, path: str, default: bool) -> bool:
     return value
 
 
-def _str(obj: Mapping[str, Any], key: str, path: str) -> str:
-    value = obj.get(key, _REQUIRED)
+def _str(obj: Mapping[str, Any], key: str, path: str, default: Any) -> str:
+    value = obj.get(key, default)
     if not isinstance(value, str) or not value:
         _present(value, key, path)
         raise InstanceError(f"{path}/{key}",
@@ -440,71 +449,92 @@ def _validate(inst: Instance) -> None:
 # JSON schema <-> Instance
 
 
-def _type_bounds(obj: Mapping[str, Any], key: str, path: str,
-                 default: Any = _REQUIRED) -> dict[str, int]:
+def _type_bounds(obj: Mapping[str, Any], key: str, path: str, default: Any) -> dict[str, int]:
     bounds = _present(obj.get(key, default), key, path)
-    if not isinstance(bounds, Mapping):
+    if not isinstance(bounds, dict):
         raise InstanceError(f"{path}/{key}",
                             "expected an object mapping type id -> integer")
     path = f"{path}/{key}"
-    return {str(type_id): _int(bounds, type_id, path) for type_id in bounds}
+    return {str(type_id): _int(bounds, type_id, path, _REQUIRED) for type_id in bounds}
 
 
-def _parse_trip(obj: Any, path: str) -> Trip:
-    obj = _mapping(obj, path)
-    allowed = _type_list(obj, "allowed_types", path)
-    return Trip(
-        id=_str(obj, "id", path),
-        origin=_str(obj, "origin", path),
-        destination=_str(obj, "destination", path),
-        depart=_int(obj, "depart", path),
-        arrive=_int(obj, "arrive", path),
-        passengers=_int(obj, "passengers", path, 0),
-        bicycles=_int(obj, "bicycles", path, 0),
-        couplable=_bool(obj, "couplable", path, False),
-        allowed_types=allowed,
-        distance=_frac(obj, "distance", path, 1),
-        obligatory=_bool(obj, "obligatory", path, True),
-        driver_depot=(None if obj.get("driver_depot") is None
-                      else _str(obj, "driver_depot", path)),
-        **{name: None if obj.get(name) is None else _int(obj, name, path)
-           for name in _TOLERANCES},
-    )
+def exact_number(value: Rational) -> Union[int, float, str]:
+    """A rational as an int, a float or ``"n/d"`` text, whichever is exact;
+    both the JSON value and its ``str()`` parse back to the same number."""
+    if value.denominator == 1:
+        return value.numerator
+    try:
+        as_float = float(value)
+        # the text's exact decimal value, both in lowest terms
+        if Decimal(str(as_float)).as_integer_ratio() == (value.numerator, value.denominator):
+            return as_float
+    except OverflowError:  # beyond the float range
+        pass
+    return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_emu_type(obj: Any, path: str) -> EmuType:
-    obj = _mapping(obj, path)
-    return EmuType(
-        id=_str(obj, "id", path),
-        seats=_int(obj, "seats", path),
-        bike_slots=_int(obj, "bike_slots", path, 0),
-        cost_per_km=_frac(obj, "cost_per_km", path, 1),
-        couplable=_bool(obj, "couplable", path, False),
-    )
+def _sorted_dict(mapping: Mapping[str, Any]) -> dict[str, Any]:
+    return dict(sorted(mapping.items()))
 
 
-def _parse_depot(obj: Any, path: str) -> Depot:
-    obj = _mapping(obj, path)
-    return Depot(
-        id=_str(obj, "id", path),
-        station=_str(obj, "station", path),
-        out_min=_type_bounds(obj, "out_min", path, {}),
-        out_max=_type_bounds(obj, "out_max", path),
-        in_min=None if obj.get("in_min") is None else _type_bounds(obj, "in_min", path),
-        in_max=None if obj.get("in_max") is None else _type_bounds(obj, "in_max", path),
-    )
+class _Field(NamedTuple):
+    """One field of a record, in the record's attribute order. ``key`` is
+    both its JSON key and its attribute. The default None makes a field
+    optional: absent or null reads as None, and None is not written."""
+
+    key: str
+    read: Callable[[Mapping[str, Any], str, str, Any], Any]
+    default: Any = _REQUIRED  # or a value, or None
+    write: Optional[Callable[[Any], Any]] = None  # None: written as is
 
 
-def _parse_window(obj: Any, path: str) -> DriverWindow:
-    obj = _mapping(obj, path)
-    return DriverWindow(
-        depot=_str(obj, "depot", path),
-        at=_int(obj, "at", path),
-        min_drivers=_int(obj, "min_drivers", path, 0),
-        max_drivers=_int(obj, "max_drivers", path),
-        license=(None if obj.get("license") is None
-                 else _str(obj, "license", path)),
-    )
+# The instance file's records, each declared once for both directions.
+_EMU_TYPE = (
+    _Field("id", _str),
+    _Field("seats", _int), _Field("bike_slots", _int, 0),
+    _Field("cost_per_km", _frac, 1, exact_number),
+    _Field("couplable", _bool, False),
+)
+_DEPOT = (
+    _Field("id", _str),
+    _Field("station", _str),
+    _Field("out_min", _type_bounds, {}, _sorted_dict),
+    _Field("out_max", _type_bounds, _REQUIRED, _sorted_dict),
+    _Field("in_min", _type_bounds, None, _sorted_dict),
+    _Field("in_max", _type_bounds, None, _sorted_dict),
+)
+_TRIP = (
+    _Field("id", _str),
+    _Field("origin", _str), _Field("destination", _str),
+    _Field("depart", _int), _Field("arrive", _int),
+    _Field("passengers", _int, 0), _Field("bicycles", _int, 0),
+    _Field("couplable", _bool, False),
+    _Field("allowed_types", _type_list, _REQUIRED, sorted),
+    _Field("distance", _frac, 1, exact_number),
+    _Field("obligatory", _bool, True),
+    _Field("driver_depot", _str, None),
+    *(_Field(name, _int, None) for name in _TOLERANCES),
+)
+_WINDOW = (
+    _Field("depot", _str),
+    _Field("at", _int),
+    _Field("min_drivers", _int, 0), _Field("max_drivers", _int),
+    _Field("license", _str, None),
+)
+
+
+def _records(data: dict[str, Any], key: str, cls: type, fields: tuple) -> Iterator:
+    """The JSON list ``data[key]`` as ``cls`` records, each field read in
+    turn, so a record's first bad field in ``fields`` order is reported."""
+    listed = data.get(key, [])
+    if not isinstance(listed, list):
+        raise InstanceError(f"/{key}", "expected a list")
+    for i, obj in enumerate(listed):
+        path = f"/{key}/{i}"
+        obj = _mapping(obj, path)
+        yield cls(*[None if default is None and obj.get(name) is None
+                    else read(obj, name, path, default)
+                    for name, read, default, _ in fields])
 
 
 def loads_instance(text: str) -> Instance:
@@ -513,32 +543,21 @@ def loads_instance(text: str) -> Instance:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise InstanceError("/", f"invalid JSON: {exc}") from exc
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):
         raise InstanceError("/", "top level must be a JSON object")
 
     tol = _mapping(data.get("tolerances", {}), "/tolerances")
-
-    def seq(key: str) -> list:
-        value = data.get(key, [])
-        if not isinstance(value, list):
-            raise InstanceError(f"/{key}", "expected a list")
-        return value
-
     listed = _mapping(data.get("licenses", {}), "/licenses")
-    licenses = {str(k): _type_list(listed, k, "/licenses") for k in listed}
+    licenses = {str(k): _type_list(listed, k, "/licenses", _REQUIRED) for k in listed}
 
     return Instance(
-        trips=tuple(_parse_trip(t, f"/trips/{i}") for i, t in enumerate(seq("trips"))),
-        emu_types=tuple(_parse_emu_type(r, f"/emu_types/{i}")
-                        for i, r in enumerate(seq("emu_types"))),
-        depots=tuple(_parse_depot(d, f"/depots/{i}")
-                     for i, d in enumerate(seq("depots"))),
-        driver_windows=tuple(_parse_window(w, f"/driver_windows/{i}")
-                             for i, w in enumerate(seq("driver_windows"))),
-        delta_min=_int(data, "delta_min", ""),
-        delta_max=_int(data, "delta_max", ""),
-        **{name: _int(tol, key, "/tolerances", 0)
-           for key, name in _TOLERANCE_KEYS.items()},
+        trips=tuple(_records(data, "trips", Trip, _TRIP)),
+        emu_types=tuple(_records(data, "emu_types", EmuType, _EMU_TYPE)),
+        depots=tuple(_records(data, "depots", Depot, _DEPOT)),
+        driver_windows=tuple(_records(data, "driver_windows", DriverWindow, _WINDOW)),
+        delta_min=_int(data, "delta_min", "", _REQUIRED),
+        delta_max=_int(data, "delta_max", "", _REQUIRED),
+        **{name: _int(tol, key, "/tolerances", 0) for key, name in _TOLERANCE_KEYS.items()},
         alpha=_frac(data, "alpha", "", 0),
         licenses=licenses,
         meta=dict(_mapping(data.get("meta", {}), "/meta")),
@@ -561,21 +580,6 @@ def load_instance(source: Union[str, IO[bytes], IO[str]]) -> Instance:
     return loads_instance(raw)
 
 
-def exact_number(value: Rational) -> Union[int, float, str]:
-    """A rational as an int, a float or ``"n/d"`` text, whichever is exact;
-    both the JSON value and its ``str()`` parse back to the same number."""
-    if value.denominator == 1:
-        return value.numerator
-    try:
-        as_float = float(value)
-        # the text's exact decimal value, both in lowest terms
-        if Decimal(str(as_float)).as_integer_ratio() == (value.numerator, value.denominator):
-            return as_float
-    except OverflowError:  # beyond the float range
-        pass
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _meta_json(value: Any) -> Any:
     """``meta`` as JSON values: loaded numbers are Fractions, at any depth."""
     if isinstance(value, Fraction):
@@ -587,56 +591,33 @@ def _meta_json(value: Any) -> Any:
     return value
 
 
+def _json_records(records: tuple, fields: tuple) -> list[dict]:
+    """Each record as the JSON object ``_records`` reads back. It starts as
+    the record's attributes, which are ``fields`` in order, and then each
+    field with a ``write`` is converted and each optional None left out."""
+    special = [(k, d, w) for k, _, d, w in fields if w is not None or d is None]
+    objs = [vars(record).copy() for record in records]
+    for obj in objs:
+        for key, default, write in special:
+            if obj[key] is None and default is None:
+                del obj[key]
+            elif write is not None:
+                obj[key] = write(obj[key])
+    return objs
+
+
 def serialize_instance(inst: Instance) -> str:
     """Inverse of :func:`loads_instance`: deterministic, round-trip exact."""
-    def trip(t: Trip) -> dict:
-        obj: dict[str, Any] = {
-            "id": t.id, "origin": t.origin, "destination": t.destination,
-            "depart": t.depart, "arrive": t.arrive,
-            "passengers": t.passengers, "bicycles": t.bicycles,
-            "couplable": t.couplable,
-            "allowed_types": sorted(t.allowed_types),
-            "distance": exact_number(t.distance), "obligatory": t.obligatory,
-        }
-        if t.driver_depot is not None:
-            obj["driver_depot"] = t.driver_depot
-        for name in _TOLERANCES:
-            if getattr(t, name) is not None:
-                obj[name] = getattr(t, name)
-        return obj
-
-    def emu(r: EmuType) -> dict:
-        return {"id": r.id, "seats": r.seats, "bike_slots": r.bike_slots,
-                "cost_per_km": exact_number(r.cost_per_km), "couplable": r.couplable}
-
-    def depot(d: Depot) -> dict:
-        obj: dict[str, Any] = {"id": d.id, "station": d.station,
-                               "out_min": dict(sorted(d.out_min.items())),
-                               "out_max": dict(sorted(d.out_max.items()))}
-        if d.in_max is not None:
-            obj["in_min"] = dict(sorted((d.in_min or {}).items()))
-            obj["in_max"] = dict(sorted(d.in_max.items()))
-        return obj
-
-    def window(w: DriverWindow) -> dict:
-        obj: dict[str, Any] = {"depot": w.depot, "at": w.at,
-                               "min_drivers": w.min_drivers,
-                               "max_drivers": w.max_drivers}
-        if w.license is not None:
-            obj["license"] = w.license
-        return obj
-
     data: dict[str, Any] = {
         "meta": _meta_json(inst.meta),
         "alpha": exact_number(inst.alpha),
         "delta_min": inst.delta_min,
         "delta_max": inst.delta_max,
-        "tolerances": {key: getattr(inst, name)
-                       for key, name in _TOLERANCE_KEYS.items()},
-        "emu_types": [emu(r) for r in inst.emu_types],
-        "depots": [depot(d) for d in inst.depots],
-        "trips": [trip(t) for t in inst.trips],
-        "driver_windows": [window(w) for w in inst.driver_windows],
+        "tolerances": {key: getattr(inst, name) for key, name in _TOLERANCE_KEYS.items()},
+        "emu_types": _json_records(inst.emu_types, _EMU_TYPE),
+        "depots": _json_records(inst.depots, _DEPOT),
+        "trips": _json_records(inst.trips, _TRIP),
+        "driver_windows": _json_records(inst.driver_windows, _WINDOW),
     }
     if inst.licenses:
         data["licenses"] = {k: sorted(v) for k, v in sorted(inst.licenses.items())}

@@ -553,3 +553,23 @@ def test_lambda_defaults_are_the_library_defaults(monkeypatch, capsys, command):
     with pytest.raises(_Stop):
         main([command, TOY])
     assert seen == [DEFAULT_LAMBDAS]
+
+
+def test_driver_weighting_and_max_count_defaults_are_the_library_defaults(
+        monkeypatch, capsys):
+    # stand-ins with other defaults: the parser must take theirs
+    seen = {}
+
+    def encode(graph, instance, driver_weighting="per_train"):
+        seen.update(driver_weighting=driver_weighting)
+        return encode_ilp(graph, instance, driver_weighting)
+
+    def enumerate_feasible(model, max_count=7):
+        seen.update(max_count=max_count)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "encode_ilp", encode)
+    monkeypatch.setattr(cli, "enumerate_feasible", enumerate_feasible)
+    with pytest.raises(_Stop):
+        main(["enumerate", TOY])
+    assert seen == {"driver_weighting": "per_train", "max_count": 7}

@@ -270,3 +270,17 @@ def test_one_sample_blocks_name_the_sample_by_its_place_in_the_list(
                  lambda: qubo_energies(toy_qubo, ys)):
         with pytest.raises(ValueError, match="sample 3 entry 5 is 2, not 0 or 1"):
             call()
+
+
+def test_a_text_entry_among_numbers_is_named_where_it_stands(toy_qubo, toy_ilp):
+    # numpy reads such a list as text, where every entry would look wrong
+    from rollstock.ilp import check_feasibility
+    x = [0] * toy_ilp.num_vars
+    x[1] = "1"
+    with pytest.raises(ValueError, match=re.escape("sample 0 entry 1 is '1', not 0 or 1")):
+        check_feasibility(toy_ilp, x)
+    y = [0] * toy_qubo.num_vars
+    y[1] = "1"
+    ys = [(0,) * toy_qubo.num_vars] * 2 + [y]
+    with pytest.raises(ValueError, match=re.escape("sample 2 entry 1 is '1', not 0 or 1")):
+        decode_many(toy_qubo, toy_ilp, ys)
