@@ -39,14 +39,32 @@ gathered from it into level order in one ``(n, reads)`` buffer, so
 ``ahead + 1`` sweeps of uniforms are held, and during a gather one more:
 ``take`` copies its strided source to a contiguous temporary first.
 
-Most sweeps of a cooling schedule flip nothing, so each sweep first runs
-the acceptance test on all ``n x reads`` sites at once, against the
-sweep-start state and the sweep's uniforms. If no site accepts, no level
-would flip and the sweep is skipped. Otherwise the level loop resumes at
-the level of the first accepting site, reusing that level's test. Every
-level before it flipped nothing, so the state each level sees is the one
-the full loop would show it, and the test is the same elementwise
-routine on the same values: the samples do not change.
+Most sweeps of a cooling schedule flip nothing, and while none flips the
+state stands still. So after a sweep that flips nothing the annealer takes
+``least``, the minimum over all sites and reads of
+``c = s * (field / den + q_ii)``, built with the ufuncs and operand order
+of the acceptance test, and until a sweep flips it skips every sweep
+whose smallest uniform is at or above
+``bound(beta) = exp(least * -beta) * (1 + 2**-40) + 2**-1022``. The test
+takes ``exp`` of ``fl(c * -beta)``, and ``c >= least`` gives
+``fl(c * -beta) <= fl(least * -beta)`` because rounding is monotone.
+numpy's ``exp`` is accurate to a few ulp: far inside the relative margin
+``2**-40`` where its result is normal, and far below the smallest normal
+float, the additive margin, where it is subnormal. So no skipped site
+would have accepted, and a uniform of exactly 0 is never skipped.
+``least`` is positive, or its site would have accepted (``exp >= 1 > u``).
+Each look-ahead costs one ``exp`` over the betas left in the block of
+uniforms, and each block one ``min`` over its draws, kept per sweep; no
+sweep is gathered or tested site by site until the first one the bound
+allows, which runs exactly.
+
+A sweep that runs goes through the level loop from level 0; the bound is
+the one skip rule. Two fusions cut each level's work without changing a
+bit. ``s * -beta`` is one array per sweep: ``(x * s) * -beta`` equals
+``x * (s * -beta)`` bit for bit, because ``s = +-1`` and rounding is
+symmetric in sign. A level flips its spins with two exact subtractions,
+``s -= x`` twice, where ``x`` is ``s`` at an accepting site and 0
+elsewhere. The product adds one ``n x reads`` array to the working set.
 
 ``sample_portfolio`` is the full pipeline: encode what it is not given,
 anneal, decode the distinct samples in one
@@ -60,7 +78,6 @@ reads per violated family.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 import numbers
@@ -216,20 +233,27 @@ def _schedule(model: QuboModel) -> _Schedule:
     return _Schedule(order, diag[order], den, tuple(levels))
 
 
-def _accept(f, d, s, u, neg_beta, den, x, out):
-    """``out = u < exp(-beta * delta)``, ``delta = s * (f / den + d)``,
-    elementwise on any shape with ``x`` as scratch. ``delta <= 0`` gives
-    ``exp >= 1 > u``, the accept of ``max(delta, 0)``, so the clamp is left
-    out; the overflow to ``inf`` this allows is the caller's to silence."""
+def _delta(f, d, den, out):
+    """``out = f / den + d`` elementwise: each site's energy change on
+    setting it, which the spin ``s`` turns into the change of a flip."""
     if den == 1:  # f / 1 == f, so integer couplings skip the division
-        np.add(f, d, out=x)
-    else:
-        np.divide(f, den, out=x)
-        np.add(x, d, out=x)
-    np.multiply(x, s, out=x)
-    np.multiply(x, neg_beta, out=x)
-    np.exp(x, out=x)
-    return np.less(u, x, out=out)
+        return np.add(f, d, out=out)
+    np.divide(f, den, out=out)
+    return np.add(out, d, out=out)
+
+
+_MARGIN = 1 + 2.0 ** -40  # far above numpy exp's few-ulp relative error
+_TINY = np.finfo(float).tiny  # far above exp's error where its result is subnormal
+
+
+def _bound(least, betas):
+    """Above ``exp(c * -beta)`` as numpy computes it for every ``c >= least``,
+    one per ``beta`` of ``betas``: a sweep whose uniforms all lie at or
+    above it accepts no site (module docstring)."""
+    bound = np.exp(least * -betas)
+    bound *= _MARGIN
+    bound += _TINY
+    return bound
 
 
 def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet:
@@ -252,43 +276,58 @@ def anneal(model: QuboModel, params: AnnealParams = AnnealParams()) -> SampleSet
     diag = np.repeat(plan.diag[:, None], reads, axis=1)
     scratch = np.empty((n, reads))
     accept = np.empty((n, reads), dtype=bool)
-    flat = accept.ravel()  # a view: row-major, so site p, read r is p * reads + r
-    starts = [lv.start for lv in plan.levels]
-    steps = [(slice(lv.start, lv.stop), spin[lv.start:lv.stop],
-              field[lv.start:lv.stop], diag[lv.start:lv.stop],
-              scratch[lv.start:lv.stop], accept[lv.start:lv.stop], lv.rows, lv.block)
-             for lv in plan.levels]
+    slope = np.empty((n, reads))  # spin * -beta of the sweep
+    u = np.empty((n, reads))  # one sweep's uniforms, level order
+    steps = [(spin[sl], field[sl], diag[sl], slope[sl], u[sl], scratch[sl],
+              accept[sl], lv.rows, lv.block)
+             for lv in plan.levels for sl in [slice(lv.start, lv.stop)]]
 
     betas = np.geomspace(params.beta_min, params.beta_max, params.sweeps)
     ahead = max(min(-(-_DRAW // n), params.sweeps), 1)  # whole sweeps per call
     draws = np.empty((reads, ahead, n))  # read, sweep, variable index
-    u = np.empty((n, reads))  # one sweep's uniforms, level order
+    # the least change s * (f / den + d) of any site while no sweep since
+    # it was taken has flipped, else None (module docstring)
+    least = None
     with np.errstate(over="ignore"):  # a downhill delta may overflow exp to inf
         for first in range(0, params.sweeps, ahead):
             count = min(ahead, params.sweeps - first)
             for rng, out in zip(rngs, draws):
                 rng.random(out=out[:count])
-            for t, beta in enumerate(betas[first:first + count]):
+            low = None  # each sweep's smallest uniform, taken when first needed
+            t = 0
+            while t < count:
+                if least is not None:  # jump to the first sweep the bound allows
+                    if low is None:
+                        # across reads first: contiguous rows, several times
+                        # faster than reducing each read's short sweeps first
+                        low = draws[:, :count].min(axis=0).min(axis=1)
+                    allowed = low[t:] < _bound(least, betas[first + t:first + count])
+                    k = int(allowed.argmax())
+                    if not allowed[k]:
+                        break
+                    t += k
                 draws[:, t].T.take(order, axis=0, out=u, mode="clip")
-                neg_beta = -beta
-                # all sites against the sweep-start state, which holds up to
-                # the level of the first accepting site (module docstring)
-                _accept(field, diag, spin, u, neg_beta, den, scratch, accept)
-                site = int(flat.argmax())
-                if not flat[site]:
-                    continue
-                resume = bisect.bisect_right(starts, site // reads) - 1
-                for k in range(resume, len(steps)):
-                    sl, s, f, d, x, a, rows, block = steps[k]
-                    if k > resume:
-                        _accept(f, d, s, u[sl], neg_beta, den, x, a)
-                        if not np.count_nonzero(a):
-                            continue
+                np.multiply(spin, -betas[first + t], out=slope)
+                flipped = False
+                for s, f, d, slope_k, u_k, x, a, rows, block in steps:
+                    _delta(f, d, den, x)
+                    np.multiply(x, slope_k, out=x)
+                    np.exp(x, out=x)
+                    if not np.count_nonzero(np.less(u_k, x, out=a)):
+                        continue
+                    flipped = True
                     np.multiply(a, s, out=x)  # x = change of y
                     near = field.take(rows, axis=0)  # rows are distinct
                     near += block @ x
                     field[rows] = near
-                    np.negative(s, out=s, where=a)
+                    s -= x  # twice: -s where x = s, else s; both exact
+                    s -= x
+                if flipped:
+                    least = None
+                elif least is None:
+                    _delta(field, diag, den, scratch)
+                    least = np.multiply(scratch, spin, out=scratch).min()
+                t += 1
 
     counts: dict[tuple[int, ...], int] = {}
     final = np.empty((n, reads), dtype=int)

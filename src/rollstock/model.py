@@ -104,12 +104,13 @@ def _frac(obj: Mapping[str, Any], key: str, path: str, default: int) -> Fraction
                         f"expected a number, got {type(value).__name__}")
 
 
-def _check_rational(value: Any, path: str, key: str) -> None:
-    """Reject what exact arithmetic downstream cannot use: floats, bools."""
+def _check_rational(value: Any, *where: Any) -> None:
+    """Reject what exact arithmetic downstream cannot use: floats, bools.
+    The parts of ``where`` are joined into the JSON path only to raise."""
     if type(value) is Fraction:  # every loaded number: no ABC check
         return
     if isinstance(value, bool) or not isinstance(value, _Rational):
-        raise InstanceError(f"{path}/{key}",
+        raise InstanceError("/".join(map(str, where)),
                             f"expected an int or a Fraction, got {value!r}")
 
 
@@ -363,7 +364,7 @@ def _validate(inst: Instance) -> None:
             raise InstanceError(f"/trips/{i}/passengers", "must be >= 0")
         if t.bicycles < 0:
             raise InstanceError(f"/trips/{i}/bicycles", "must be >= 0")
-        _check_rational(t.distance, f"/trips/{i}", "distance")
+        _check_rational(t.distance, "/trips", i, "distance")
         if t.distance < 0:
             raise InstanceError(f"/trips/{i}/distance", "must be >= 0")
         if t.obligatory and not t.allowed_types:

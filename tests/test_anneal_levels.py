@@ -21,8 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rollstock.anneal import AnnealParams, SampleEntry, SampleSet, _schedule, anneal
+from rollstock.anneal import (AnnealParams, SampleEntry, SampleSet, _bound, _schedule,
+                              anneal)
 from rollstock.generate import GeneratorConfig, generate_synthetic
 from rollstock.ilp import encode_ilp
 from rollstock.netbuild import build_hypergraph
@@ -157,6 +159,44 @@ def test_constant_frozen_beta_with_idle_sweeps_matches_dense():
     assert_skips_and_resumes_like_dense(
         model, AnnealParams(num_reads=1, sweeps=200, beta_min=50.0,
                             beta_max=50.0, seed=0))
+
+
+def test_constant_frozen_beta_with_a_loose_bound_matches_dense():
+    # at beta 50 a chain at rest lifts only bit 0, at a cost of 1/10, with
+    # probability e**-5 (about 0.0067) per sweep, and bit 1 follows it down
+    # to a lower rest, so each lift moves a read for good; of a sweep's 300
+    # uniforms the least lies below that bound in about 87 % of sweeps, so
+    # most sweeps that flip nothing still run the exact test
+    q = {(i, i): Fraction(1) for i in range(6)}
+    q.update({(i, i + 1): Fraction(1) for i in range(5)})
+    q.update({(0, 0): Fraction(1, 10), (1, 1): Fraction(1, 2), (0, 1): Fraction(-1)})
+    model = qubo_model(6, q)
+    assert len(_schedule(model).levels) == 6
+    params = AnnealParams(num_reads=50, sweeps=200, beta_min=50.0, beta_max=50.0, seed=0)
+    assert_skips_and_resumes_like_dense(model, params)
+    assert len(anneal(model, params).entries) == 2  # some reads lifted, some not
+
+
+LEAST = st.one_of(
+    st.integers(1, 2 ** 53).map(float),  # whole couplings
+    st.builds(lambda k, den: k / den, st.integers(1, 2 ** 40), st.integers(2, 10 ** 6)),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(least=LEAST, excess=st.one_of(st.just(0.0), st.floats(0.0, 1e9)),
+       betas=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8))
+@example(least=1e6, excess=0.0, betas=[1e6])  # exp underflows to 0
+@example(least=7.0, excess=0.0, betas=[740 / 7])  # subnormal exp
+def test_bound_is_above_every_acceptance_it_rules_out(least, excess, betas):
+    betas = np.array(betas)
+    bound = _bound(least, betas)
+    changes = np.array([least, np.nextafter(least, np.inf), least + excess])
+    assert (np.exp(np.multiply.outer(changes, -betas)) < bound).all()
+    # a uniform of exactly 0 accepts wherever exp does not underflow, and a
+    # sweep is certified only if its uniforms are all at or above the bound
+    assert (bound > 0).all()
 
 
 @pytest.mark.filterwarnings("error")
