@@ -181,7 +181,7 @@ def _solution_json(instance: Instance, graph: Hypergraph, model: IlpModel,
     if result.solution is not None:
         payload.update(_plan_record(graph, result.solution),
                        feasible=result.solution.report.feasible,
-                       constraints=Counter(row.kind for row in model.constraints))
+                       constraints=Counter(model.kinds))
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -237,7 +237,7 @@ def cmd_solve_ilp(args) -> int:
         artifacts["hypergraph.dot"] = to_dot(graph)
     _write(args, artifacts)
 
-    print(f"arcs={len(graph.arcs)} rows={len(model.constraints)} "
+    print(f"arcs={len(graph.arcs)} rows={len(model.kinds)} "
           f"build={build_s:.3f}s solve={solve_s:.3f}s nodes={result.nodes}")
     summary = f"status={result.status}"
     if result.solution is not None:

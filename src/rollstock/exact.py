@@ -16,11 +16,11 @@ only the variables already set, so a row with ``least >= 1`` is covered.
 A mixed-sign coverage row is still propagated.
 
 The search first lays the compiled model out as flat integer tables: per
-row a list of ``(var, |c|, the value of var that raises the lhs)``, filled
-from the rows' coefficients, per variable the same entries keyed by row,
+row a list of ``(var, |c|, the value of var that raises the lhs)``, sliced
+from the model's CSR arrays, per variable the same entries keyed by row,
 and per row the model's ``lo`` and ``hi`` and, summed from its CSR arrays
 by the model's row evaluator, ``least`` and ``most``, with a static
-``widest = max |c|``.
+``widest = max |c|``; it picks its coverage rows by the model's ``kinds``.
 Assigning a variable then adds its ``|c|`` to each row's ``least`` or
 takes it from its ``most``, with no sign test. A free entry is forced
 when its ``|c|`` exceeds the row's room to rise, ``hi - least``, or to
@@ -72,7 +72,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ilp import FeasibilityReport, IlpModel, _row_sums, check_feasibility, objective_value
+from .ilp import FeasibilityReport, IlpModel, _extremes, check_feasibility, objective_value
 
 __all__ = [
     "Solution",
@@ -148,17 +148,17 @@ class _Search:
         # each entry is (var, |c|, the value of var that raises the lhs),
         # filed under its row and, with the row id in place of var, under
         # its variable
-        self.rows = [[(v, c, 1) if c > 0 else (v, -c, 0) for v, c in row.coeffs]
-                     for row in model.constraints]
+        flat = list(zip(model.indices.tolist(), np.abs(model.data).tolist(),
+                        (model.data > 0).astype(np.int8).tolist()))
+        indptr = model.indptr.tolist()
+        self.rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
         var_rows = self.var_rows = [[] for _ in range(n)]
         for idx, entries in enumerate(self.rows):
             for v, c, raising in entries:
                 var_rows[v].append((idx, c, raising))
         self.lo, self.hi = model.lo.tolist(), model.hi.tolist()
         # the lhs with every free variable lowering it, and raising it
-        ones, csr = np.ones((1, n), np.int8), (model.indptr, model.indices)
-        self.least: list[int] = _row_sums(ones, *csr, np.minimum(model.data, 0))[0].tolist()
-        self.most: list[int] = _row_sums(ones, *csr, np.maximum(model.data, 0))[0].tolist()
+        self.least, self.most = (bound.tolist() for bound in _extremes(model))
         # the row's largest |c|; an empty row's, whatever it reads, is never
         # used, since its most - least is 0
         self.widest: list[int] = np.maximum.reduceat(
@@ -166,8 +166,8 @@ class _Search:
         # coverage rows that need a selected arc while uncovered; the share
         # bound and the branching rule read only these. least == 0: no
         # coefficient is negative
-        self.cover_rows = [idx for idx, row in enumerate(model.constraints)
-                           if row.kind == "coverage" and self.lo[idx] >= 1
+        self.cover_rows = [idx for idx, kind in enumerate(model.kinds)
+                           if kind == "coverage" and self.lo[idx] >= 1
                            and self.least[idx] == 0]
         cover = Counter(v for idx in self.cover_rows for v, _, _ in self.rows[idx])
         # objective values are integers in units of 1/(model.den * spread):
@@ -416,12 +416,13 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
     if n > 24:
         raise ValueError(f"brute_force supports at most 24 variables, got {n}")
     if model.data.dtype == object:  # only then can a row reach 2**63
-        for row, lo, hi in zip(model.constraints, model.lo.tolist(), model.hi.tolist()):
-            if sum(abs(c) for _, c in row.coeffs) + max(abs(lo), abs(hi)) >= 2 ** 63:
-                raise ValueError(f"brute_force sums rows in int64; row {row.tag!r} "
-                                 f"could reach 2**63")
+        least, most = _extremes(model)  # a row's sum |c| is most - least
+        far = np.flatnonzero(most - least + np.maximum(abs(model.lo), abs(model.hi)) >= 2 ** 63)
+        if len(far):
+            raise ValueError(f"brute_force sums rows in int64; row {model.tags[far[0]]!r} "
+                             f"could reach 2**63")
     lo, hi = model.lo.astype(np.int64), model.hi.astype(np.int64)
-    a = np.zeros((len(model.constraints), max(n, 1)), dtype=np.int64)
+    a = np.zeros((len(model.kinds), max(n, 1)), dtype=np.int64)
     a[np.repeat(np.arange(len(a)), np.diff(model.indptr)), model.indices] = model.data
 
     solutions: list[Solution] = []

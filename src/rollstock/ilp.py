@@ -48,20 +48,22 @@ checkpoints)); the rows are then emitted in the family order above.
 An ``IlpModel`` is valid where it is built (see the class), and the same
 pass compiles it once into read-only arrays: the rows in CSR form
 (``indptr``, ``indices``, ``data``, scipy's names), their bounds ``lo``
-and ``hi``, and the objective as integers ``obj`` over one ``den``. This
-is the one place the objective is scaled to integers, and every sum over
-the rows is taken from the arrays, unchecked: the row evaluator below,
-branch and bound's activity bounds, ``brute_force``'s dense matrix and
-the QUBO encoder's expanded squares. The rows as built are read where
-a row's entries or name are needed one by one: branch and bound fills its
-per-row entry tables from ``row.coeffs``, ``brute_force``'s 2**63 guard
-sums each row's ``|c|``, the QUBO encoder copies each row's entries into
-its ``PenaltyRow`` and the capacity row's variables into its linear
-terms, ``decode_many`` matches penalty rows to rows by tag, a report
-names the rows a sample leaves, and ``export_lp`` writes every row. Values
-are int64 while a bound on every sum they form stays below 2**63, and
-Python ints in ``object`` arrays otherwise (``_dtype``), the policy the
-QUBO arrays follow too.
+and ``hi``, and the objective as integers ``obj`` over one ``den``, with
+each row's ``kinds``, ``tags`` and ``relations`` as tuples. This is the
+one place the objective is scaled to integers, and every sum over the
+rows is taken from the arrays, unchecked: the row evaluator below,
+``_extremes`` (each row's least and most lhs, which branch and bound's
+activity bounds, ``brute_force``'s 2**63 guard and ``export_lp``'s
+``_lo`` lines share), ``brute_force``'s dense matrix and the QUBO
+encoder's expanded squares. Once a model is built, no consumer reads its
+rows as built but one: the QUBO encoder hands each row's own ``coeffs``
+tuple to its ``PenaltyRow`` by reference, where a copy from the arrays
+would cost memory. Branch and bound's entry tables, the QUBO encoder's
+capacity terms, ``decode_many``'s match of penalty rows, the reports and
+``export_lp`` all read the arrays and the three tuples. Values are int64
+while a bound on every sum they form stays below 2**63, and Python ints
+in ``object`` arrays otherwise (``_dtype``), the policy the QUBO arrays
+follow too.
 
 One row evaluator serves every check: ``_row_sums`` sums each row over a
 block of 0/1 samples with one ``np.add.reduceat``, and ``_reports`` turns
@@ -71,8 +73,9 @@ a sample set; ``objective_value`` sums the chosen entries of ``obj``.
 One routine, ``_bits``, checks every 0/1 assignment these and the QUBO
 batch routines are given: it turns a list of samples into one int8 block
 and names the first sample of the wrong length, else the first entry
-outside {0, 1}. ``ConstraintRow.lhs`` is the per-row reference the tests
-check the evaluator against.
+outside {0, 1}. ``ConstraintRow.lhs`` and ``FeasibilityReport.of`` are
+the per-row references the tests check the evaluator and the reports
+against.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from numbers import Rational
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
@@ -109,10 +112,12 @@ class ConstraintRow:
     """A sparse integer row ``lo <= coeffs . x <= hi``.
 
     It is built as ``= rhs``, ``<= rhs`` or a ``range`` over ``[lo, hi]``.
-    ``IlpModel`` compiles the two ints of ``bounds()`` into its ``lo`` and
-    ``hi``, which every row sum is checked against; ``export_lp`` writes
-    the row as it was built. ``lhs`` is the per-row reference of the
-    model's row evaluator; no library path calls it.
+    ``IlpModel`` compiles it into its arrays (the two ints of ``bounds()``
+    into ``lo`` and ``hi``) and its ``kind``, ``tag`` and ``relation``
+    into its tuples, and no library path reads the row after that but the
+    QUBO encoder, which passes ``coeffs`` on by reference. ``bounds()``
+    and ``lhs`` are the per-row references the tests check the model
+    against.
     """
 
     kind: str
@@ -158,8 +163,12 @@ class IlpModel:
     every row names each variable once. Other rows stay the same objects.
 
     The same pass compiles the model into read-only arrays, from which
-    every sum over the rows or the objective is taken (the module
-    docstring says what reads the rows as built): the rows in CSR form
+    every sum over the rows or the objective is taken, and into the
+    tuples ``kinds``, ``tags`` and ``relations``, one entry per row; once
+    it is built, the arrays and the tuples are all any consumer reads but
+    the QUBO encoder's pass-through of ``coeffs`` (see the module
+    docstring), and ``constraints`` stays as the rows it was built from,
+    merged. The arrays are the rows in CSR form
     (row ``r`` is ``data[k]`` at variable ``indices[k]`` for ``k`` in
     ``indptr[r]:indptr[r + 1]``, in entry order), their ``bounds()`` as
     ``lo`` and ``hi``, and the objective summed per variable as ``obj``,
@@ -185,14 +194,20 @@ class IlpModel:
     obj: np.ndarray = field(init=False, repr=False, compare=False)
     offset: int = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
+    kinds: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    tags: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    relations: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # each step is one pass over all rows; a row is looked at on its
-        # own only to name what failed or to merge it
+        # own only to merge it
         n, rows = self.num_vars, self.constraints
-        if not set(map(attrgetter("relation"), rows)) <= _RELATIONS:
-            row = next(r for r in rows if r.relation not in _RELATIONS)
-            raise ValueError(f"row {row.tag!r} has relation {row.relation!r}, "
+        self.__dict__.update(kinds=tuple(map(attrgetter("kind"), rows)),
+                             tags=tuple(map(attrgetter("tag"), rows)),
+                             relations=tuple(map(attrgetter("relation"), rows)))
+        if not set(self.relations) <= _RELATIONS:
+            k = next(k for k, r in enumerate(self.relations) if r not in _RELATIONS)
+            raise ValueError(f"row {self.tags[k]!r} has relation {self.relations[k]!r}, "
                              "not one of =, <=, range")
         coeffs = list(map(attrgetter("coeffs"), rows))
         indptr = np.zeros(len(rows) + 1, np.intp)
@@ -204,7 +219,7 @@ class IlpModel:
         if outside.any():
             k = int(outside.argmax())
             owner = ("objective" if k >= indptr[-1]
-                     else f"row {rows[np.searchsorted(indptr, k, 'right') - 1].tag!r}")
+                     else f"row {self.tags[np.searchsorted(indptr, k, 'right') - 1]!r}")
             raise ValueError(f"{owner} names variable {named[k]}, outside range({n})")
         indices, named = named[:indptr[-1]].astype(np.intp), named[indptr[-1]:].astype(np.intp)
         # a repeated variable sorts next to itself within its row
@@ -304,7 +319,8 @@ class FeasibilityReport:
     @classmethod
     def of(cls, rows: Iterable[ConstraintRow], sums: Iterable[int]) -> FeasibilityReport:
         """The report on ``rows`` given their lhs values: a row is violated
-        when its lhs leaves ``bounds()``."""
+        when its lhs leaves ``bounds()``. The per-row reference of the
+        model's reports; no library path calls it."""
         violations: dict[str, list[Violation]] = {}
         for row, lhs in zip(rows, sums):
             lo, hi = row.bounds()
@@ -522,17 +538,25 @@ def _row_sums(bits: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     return np.where(np.diff(indptr) > 0, np.add.reduceat(cells, indptr[:-1], axis=1), 0)
 
 
+def _extremes(model: IlpModel) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's least and most lhs over all 0/1 assignments: the sums of
+    its negative and of its positive entries, in ``data``'s dtype."""
+    ones = np.ones((1, model.num_vars), np.int8)
+    return tuple(_row_sums(ones, model.indptr, model.indices, side(model.data, 0))[0]
+                 for side in (np.minimum, np.maximum))
+
+
 def _reports(model: IlpModel, lhs: np.ndarray) -> list[FeasibilityReport]:
     """Each sample's report from its row sums ``lhs``, a (sample, row)
     array: only the pairs whose lhs leaves ``[lo, hi]`` become Python
-    objects, handed to ``FeasibilityReport.of``."""
-    rows = model.constraints
-    off: dict[int, list[tuple[ConstraintRow, int]]] = {}
+    objects, grouped by ``kinds`` in row order as ``FeasibilityReport.of``
+    groups them."""
+    off: list[dict[str, list[Violation]]] = [{} for _ in range(len(lhs))]
     at, k = np.nonzero((lhs < model.lo) | (lhs > model.hi))
-    for s, row, value in zip(at.tolist(), k.tolist(), lhs[at, k].tolist()):
-        off.setdefault(s, []).append((rows[row], value))
-    return [FeasibilityReport.of(*zip(*off[s])) if s in off else FeasibilityReport()
-            for s in range(len(lhs))]
+    for s, row, value, lo, hi in zip(at.tolist(), k.tolist(), lhs[at, k].tolist(),
+                                     model.lo[k].tolist(), model.hi[k].tolist()):
+        off[s].setdefault(model.kinds[row], []).append(Violation(model.tags[row], value, lo, hi))
+    return [FeasibilityReport({kind: tuple(v) for kind, v in kinds.items()}) for kinds in off]
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +597,19 @@ def export_lp(model: IlpModel) -> str:
     lines.append(" obj: " + _lp_expr(model.objective))
     lines.append("Subject To")
     names: set[str] = set()
-    for i, row in enumerate(model.constraints):
-        if row.relation != "range":
-            parts = [("", row.relation, row.rhs)]
+    entries = zip(model.indices.tolist(), model.data.tolist())  # each row takes its own
+    rows = zip(model.relations, model.tags, model.lo.tolist(), model.hi.tolist(),
+               _extremes(model)[0].tolist(), np.diff(model.indptr).tolist())
+    for i, (relation, tag, lo, hi, least, size) in enumerate(rows):
+        if relation != "range":  # an = row's rhs is its lo and hi, a <= row's its hi
+            parts = [("", relation, hi)]
         else:
-            least = sum(c for _, c in row.coeffs if c < 0)
-            parts = [("_lo", ">=", row.lo)] if row.lo > least else []
-            parts.append(("_hi", "<=", row.hi))
-        base = _lp_name(row.tag, f"c{i}")
+            parts = [("_lo", ">=", lo)] if lo > least else []
+            parts.append(("_hi", "<=", hi))
+        base = _lp_name(tag, f"c{i}")
         while any(base + suffix in names for suffix, _, _ in parts):
             base += f"_{i}"
-        expr = _lp_expr(row.coeffs)
+        expr = _lp_expr(islice(entries, size))
         for suffix, relation, rhs in parts:
             names.add(base + suffix)
             lines.append(f" {base}{suffix}: {expr} {relation} {rhs}")

@@ -70,13 +70,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, zip_longest
 from typing import Sequence, Union
 
 import numpy as np
 
-from .ilp import (ConstraintRow, FeasibilityReport, IlpModel, _bits, _dtype, _EXACT,
-                  _frozen, _integers, _largest, _reports, _row_sums)
+from .ilp import (FeasibilityReport, IlpModel, _bits, _dtype, _EXACT, _frozen, _integers,
+                  _largest, _reports, _row_sums)
 from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
@@ -328,32 +328,32 @@ def encode_qubo(model: IlpModel,
     offset = model.offset * (den // model.den)
     next_slack = n
     penalty_rows: list[PenaltyRow] = []
-    capacity_vars: list[int] = []
 
-    for row, lo, hi in zip(model.constraints, model.lo.tolist(), model.hi.tolist()):
-        kind = row.kind
+    penalty = np.array([kind != "capacity_forbid" for kind in model.kinds], bool)
+    # a penalty row's coeffs are its ILP row's own tuple: no copy is built
+    rows = zip(model.kinds, model.tags, model.lo.tolist(), model.hi.tolist(),
+               (row.coeffs for row in model.constraints))
+    for kind, tag, lo, hi, coeffs in compress(rows, penalty):
         if kind not in _FAMILY_OF_KIND:
             raise ValueError(f"unsupported constraint kind {kind!r}")
-        if kind == "capacity_forbid":
-            capacity_vars += [v for v, _ in row.coeffs]
-            continue
-
         if hi < lo:  # no x meets the row, and a slack chain cannot be < 0 long
-            raise ValueError(f"row {row.tag!r} has lo {lo} > hi {hi}")
+            raise ValueError(f"row {tag!r} has lo {lo} > hi {hi}")
         width = hi - lo
         family = _FAMILY_OF_KIND[kind]
         penalty_rows.append(PenaltyRow(
-            family=family, tag=row.tag, coeffs=row.coeffs, constant=-lo,
+            family=family, tag=tag, coeffs=coeffs, constant=-lo,
             slack_indices=tuple(range(next_slack, next_slack + width))))
         next_slack += width
         offset += scaled[family] * lo * lo
 
+    kept = np.repeat(penalty, np.diff(model.indptr))  # the penalty rows' entries
+    capacity_vars = model.indices[~kept].tolist()
     # the diagonal terms of the objective and the capacity rows
     chosen = np.flatnonzero(model.obj)
     diagonal = chosen.tolist() + capacity_vars
     values = [v * (den // model.den) for v in model.obj[chosen].tolist()]
     values += [scaled[_FAMILY_OF_KIND["capacity_forbid"]]] * len(capacity_vars)
-    q = Couplings(next_slack, *_raw_triples(model, penalty_rows, scaled, diagonal, values))
+    q = Couplings(next_slack, *_raw_triples(model, penalty, kept, scaled, diagonal, values))
     return QuboModel(
         num_decision=n,
         num_slack=next_slack - n,
@@ -366,35 +366,36 @@ def encode_qubo(model: IlpModel,
     )
 
 
-def _raw_triples(model: IlpModel, rows: Sequence[PenaltyRow], scaled: Sequence[int],
+def _raw_triples(model: IlpModel, penalty: np.ndarray, kept: np.ndarray, scaled: Sequence[int],
                  diagonal: list[int], diagonal_values: list[int]):
     """The raw ``(i, j, value)`` arrays of ``encode_qubo``'s terms, with
     repeated pairs: ``diagonal_values`` on the ``diagonal``, then every
     penalty row expanded in one pass.
 
-    The penalty ``rows`` are ``model``'s rows but its capacity row, in
-    order. Each is laid out as its CSR entries followed by its slack bits,
-    each of coefficient -1. An entry ``a`` (variable ``v_a``,
+    The penalty rows are ``model``'s rows but its capacity rows, in order,
+    read from its arrays: ``penalty`` marks them and ``kept`` their
+    entries. Each is laid out as its CSR entries followed by its ``hi -
+    lo`` slack bits, each of coefficient -1, the chains numbered on from
+    ``model.num_vars`` in row order. An entry ``a`` (variable ``v_a``,
     coefficient ``c_a``) of a row of weight ``w = scaled[family]`` and
-    constant ``k`` gives ``w c_a (c_a + 2 k)`` on ``(v_a, v_a)``, and each
-    later entry ``b`` of its row ``2 w c_a c_b`` on
+    constant ``k = -lo`` gives ``w c_a (c_a + 2 k)`` on ``(v_a, v_a)``,
+    and each later entry ``b`` of its row ``2 w c_a c_b`` on
     ``(min(v_a, v_b), max(v_a, v_b))``. The values are int64 when a bound
     on every product formed, from the largest weight, coefficient and
     constant, is below 2**63, Python ints otherwise."""
+    lo = model.lo[penalty]
     top = _largest(model.data) + 1  # a slack bit's |c| is 1
-    constant = max((abs(row.constant) for row in rows), default=0)
-    dtype = _dtype(2 * (max(scaled) + 1) * top * (top + 2 * constant))
-    penalty = np.array([row.kind != "capacity_forbid" for row in model.constraints], bool)
-    kept = np.repeat(penalty, np.diff(model.indptr))  # the penalty rows' entries
+    dtype = _dtype(2 * (max(scaled) + 1) * top * (top + 2 * _largest(lo)))
     sizes = np.diff(model.indptr)[penalty]
-    width = np.fromiter((len(row.slack_indices) for row in rows), np.intp, len(rows))
+    width = (model.hi[penalty] - lo).astype(np.intp)
     at = np.repeat(np.cumsum(sizes), width)  # each chain follows its row's entries
-    slack = np.fromiter(chain.from_iterable(row.slack_indices for row in rows), np.intp)
+    slack = np.arange(model.num_vars, model.num_vars + width.sum())
     var = np.insert(model.indices[kept], at, slack)
     c = np.insert(model.data[kept].astype(dtype), at, -1)
     lengths = sizes + width
-    w = np.repeat(np.array([scaled[row.family] for row in rows], dtype), lengths)
-    k = np.repeat(np.array([row.constant for row in rows], dtype), lengths)
+    weight = [scaled[_FAMILY_OF_KIND[kind]] for kind in compress(model.kinds, penalty)]
+    w = np.repeat(np.array(weight, dtype), lengths)
+    k = np.repeat((-lo).astype(dtype), lengths)
     # entry a pairs with the later entries of its row, a + 1 to its row's end
     later = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(var)) - 1
     a = np.repeat(np.arange(len(var)), later)
@@ -512,7 +513,7 @@ def decode_many(model: QuboModel, ilp: IlpModel,
         raise ValueError(f"ILP has {ilp.num_vars} variables, "
                          f"QUBO has {model.num_decision} decision variables")
     penalties = model.penalty_rows
-    matched = _matched_rows(penalties, ilp.constraints)
+    matched = _matched_rows(penalties, ilp.kinds, ilp.tags)
     # each chain is a row of coefficient-1 entries at its slack indices
     width = np.array([len(p.slack_indices) for p in penalties], np.intp)
     chain_ptr = np.concatenate([[0], np.cumsum(width)])
@@ -549,23 +550,18 @@ def _bit_blocks(ys: Sequence[Sequence[int]], n: int, cells: int):
         yield _bits(ys[start:start + step], n, start)
 
 
-def _matched_rows(penalties: Sequence[PenaltyRow],
-                  rows: Sequence[ConstraintRow]) -> list[int]:
-    """The index of each penalty row's ILP row; ``ValueError`` names the
-    first mismatch."""
-    matched = []
-    remaining = iter(penalties)
-    for index, row in enumerate(rows):
-        if row.kind == "capacity_forbid":
-            continue
-        penalty = next(remaining, None)
-        if penalty is None or penalty.tag != row.tag:
+def _matched_rows(penalties: Sequence[PenaltyRow], kinds: Sequence[str],
+                  tags: Sequence[str]) -> list[int]:
+    """The index of each penalty row's ILP row, the rows of ``kinds`` and
+    ``tags`` but the capacity rows; ``ValueError`` names the first
+    mismatch."""
+    matched = [index for index, kind in enumerate(kinds) if kind != "capacity_forbid"]
+    for index, penalty in zip_longest(matched, penalties):
+        if index is None:
+            raise ValueError(f"penalty row {penalty.tag!r} meets no ILP row")
+        if penalty is None or penalty.tag != tags[index]:
             found = "no penalty row" if penalty is None else f"penalty row {penalty.tag!r}"
-            raise ValueError(f"ILP row {index} {row.tag!r} meets {found}")
-        matched.append(index)
-    extra = next(remaining, None)
-    if extra is not None:
-        raise ValueError(f"penalty row {extra.tag!r} meets no ILP row")
+            raise ValueError(f"ILP row {index} {tags[index]!r} meets {found}")
     return matched
 
 
@@ -623,7 +619,7 @@ def scaling_report(instance: Instance, graph: Hypergraph, ilp: IlpModel,
         delta_min=instance.delta_min,
         delta_max=instance.delta_max,
         ilp_vars=ilp.num_vars,
-        ilp_constraints=len(ilp.constraints),
+        ilp_constraints=len(ilp.kinds),
         qubo_vars=qubo.num_vars,
         qubo_slacks=qubo.num_slack,
         qubo_terms=qubo.num_terms(),

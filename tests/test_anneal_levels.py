@@ -277,9 +277,10 @@ def test_uniform_blocks_with_idle_sweeps_match_dense(monkeypatch, ahead):
 
 def test_anneal_memory_on_the_200_trip_reference_is_bounded():
     # 1,428 vars at 100 reads: a sweep of uniforms is 1.1 MiB, and anneal
-    # holds two sweeps of draws, one level-order sweep and, while gathering,
-    # take's one-sweep temporary (peak 16.7 MiB); a further level-order copy
-    # of several sweeps would pass 20 MiB
+    # holds two sweeps of draws, one level-order sweep, the sweep's
+    # s * -beta array and, while gathering, take's one-sweep temporary
+    # (peak 17.7 MiB); a further level-order copy of several sweeps would
+    # pass 20 MiB
     model = generated_qubo(200, 0, n_couplable=40, n_types=3, n_depots=8)
     assert model.num_vars == 1428
     gc.collect()

@@ -17,24 +17,30 @@ coefficients, and coefficients, bounds and objective values past 2**63:
 - ``objective_value`` equals a plain ``Fraction`` sum;
 - the arrays are read-only, and equality, ``hash``, ``repr``,
   ``dataclasses.replace`` and a pickle round trip see only the four
-  fields a model is built from.
+  fields a model is built from;
+- ``kinds``, ``tags`` and ``relations`` are the rows' own, ``export_lp``
+  writes byte for byte what a per-row writer over ``row.coeffs`` writes,
+  and ``brute_force``'s 2**63 guard rejects exactly the models with a row
+  whose ``sum |c| + max(|lo|, |hi|)`` reaches 2**63.
 """
 
 import dataclasses
 import math
 import pickle
 import random
+import re
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollstock.exact import solve_exact
+from rollstock.exact import brute_force, solve_exact
 from rollstock.generate import GeneratorConfig, generate_synthetic
-from rollstock.ilp import (ConstraintRow, FeasibilityReport, IlpModel, check_feasibility,
-                           encode_ilp, objective_value)
+from rollstock.ilp import (ConstraintRow, FeasibilityReport, IlpModel, _lp_expr, _lp_name,
+                           check_feasibility, encode_ilp, export_lp, objective_value)
 from rollstock.netbuild import build_hypergraph
 
 ARRAYS = ("indptr", "indices", "data", "lo", "hi", "obj")
@@ -213,3 +219,77 @@ def test_equality_hash_repr_and_pickle_see_only_the_built_fields(toy_ilp):
     fewer = dataclasses.replace(toy_ilp, constraints=toy_ilp.constraints[1:])
     assert fewer != toy_ilp
     assert fewer.indptr.tolist() == (toy_ilp.indptr[1:] - toy_ilp.indptr[1]).tolist()
+
+
+def lp_per_row(model: IlpModel) -> str:
+    """``export_lp``'s text written from the rows as built, one row at a
+    time: each row's entries from ``row.coeffs`` and its bound from
+    ``row.relation``, ``row.rhs``, ``row.lo`` and ``row.hi``."""
+    n = model.num_vars
+    lines = ["\\ Problem: rollstock", "Minimize", " obj: " + _lp_expr(model.objective),
+             "Subject To"]
+    names = set()
+    for i, row in enumerate(model.constraints):
+        if row.relation != "range":
+            parts = [("", row.relation, row.rhs)]
+        else:
+            least = sum(c for _, c in row.coeffs if c < 0)
+            parts = [("_lo", ">=", row.lo)] if row.lo > least else []
+            parts.append(("_hi", "<=", row.hi))
+        base = _lp_name(row.tag, f"c{i}")
+        while any(base + suffix in names for suffix, _, _ in parts):
+            base += f"_{i}"
+        for suffix, relation, rhs in parts:
+            names.add(base + suffix)
+            lines.append(f" {base}{suffix}: {_lp_expr(row.coeffs)} {relation} {rhs}")
+    lines += ["Bounds", *(f" 0 <= x{v} <= 1" for v in range(n)), "Binary"]
+    if n:
+        lines.append(" " + " ".join(f"x{v}" for v in range(n)))
+    return "\n".join(lines + ["End"]) + "\n"
+
+
+def assert_read_like_the_rows(model: IlpModel):
+    """The row tuples, ``export_lp`` and ``brute_force``'s 2**63 guard,
+    all read from the arrays, against the rows as built."""
+    rows = model.constraints
+    assert model.kinds == tuple(row.kind for row in rows)
+    assert model.tags == tuple(row.tag for row in rows)
+    assert model.relations == tuple(row.relation for row in rows)
+    assert export_lp(model) == lp_per_row(model)
+    far = [row.tag for row in rows
+           if sum(abs(c) for _, c in row.coeffs) + max(map(abs, row.bounds())) >= 2 ** 63]
+    if far:
+        with pytest.raises(ValueError, match=re.escape(f"row {far[0]!r} could reach 2**63")):
+            brute_force(model)
+        return
+    feasible = [s.x for s in brute_force(model).solutions]
+    assert sorted(feasible) == [x for x in product((0, 1), repeat=model.num_vars)
+                                if check_feasibility(model, x).feasible]
+
+
+def test_seeded_random_models_export_and_guard_like_their_rows():
+    seen = Counter()
+    for seed in range(400):
+        model, _ = random_model(random.Random(seed))
+        assert_read_like_the_rows(model)
+        text = export_lp(model)
+        seen["_lo"] += text.count("_lo: ")
+        seen["range"] += model.relations.count("range")
+        seen["wide"] += model.data.dtype == object
+    # both kinds of range row and the wide rows are met
+    assert 0 < seen["_lo"] < seen["range"] and seen["wide"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_drawn_models_export_and_guard_like_their_rows(rng):
+    assert_read_like_the_rows(random_model(rng)[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generated_days_export_like_their_rows(seed):
+    inst = generate_synthetic(
+        GeneratorConfig(n_trips=40, n_couplable=8, n_types=3, n_depots=4), 7000 + seed)
+    model = encode_ilp(build_hypergraph(inst), inst)
+    assert model.kinds == tuple(row.kind for row in model.constraints)
+    assert export_lp(model) == lp_per_row(model)
