@@ -25,6 +25,7 @@ class DiagramError(ValueError):
 _TYPE_COLORS = ("#1f77b4", "#d62728", "#9467bd", "#8c564b", "#e377c2",
                 "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e")
 _COUPLED_COLOR = "#2ca02c"
+_SVG_WIDTH, _SVG_HEIGHT = 900, 480
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,10 @@ def _xml_text(text: str) -> str:
 
 
 def render_svg(instance: Instance, graph: Hypergraph,
-               selected: Sequence[int], width: int = 900,
-               height: int = 480) -> str:
-    """Deterministic SVG time-distance diagram of one plan."""
+               selected: Sequence[int]) -> str:
+    """Deterministic SVG time-distance diagram of one plan, ``_SVG_WIDTH``
+    by ``_SVG_HEIGHT`` pixels."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     rotations = trace_rotations(graph, instance, selected)
     stations = _station_order(instance)
     type_color = {r.id: _TYPE_COLORS[i % len(_TYPE_COLORS)]

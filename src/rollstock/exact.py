@@ -1,35 +1,38 @@
 """Exact optimization and exhaustive feasible-set enumeration at desk scale.
 
 ``solve_exact`` runs a depth-first branch and bound over the binary arc
-variables. Each row ``lo <= a . x <= hi`` is kept as two activity bounds:
-its least and its most attainable lhs, with every free variable at the
-value that lowers, or raises, it. A row is broken when ``least > hi`` or
-``most < lo``, and unit propagation fixes a free variable whose one value
-would break it. Coverage rows drive the branching (most constrained
+variables. Each row ``lo <= a . x <= hi`` is kept as two rooms: its room
+to rise, ``hi - least``, and its room to fall, ``most - lo``, where
+``least`` and ``most`` are its least and most attainable lhs, with every
+free variable at the value that lowers, or raises, it. These are the
+activity bounds of MIP bound propagation. A row is broken when either
+room is negative, and unit propagation fixes a free variable whose one
+value would break it. Coverage rows drive the branching (most constrained
 uncovered trip first, then ascending arc id), and a share-based lower bound
 prunes (each arc's objective coefficient is spread over the coverage rows
 it can serve, so the bound stays admissible for hyper-arcs covering two
 trips). The bound holds for nonnegative objective coefficients, which
 ``solve_exact`` requires. Bounding and branching read only coverage rows
 with ``lo >= 1`` and no negative coefficient: on those, ``least`` sums
-only the variables already set, so a row with ``least >= 1`` is covered.
-A mixed-sign coverage row is still propagated.
+only the variables already set, so a row whose room to rise is below its
+``hi`` is covered. A mixed-sign coverage row is still propagated.
 
 The search first lays the compiled model out as flat integer tables: per
 row a list of ``(var, |c|, the value of var that raises the lhs)``, sliced
-from the model's CSR arrays, per variable the same entries keyed by row,
-and per row the model's ``lo`` and ``hi`` and, summed from its CSR arrays
-by the model's row evaluator, ``least`` and ``most``, with a static
-``widest = max |c|``; it picks its coverage rows by the model's ``kinds``.
-Assigning a variable then adds its ``|c|`` to each row's ``least`` or
-takes it from its ``most``, with no sign test. A free entry is forced
-when its ``|c|`` exceeds the row's room to rise, ``hi - least``, or to
-fall, ``most - lo``. No free ``|c|`` exceeds ``widest``, nor the sum of
-them all, ``most - least``; a queued row whose room is at least the
-smaller of the two is skipped without a scan, since nothing in it can be
-forced and it is not broken. The share bound stops summing once it
-reaches the incumbent: every share is nonnegative, so the prune decision
-is the same.
+from the model's CSR arrays; per row its two rooms, from the model's
+``lo``, ``hi`` and the ``least`` and ``most`` its row evaluator sums, its
+``span = hi - lo`` and a static ``widest = max |c|``; and per variable
+and value an effect list, one ``(room, row, |c|)`` per row of the
+variable, in row order, naming the room that value takes ``|c|`` from: a
+value that raises the lhs uses up room to rise, the other room to fall.
+It picks its coverage rows by the model's ``kinds``. Assigning a variable
+then takes each ``|c|`` from its room, and undoing gives it back, with no
+sign test. A free entry is forced when its ``|c|`` exceeds either room.
+No free ``|c|`` exceeds ``widest``, nor the sum of them all, the free span
+``rise + fall - span``; a queued row whose rooms both reach the smaller of
+those two is skipped without a scan, since nothing in it can be forced
+and it is not broken. The share bound stops summing once it reaches the
+incumbent: every share is nonnegative, so the prune decision is the same.
 
 The propagation queue keeps every row appended to it, in order, and each
 row is visited once per entry. A forced variable queues its other rows,
@@ -146,29 +149,41 @@ class _Search:
         self.deadline = deadline
         self.max_count = max_count
         # each entry is (var, |c|, the value of var that raises the lhs),
-        # filed under its row and, with the row id in place of var, under
-        # its variable
+        # filed under its row
         flat = list(zip(model.indices.tolist(), np.abs(model.data).tolist(),
                         (model.data > 0).astype(np.int8).tolist()))
         indptr = model.indptr.tolist()
         self.rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
-        var_rows = self.var_rows = [[] for _ in range(n)]
+        # a row's room to rise, hi - least, and to fall, most - lo, with
+        # least and most its lhs with every free variable lowering, and
+        # raising, it; span = hi - lo, so the free span most - least is
+        # rise + fall - span, and a unit row is covered once rise < hi
+        least, most = _extremes(model)
+        rise = self.rise = (model.hi - least).tolist()
+        fall = self.fall = (most - model.lo).tolist()
+        self.span, self.hi = (model.hi - model.lo).tolist(), model.hi.tolist()
+        # effects[v][val]: per row of v, in row order, (side, row, |c|), side
+        # the room that setting v to val takes |c| from. A row's entries of
+        # one |c| share their two effects: each effect refers to a room, so
+        # the garbage collector traces it for as long as the search lives
+        effects = self.effects = [([], []) for _ in range(n)]
         for idx, entries in enumerate(self.rows):
+            shared = {}
             for v, c, raising in entries:
-                var_rows[v].append((idx, c, raising))
-        self.lo, self.hi = model.lo.tolist(), model.hi.tolist()
-        # the lhs with every free variable lowering it, and raising it
-        self.least, self.most = (bound.tolist() for bound in _extremes(model))
+                if c not in shared:
+                    shared[c] = (rise, idx, c), (fall, idx, c)
+                up, down = shared[c]
+                effects[v][raising].append(up)
+                effects[v][1 - raising].append(down)
         # the row's largest |c|; an empty row's, whatever it reads, is never
-        # used, since its most - least is 0
+        # used, since its free span is 0
         self.widest: list[int] = np.maximum.reduceat(
             np.append(np.abs(model.data), 0), model.indptr[:-1]).tolist()
         # coverage rows that need a selected arc while uncovered; the share
         # bound and the branching rule read only these. least == 0: no
         # coefficient is negative
-        self.cover_rows = [idx for idx, kind in enumerate(model.kinds)
-                           if kind == "coverage" and self.lo[idx] >= 1
-                           and self.least[idx] == 0]
+        self.cover_rows = [idx for idx in np.flatnonzero((model.lo >= 1) & (least == 0)).tolist()
+                           if model.kinds[idx] == "coverage"]
         cover = Counter(v for idx in self.cover_rows for v, _, _ in self.rows[idx])
         # objective values are integers in units of 1/(model.den * spread):
         # spread, the LCM of the coverage counts, makes every share
@@ -192,39 +207,28 @@ class _Search:
     # -- assignment trail ---------------------------------------------------
 
     def _assign(self, v: int, val: int) -> list[int]:
-        """Fix variable v: the value raising a row's lhs raises its least by
-        |c|; the other lowers its most by |c|. Returns v's rows, in order."""
+        """Fix variable v, taking each of its |c| from the room its value
+        uses up. Returns v's rows, in order."""
         self.x[v] = val
         self.trail.append(v)
         if val:
             self.committed += self.obj[v]
-        least, most = self.least, self.most
-        touched = []
-        for idx, c, raising in self.var_rows[v]:
-            if val == raising:
-                least[idx] += c
-            else:
-                most[idx] -= c
-            touched.append(idx)
-        return touched
+        effects = self.effects[v][val]
+        for side, idx, c in effects:
+            side[idx] -= c
+        return [idx for _, idx, _ in effects]
 
     def _undo(self, mark: int) -> None:
         trail = self.trail
-        if len(trail) == mark:
-            return
-        x, obj, var_rows = self.x, self.obj, self.var_rows
-        least, most = self.least, self.most
+        x, obj, effects = self.x, self.obj, self.effects
         committed = self.committed
         for v in trail[mark:]:
             val = x[v]
             x[v] = -1
             if val:
                 committed -= obj[v]
-            for idx, c, raising in var_rows[v]:
-                if val == raising:
-                    least[idx] -= c
-                else:
-                    most[idx] += c
+            for side, idx, c in effects[v][val]:
+                side[idx] += c
         self.committed = committed
         del trail[mark:]
 
@@ -233,20 +237,18 @@ class _Search:
         once a row is broken. Rows only tighten, so a row broken by a forced
         value is still broken when its turn in the queue comes. The loop
         walks the queue as it grows."""
-        x, obj, trail = self.x, self.obj, self.trail
-        rows, var_rows, widest = self.rows, self.var_rows, self.widest
-        lo_, hi_, least_, most_ = self.lo, self.hi, self.least, self.most
+        x, obj, trail, effects = self.x, self.obj, self.trail, self.effects
+        rows, widest, span = self.rows, self.widest, self.span
+        rise_, fall_ = self.rise, self.fall
         for idx in queue:
-            lo, hi = lo_[idx], hi_[idx]
-            least, most = least_[idx], most_[idx]
-            # rise and fall: how far the lhs may still move up or down. A
-            # free entry is forced when its |c| exceeds either; no free |c|
-            # exceeds the row's widest or their sum, most - least, so when
-            # neither does, nothing is forced and the row is not broken
-            c = most - least
+            rise, fall = rise_[idx], fall_[idx]
+            # a free entry is forced when its |c| exceeds either room; no
+            # free |c| exceeds the row's widest or their sum, the free span,
+            # so when neither does, nothing is forced and the row is not
+            # broken
+            c = rise + fall - span[idx]
             if widest[idx] < c:
                 c = widest[idx]
-            rise, fall = hi - least, most - lo
             if c <= rise and c <= fall:
                 continue
             if rise < 0 or fall < 0:
@@ -266,15 +268,12 @@ class _Search:
                 trail.append(v)
                 if val:
                     self.committed += obj[v]
-                for jdx, d, up in var_rows[v]:
-                    if val == up:
-                        least_[jdx] += d
-                    else:
-                        most_[jdx] -= d
+                for side, jdx, d in effects[v][val]:
+                    side[jdx] -= d
                     if jdx != idx:
                         queue.append(jdx)
-                # row state changed; refresh its room and scan on
-                rise, fall = hi - least_[idx], most_[idx] - lo
+                # row state changed; refresh its rooms and scan on
+                rise, fall = rise_[idx], fall_[idx]
         return True
 
     # -- bounding and branching ----------------------------------------------
@@ -283,11 +282,11 @@ class _Search:
         """Whether the share bound of the node reaches target. Every share
         is nonnegative, so the sum stops as soon as it gets there."""
         bound = self.committed
-        x, share, least, rows = self.x, self.share, self.least, self.rows
+        x, share, rise, hi, rows = self.x, self.share, self.rise, self.hi, self.rows
         for idx in self.cover_rows:
             if bound >= target:
                 return True
-            if least[idx] >= 1:
+            if rise[idx] < hi[idx]:  # covered
                 continue
             best = math.inf
             for v, _, _ in rows[idx]:
@@ -297,13 +296,13 @@ class _Search:
         return bound >= target
 
     def _pick_branch(self) -> Optional[tuple[int, tuple[int, int]]]:
-        x, least_, most_ = self.x, self.least, self.most
+        x, rise_, fall_, span, hi = self.x, self.rise, self.fall, self.span, self.hi
         best_row, best_free = -1, 1 << 30
         for idx in self.cover_rows:
-            least = least_[idx]
-            if least >= 1:
+            rise = rise_[idx]
+            if rise < hi[idx]:  # covered
                 continue
-            free = most_[idx] - least  # the free count on a unit row
+            free = rise + fall_[idx] - span[idx]  # the free count on a unit row
             if 0 < free < best_free:
                 best_row, best_free = idx, free
         if best_row >= 0:

@@ -29,7 +29,6 @@ one reported. ``Trip`` defines its own one-step ``__init__``, as
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -88,13 +87,9 @@ def _frac(obj: Mapping[str, Any], key: str, path: str, default: int) -> Fraction
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        # JSON NaN and Infinity load as floats; no Fraction holds them
-        if not math.isfinite(value):
-            raise InstanceError(f"{path}/{key}",
-                                f"expected a finite number, got {value}")
-        # str() of a float is the shortest round-tripping decimal, so this
-        # converts "what was written in the file" exactly.
-        return Fraction(str(value))
+        # every finite JSON literal loads as a Fraction; only NaN and
+        # Infinity load as floats, and no Fraction holds them
+        raise InstanceError(f"{path}/{key}", f"expected a finite number, got {value}")
     if isinstance(value, str):
         try:
             return Fraction(value)

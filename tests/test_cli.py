@@ -228,6 +228,14 @@ def test_diagram_rejects_mismatched_solution(tmp_path, capsys):
         assert err.startswith("error: ") and reason in err
 
 
+def test_diagram_rejects_a_portfolio_with_no_plans(tmp_path, capsys):
+    solution = tmp_path / "portfolio.json"
+    solution.write_text(json.dumps({"solutions": []}))
+    code, _, err = run(capsys, "diagram", TOY, "--solution", str(solution))
+    assert code == 1
+    assert err.startswith("error: ") and "solution file contains no selected arcs" in err
+
+
 def test_export_lp_stdout(capsys):
     # the same text as solve-ilp --emit-lp, header included
     code, out, _ = run(capsys, "export-lp", TOY)

@@ -1,10 +1,14 @@
 import dataclasses
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from rollstock.diagram import DiagramError, render_ascii, render_svg, trace_rotations
+from rollstock.exact import solve_exact
+from rollstock.generate import GeneratorConfig, generate_synthetic
+from rollstock.ilp import encode_ilp
 from rollstock.model import Depot, EmuType, Instance, Trip
 from rollstock.netbuild import build_hypergraph
 
@@ -123,3 +127,27 @@ def test_two_selected_arcs_out_of_one_trip_rejected(toy_instance, toy_graph):
 def test_empty_instance_renders_the_empty_text(toy_instance):
     empty = dataclasses.replace(toy_instance, trips=(), driver_windows=())
     assert render_ascii(empty, build_hypergraph(empty), ()) == "(empty diagram)\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rotations_of_generated_optima_return_to_sinks(seed):
+    inst = generate_synthetic(GeneratorConfig(n_trips=30, n_couplable=6, n_types=2,
+                                              n_depots=2), seed)
+    graph = build_hypergraph(inst)
+    result = solve_exact(encode_ilp(graph, inst))
+    assert result.optimal
+    selected = [graph.arcs[a] for a in result.solution.decoded]
+    rotations = trace_rotations(graph, inst, result.solution.decoded)
+    # one rotation per dispatched unit
+    assert len(rotations) == sum(a.k_prime for a in selected if a.kind == "depot_out")
+    # each trip once per unit that the selected arc into it places there
+    placed = Counter()
+    for arc in selected:
+        for target in arc.targets:
+            if graph.node(target).is_trip:
+                placed[graph.node(target).trip] += arc.k
+    assert Counter(t for r in rotations for t in r.trips) == placed
+    # with return bounds every unit ends its day at a depot sink
+    sink_stations = {d.station for d in inst.depots if d.has_sink}
+    for rotation in rotations:
+        assert inst.trip_by_id(rotation.trips[-1]).destination in sink_stations

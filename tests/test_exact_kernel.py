@@ -1,10 +1,12 @@
 """The branch-and-bound kernel against the kernel it replaced.
 
-``exact._Search`` runs on row tables compiled once per model: per row and
-per variable, entries ``(var or row, |c|, the value raising the lhs)``, and
-a static ``widest = max |c|`` per row. Propagation skips a queued row when
-neither ``widest`` nor the free span ``most - least`` can force anything,
-and the share bound stops summing once it reaches the incumbent.
+``exact._Search`` runs on tables compiled once per model: per row, entries
+``(var, |c|, the value raising the lhs)``, its room to rise ``hi - least``
+and to fall ``most - lo``, and a static ``widest = max |c|``; per variable
+and value, an effect list of ``(room, row, |c|)`` naming the room that
+value takes ``|c|`` from. Propagation skips a queued row when neither
+``widest`` nor the free span ``most - least`` can force anything, and the
+share bound stops summing once it reaches the incumbent.
 ``ReferenceSearch`` below is the kernel before that change, kept verbatim:
 it reads ``ConstraintRow`` coefficients directly, scans every queued row
 and sums the whole bound. The two must grow the same tree, so every

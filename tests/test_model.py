@@ -470,3 +470,20 @@ def test_licenses_and_licensed_windows_roundtrip():
     again = loads_instance(text)
     assert again == inst
     assert serialize_instance(again) == text
+
+
+def test_boolean_alpha_is_not_a_number():
+    data = json.loads(TOY_PATH.read_text())
+    data["alpha"] = True
+    with pytest.raises(InstanceError) as err:
+        loads_instance(json.dumps(data))
+    assert (err.value.path, err.value.message) == ("/alpha", "expected a number")
+
+
+@pytest.mark.parametrize("value,shown", [("NaN", "nan"), ("-Infinity", "-inf")])
+def test_non_finite_alpha_names_its_value(value, shown):
+    data = json.loads(TOY_PATH.read_text())
+    data["alpha"] = "@"
+    with pytest.raises(InstanceError) as err:
+        loads_instance(json.dumps(data).replace('"@"', value))
+    assert (err.value.path, err.value.message) == ("/alpha", f"expected a finite number, got {shown}")
