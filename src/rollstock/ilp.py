@@ -25,8 +25,8 @@ Driver rows weight arcs by en-route EMUs (``per_emu``) or en-route trains
 Arcs share few distinct prices (about 20 on a generated 100-trip day), so
 each objective coefficient ``alpha * cost`` (plus the EMUs a depot arc
 dispatches) is computed once per distinct (cost value, EMUs dispatched)
-and shared by the arcs that have it. ``ConstraintRow`` defines its own
-one-step ``__init__``, as ``netbuild.HyperArc`` does.
+and shared by the arcs that have it. ``ConstraintRow`` is built in one
+step (``model._one_step``).
 
 An arc overcrowds a trip t it points to when its k units of type r leave
 ``passengers - k*seats > seat_tol`` or ``bicycles - k*bike_slots > bike_tol``,
@@ -92,7 +92,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Depot, EmuType, Instance, Trip
+from .model import Depot, EmuType, Instance, Trip, _one_step
 from .netbuild import Hypergraph
 
 __all__ = [
@@ -107,6 +107,7 @@ __all__ = [
 ]
 
 
+@_one_step
 @dataclass(frozen=True)
 class ConstraintRow:
     """A sparse integer row ``lo <= coeffs . x <= hi``.
@@ -127,11 +128,6 @@ class ConstraintRow:
     lo: int = 0
     hi: int = 0
     tag: str = ""
-
-    def __init__(self, kind: str, coeffs: tuple[tuple[int, int], ...], relation: str,
-                 rhs: int = 0, lo: int = 0, hi: int = 0, tag: str = ""):
-        self.__dict__.update(kind=kind, coeffs=coeffs, relation=relation, rhs=rhs,
-                             lo=lo, hi=hi, tag=tag)
 
     def bounds(self) -> tuple[int, int]:
         """``(lo, hi)`` with ``lo <= coeffs . x <= hi``. A ``<=`` row's lo is
@@ -159,7 +155,8 @@ class IlpModel:
     ``ValueError`` for an objective or row entry outside
     ``range(num_vars)`` and for a relation other than ``=``, ``<=`` or
     ``range``, ``TypeError`` for a row coefficient or bound that is not an
-    integer, and sums a row's repeated variable into its first entry, so
+    integer and for an objective coefficient or ``constant`` that is not a
+    rational, and sums a row's repeated variable into its first entry, so
     every row names each variable once. Other rows stay the same objects.
 
     The same pass compiles the model into read-only arrays, from which
@@ -234,7 +231,14 @@ class IlpModel:
         reach = max(map(len, coeffs), default=0) * _largest(pairs[1::2]) + 2 * _largest(bounds)
         data, bounds = pairs[1::2].astype(_dtype(reach)), bounds.astype(_dtype(reach))
 
-        den = math.lcm(self.constant.denominator, *{c.denominator for _, c in self.objective})
+        try:
+            den = math.lcm(self.constant.denominator, *{c.denominator for _, c in self.objective})
+        except AttributeError:  # only now look for the entry that is not a rational
+            raise TypeError(next(
+                f"{name} is {c!r}, not a rational" for name, c in chain(
+                    [("constant", self.constant)],
+                    ((f"objective coefficient of variable {v}", c) for v, c in self.objective))
+                if not hasattr(c, "denominator"))) from None
         scaled = [c.numerator * (den // c.denominator) for _, c in self.objective]
         offset = self.constant.numerator * (den // self.constant.denominator)
         obj = np.zeros(n, _dtype(sum(map(abs, scaled)) + abs(offset)))

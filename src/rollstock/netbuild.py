@@ -36,13 +36,8 @@ share one ``Fraction``; with all distances distinct that is still at most
 once per (trip, type, k). The cost is linear in trips times
 turnaround-window hits.
 
-``Node`` and ``HyperArc`` stay frozen dataclasses but define their own
-``__init__``, which fills the instance dict in one update. The generated
-frozen ``__init__`` makes one ``object.__setattr__`` call per field, which
-doubles the cost of an arc (1.7 against 0.85 us for its eight fields), and
-a build makes hundreds to thousands of arcs. Equality, hashing, ``repr``,
-``dataclasses.replace`` and ``FrozenInstanceError`` are the dataclass's
-own.
+``Node`` and ``HyperArc`` are built in one step (``model._one_step``),
+since a build makes hundreds to thousands of arcs.
 
 The graph is its nodes and arcs, and an arc is a movement and its price.
 ``ilp.encode_ilp`` decides which ILP rows an arc enters, the capacity row
@@ -56,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Depot, EmuType, Instance
+from .model import Depot, EmuType, Instance, _one_step
 
 __all__ = [
     "Node",
@@ -74,6 +69,7 @@ ARC_KINDS = ("depot_out", "transfer", "couple", "coupled_transfer", "decouple",
 _NO_COST = Fraction(0)  # the cost of an arc that points to no trip
 
 
+@_one_step
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -81,15 +77,12 @@ class Node:
     trip: Optional[str] = None
     depot: Optional[str] = None
 
-    def __init__(self, id: str, kind: str, trip: Optional[str] = None,
-                 depot: Optional[str] = None):
-        self.__dict__.update(id=id, kind=kind, trip=trip, depot=depot)
-
     @property
     def is_trip(self) -> bool:
         return self.kind in ("trip", "service_trip")
 
 
+@_one_step
 @dataclass(frozen=True)
 class HyperArc:
     """One candidate EMU movement and its price; ``id`` doubles as the ILP
@@ -105,12 +98,6 @@ class HyperArc:
     k: int
     k_prime: int
     cost: Fraction
-
-    def __init__(self, id: int, kind: str, sources: tuple[str, ...],
-                 targets: tuple[str, ...], emu_type: str, k: int, k_prime: int,
-                 cost: Fraction):
-        self.__dict__.update(id=id, kind=kind, sources=sources, targets=targets,
-                             emu_type=emu_type, k=k, k_prime=k_prime, cost=cost)
 
 
 @dataclass(frozen=True)

@@ -144,12 +144,14 @@ class Couplings:
     upper-triangular integer matrix over ``num_vars`` variables.
 
     Building one, also through ``dataclasses.replace``, raises
-    ``ValueError`` for an index outside ``range(num_vars)`` or an entry
-    with ``i > j``, and leaves the entries sorted by ``(i, j)`` with each
-    pair once and no zero: repeated pairs are summed. ``value`` is an int64
-    array, or an ``object`` array of Python ints when the input does not
-    fit int64 or its repeated pairs could not be summed in it; the arrays
-    are read-only. ``magnitude`` is ``sum |value|``, exact.
+    ``TypeError`` for an index or value that is not an integer (bools
+    read as 0 and 1), ``ValueError`` for an index outside
+    ``range(num_vars)`` or an entry with ``i > j``, and leaves the entries
+    sorted by ``(i, j)`` with each pair once and no zero: repeated pairs
+    are summed. ``value`` is an int64 array, or an ``object`` array of
+    Python ints when the input does not fit int64 or its repeated pairs
+    could not be summed in it; the arrays are read-only. ``magnitude`` is
+    ``sum |value|``, exact.
     """
 
     num_vars: int
@@ -160,9 +162,7 @@ class Couplings:
 
     def __post_init__(self) -> None:
         n = self.num_vars
-        i = np.asarray(self.i, np.intp)
-        j = np.asarray(self.j, np.intp)
-        value = _integers(self.value)
+        i, j, value = _integers(self.i), _integers(self.j), _integers(self.value)
         if not i.ndim == 1 or not i.shape == j.shape == value.shape:
             raise ValueError("i, j and value must be 1-d arrays of one length")
         outside = (i < 0) | (j >= n)
@@ -173,7 +173,9 @@ class Couplings:
         if below.any():
             k = int(below.argmax())
             raise ValueError(f"entry ({i[k]}, {j[k]}) lies below the diagonal")
-        i, j, value = _canonical(n, i, j, value)
+        # 0 <= i <= j < n, so the indices fit intp
+        i, j, value = _canonical(n, i.astype(np.intp, copy=False),
+                                 j.astype(np.intp, copy=False), value)
         for name, array in (("i", i), ("j", j), ("value", value)):
             object.__setattr__(self, name, _frozen(array))
         object.__setattr__(self, "magnitude", _magnitude(value))

@@ -168,6 +168,25 @@ def test_a_non_integer_coefficient_or_bound_is_refused(coeff, rhs):
         IlpModel(num_vars=1, objective=(), constraints=(row,))
 
 
+@pytest.mark.parametrize("coeff", [0.5, "1", np.float64(0.5)], ids=repr)
+def test_a_non_rational_objective_coefficient_is_refused(coeff):
+    with pytest.raises(TypeError, match=re.escape(
+            f"objective coefficient of variable 1 is {coeff!r}, not a rational")):
+        IlpModel(num_vars=2, objective=((0, Fraction(1, 3)), (1, coeff)), constraints=())
+
+
+def test_a_non_rational_constant_is_refused():
+    with pytest.raises(TypeError, match="constant is 0.25, not a rational"):
+        IlpModel(num_vars=1, objective=((0, 1),), constraints=(), constant=0.25)
+
+
+@pytest.mark.parametrize("coeff", [Fraction(3, 2), 3, np.int64(3), True], ids=repr)
+def test_rational_objective_coefficients_are_taken(coeff):
+    model = IlpModel(num_vars=2, objective=((1, coeff),), constraints=(), constant=True)
+    assert model.obj.tolist() == [0, coeff * model.den]
+    assert model.offset == model.den
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_days_compile_and_evaluate_like_their_rows(seed):
     inst = generate_synthetic(

@@ -70,6 +70,18 @@ def test_hand_made_models_fail_where_they_are_built(toy_qubo):
         Couplings(2, [0], [1], [0.5])
 
 
+@pytest.mark.parametrize("i,j", [([0.5], [1]), ([0], [1.7]), (["0"], [1]), ([0], [b"1"]),
+                                 (np.array([0.0]), [1])], ids=repr)
+def test_a_non_integer_index_is_refused_not_truncated(i, j):
+    # once cast to intp, so (0.5, 1.7) became the entry (0, 1)
+    with pytest.raises(TypeError):
+        Couplings(3, i, j, [1])
+
+
+def test_bool_indices_read_as_0_and_1():
+    assert as_dict(Couplings(2, [False, True], [True, True], [3, 4])) == {(0, 1): 3, (1, 1): 4}
+
+
 def test_hand_made_ising_models_fail_where_they_are_built():
     j = Couplings(3, [0], [2], [4])
     assert IsingModel(num_vars=3, h=[1, 0, -2], j=j, offset=0, den=4).h.tolist() == [1, 0, -2]

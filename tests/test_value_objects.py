@@ -1,9 +1,11 @@
-"""Frozen value objects with a hand-written one-step ``__init__``.
+"""Frozen value objects built in one step.
 
 ``Node``, ``HyperArc``, ``ConstraintRow`` and ``Trip`` keep
-``@dataclass(frozen=True)`` but fill their instance dict in one update
-instead of one ``object.__setattr__`` per field. Each ``__init__`` must take
-the dataclass fields in order with their defaults, and the instances must
+``@dataclass(frozen=True)`` but ``model._one_step`` gives each an
+``__init__`` that fills the instance dict in one update instead of one
+``object.__setattr__`` per field. Each ``__init__`` must take the dataclass
+fields in order with their defaults, resolve its type hints, belong to its
+class's module and name its class in its errors, and the instances must
 behave as those of the generated ``__init__`` do: compared, hashed,
 printed, pickled and replaced alike, and still frozen.
 """
@@ -11,6 +13,7 @@ printed, pickled and replaced alike, and still frozen.
 import dataclasses
 import inspect
 import pickle
+import typing
 from fractions import Fraction
 
 import pytest
@@ -85,3 +88,21 @@ def test_defaults_fill_omitted_fields(cls):
     obj = cls(**args)
     for f in fields:
         assert getattr(obj, f.name) == args.get(f.name, f.default), f.name
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_init_resolves_the_type_hints_of_its_class(cls):
+    assert typing.get_type_hints(cls.__init__) == typing.get_type_hints(cls)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_init_belongs_to_the_module_of_its_class(cls):
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("cls,args", SAMPLES, ids=lambda v: getattr(v, "__name__", ""))
+def test_init_errors_name_the_class(cls, args):
+    for bad in (lambda: cls(*args[:1]), lambda: cls(*args, unknown=1)):
+        with pytest.raises(TypeError) as caught:
+            bad()
+        assert str(caught.value).startswith(f"{cls.__qualname__}.__init__()")
