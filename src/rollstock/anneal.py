@@ -69,9 +69,10 @@ elsewhere. The product adds one ``n x reads`` array to the working set.
 ``sample_portfolio`` is the full pipeline: encode what it is not given,
 anneal, decode the distinct samples in one
 :func:`rollstock.qubo.decode_many` call, which prices nothing (the
-energies stay on the ``SampleEntry``s), keep the feasible plans as a
-portfolio, each reusing its sample's report, and return the infeasible
-ones with their violated constraint families. At INFO it logs one line
+energies stay on the ``SampleEntry``s), keep the distinct feasible plans
+as a portfolio, which ``rollstock.exact``'s one block routine checks on
+the full ILP and prices as it does every portfolio, and return the
+infeasible ones with their violated constraint families. At INFO it logs one line
 through the ``rollstock`` logger: distinct samples, feasible reads and
 reads per violated family.
 """
@@ -88,14 +89,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Solution, SolutionPortfolio
+from .exact import SolutionPortfolio, _solutions
 from .ilp import IlpModel, encode_ilp
 from .model import Instance
 from .netbuild import Hypergraph, build_hypergraph
 # ``decode`` stays a name of this module: perfbench's tracer wraps
 # ``rollstock.anneal.decode``, while ``sample_portfolio`` calls ``decode_many``
-from .qubo import (DEFAULT_LAMBDAS, DecodedSample, QuboModel, decode,
-                   decode_many, encode_qubo, qubo_energies)
+from .qubo import (DEFAULT_LAMBDAS, QuboModel, decode, decode_many, encode_qubo,
+                   qubo_energies)
 
 __all__ = [
     "AnnealParams",
@@ -386,21 +387,17 @@ def sample_portfolio(instance: Optional[Instance],
 
     entries = samples.entries
     decoded = decode_many(qubo, ilp, [e.y for e in entries])
-    feasible: dict[tuple[int, ...], DecodedSample] = {}
+    feasible: set[tuple[int, ...]] = set()
     rejected: list[RejectedSample] = []
     for entry, sample in zip(entries, decoded):
         if sample.feasible:
-            feasible.setdefault(sample.x, sample)
+            feasible.add(sample.x)
         else:
             rejected.append(RejectedSample(
                 y=entry.y, x=sample.x, energy=entry.energy,
                 multiplicity=entry.multiplicity,
                 violated_families=sample.report.families(),
                 slack_consistent=sample.slack_consistent))
-    solutions = sorted(
-        (Solution.from_assignment(ilp, x, s.report) for x, s in feasible.items()),
-        key=lambda s: (s.objective, s.x))
-    portfolio = SolutionPortfolio(solutions=tuple(solutions), exhaustive=False)
 
     if _log.isEnabledFor(logging.INFO):
         _log.info("%s", _decode_histogram(samples, rejected))
@@ -408,7 +405,7 @@ def sample_portfolio(instance: Optional[Instance],
     lowest = entries[0].energy if entries else None
     hits = sum(e.multiplicity for e in entries if e.energy == lowest)
     return PortfolioRun(
-        portfolio=portfolio,
+        portfolio=SolutionPortfolio(_solutions(ilp, list(feasible)), exhaustive=False),
         rejected=tuple(rejected),
         samples=samples,
         success_rate=hits / samples.num_reads if samples.num_reads else 0.0)

@@ -8,6 +8,7 @@ usual convention for marking multiple-unit compositions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,9 +45,9 @@ def trace_rotations(graph: Hypergraph, instance: Instance,
 
     Coupling joins two rotations on the shared trip (both polylines carry
     it, flagged coupled); decoupling sends the two units their own
-    ways again.
+    ways again. An arc id that is not an integer is a ``TypeError``.
     """
-    chosen = sorted(set(int(a) for a in selected))
+    chosen = sorted(set(map(operator.index, selected)))
     arcs = graph.arcs
     for a in chosen:
         if not 0 <= a < len(arcs):
@@ -205,7 +206,10 @@ def render_svg(instance: Instance, graph: Hypergraph,
 
 def render_ascii(instance: Instance, graph: Hypergraph,
                  selected: Sequence[int], columns: int = 96) -> str:
-    """Coarse text rendering: stations as rows, time buckets as columns."""
+    """Coarse text rendering: stations as rows, time buckets as columns;
+    ``ValueError`` for fewer than 1 column."""
+    if columns < 1:
+        raise ValueError(f"columns must be >= 1, got {columns!r}")
     rotations = trace_rotations(graph, instance, selected)
     stations = _station_order(instance)
     if not instance.trips or not stations:

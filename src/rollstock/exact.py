@@ -62,11 +62,19 @@ CSR arrays; it is the reference oracle the search is tested against.
 to list every feasible assignment; given a budget of k plans it stops on
 finding plan k + 1, so a portfolio that holds every plan is reported
 exhaustive.
+
+Every ``Solution`` these, and ``rollstock.anneal.sample_portfolio``,
+return is built by ``_solutions`` from a list of 0/1 plans: it checks them
+on every row with the ILP's row evaluator and report routine and prices
+them with ``objective_value``'s sum, in ``_bit_blocks`` of at most
+``_BLOCK`` (plan, entry) cells, and sorts them by objective, then by plan,
+on the integer totals, before it makes any ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -75,7 +83,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ilp import FeasibilityReport, IlpModel, _extremes, check_feasibility, objective_value
+from .ilp import (FeasibilityReport, IlpModel, _bit_blocks, _extremes, _prices, _reports,
+                  _row_sums)
 
 __all__ = [
     "Solution",
@@ -93,19 +102,6 @@ class Solution:
     objective: Fraction
     report: FeasibilityReport
     decoded: tuple[int, ...]  # selected arc ids
-
-    @staticmethod
-    def from_assignment(model: IlpModel, x: Sequence[int],
-                        report: Optional[FeasibilityReport] = None) -> "Solution":
-        """The solution ``x``, with ``report`` as its feasibility report
-        when it was already checked."""
-        xt = tuple(int(v) for v in x)
-        return Solution(
-            x=xt,
-            objective=objective_value(model, xt),
-            report=check_feasibility(model, xt) if report is None else report,
-            decoded=tuple(i for i, v in enumerate(xt) if v),
-        )
 
 
 @dataclass(frozen=True)
@@ -133,6 +129,21 @@ class SolveResult:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+
+def _solutions(model: IlpModel, xs: Sequence[Sequence[int]]) -> tuple[Solution, ...]:
+    """The 0/1 plans ``xs`` as ``Solution``s, sorted by objective, then by
+    plan: checked on every row and priced in ``_bit_blocks``, one
+    (plan, entry) table at a time, and sorted on the integer totals before
+    any ``Fraction`` is made."""
+    priced = []
+    for bits in _bit_blocks(xs, model.num_vars, max(len(model.indices), model.num_vars)):
+        lhs = _row_sums(bits, model.indptr, model.indices, model.data)
+        priced += zip(_prices(model, bits), map(tuple, bits.tolist()), _reports(model, lhs))
+    priced.sort(key=lambda p: p[:2])
+    return tuple(Solution(x, Fraction(total, model.den), report,
+                          tuple(i for i, v in enumerate(x) if v))
+                 for total, x, report in priced)
 
 
 class _Search:
@@ -384,8 +395,7 @@ def solve_exact(model: IlpModel,
         status = "infeasible" if search.incumbent is None else "optimal"
     return SolveResult(
         status=status,
-        solution=(None if search.incumbent is None
-                  else Solution.from_assignment(model, search.incumbent)),
+        solution=None if search.incumbent is None else _solutions(model, [search.incumbent])[0],
         nodes=search.nodes)
 
 
@@ -396,15 +406,15 @@ def enumerate_feasible(model: IlpModel, max_count: int = 100000
     The portfolio is exhaustive unless the search found a feasible
     assignment beyond the first max_count; those first max_count are
     returned."""
+    if isinstance(max_count, bool) or not isinstance(max_count, numbers.Integral):
+        raise ValueError(f"max_count must be an int, got {max_count!r}")
     if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count!r}")
     search = _Search(model, max_count=max_count)
     search.run()
     # leaves are distinct assignments: no duplicates to drop
-    return SolutionPortfolio(
-        solutions=tuple(Solution.from_assignment(model, x)
-                        for _, x in sorted(search.collected)),
-        exhaustive=not search.stopped)
+    return SolutionPortfolio(solutions=_solutions(model, [x for _, x in search.collected]),
+                             exhaustive=not search.stopped)
 
 
 def brute_force(model: IlpModel) -> SolutionPortfolio:
@@ -424,7 +434,7 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
     a = np.zeros((len(model.kinds), max(n, 1)), dtype=np.int64)
     a[np.repeat(np.arange(len(a)), np.diff(model.indptr)), model.indices] = model.data
 
-    solutions: list[Solution] = []
+    feasible = []
     total = 1 << n
     chunk = 1 << 16
     bits = np.arange(max(n, 1), dtype=np.uint32)
@@ -433,7 +443,5 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
         x = ((ids[:, None] >> bits[None, :]) & 1).astype(np.int64)
         lhs = x @ a.T
         ok = np.all((lhs >= lo[None, :]) & (lhs <= hi[None, :]), axis=1)
-        solutions += [Solution.from_assignment(model, tuple((i >> b) & 1 for b in range(n)))
-                      for i in ids[ok].tolist()]
-    solutions.sort(key=lambda s: (s.objective, s.x))
-    return SolutionPortfolio(solutions=tuple(solutions), exhaustive=True)
+        feasible.append(x[ok, :n])
+    return SolutionPortfolio(_solutions(model, np.concatenate(feasible)), exhaustive=True)

@@ -69,13 +69,17 @@ One row evaluator serves every check: ``_row_sums`` sums each row over a
 block of 0/1 samples with one ``np.add.reduceat``, and ``_reports`` turns
 only the (sample, row) pairs off their bounds into Python objects.
 ``check_feasibility`` is the two on one sample, ``decode_many`` the two on
-a sample set; ``objective_value`` sums the chosen entries of ``obj``.
-One routine, ``_bits``, checks every 0/1 assignment these and the QUBO
-batch routines are given: it turns a list of samples into one int8 block
-and names the first sample of the wrong length, else the first entry
-outside {0, 1}. ``ConstraintRow.lhs`` and ``FeasibilityReport.of`` are
-the per-row references the tests check the evaluator and the reports
-against.
+a sample set and ``exact._solutions``, which builds every ``Solution``,
+the two on a portfolio. One pricing routine, ``_prices``, sums each
+sample's chosen entries of ``obj`` and the ``offset`` in one product;
+``objective_value`` is it on one sample. One routine, ``_bits``, checks
+every 0/1 assignment these and the QUBO batch routines are given: it turns
+a list of samples into one int8 block and names the first sample of the
+wrong length, else the first entry outside {0, 1}. ``_bit_blocks`` cuts a
+sample list into such blocks of at most ``_BLOCK`` = 2**17 (sample, cell)
+pairs, the one block size of every batch routine of both routes.
+``ConstraintRow.lhs`` and ``FeasibilityReport.of`` are the per-row
+references the tests check the evaluator and the reports against.
 """
 
 from __future__ import annotations
@@ -353,6 +357,24 @@ def _bits(ys: Sequence[Sequence[int]], n: int, first: int = 0) -> np.ndarray:
     return block.astype(np.int8)
 
 
+_BLOCK = 2 ** 17  # (sample, cell) pairs a batch routine evaluates at a time
+
+
+def _bit_blocks(ys: Sequence[Sequence[int]], n: int, cells: int):
+    """The samples ``ys`` in order as ``_bits`` blocks of at most
+    ``_BLOCK // cells`` samples each (at least one)."""
+    step = max(1, _BLOCK // max(cells, 1))
+    for start in range(0, len(ys), step):
+        yield _bits(ys[start:start + step], n, start)
+
+
+def _prices(model: IlpModel, bits: np.ndarray) -> list[int]:
+    """Each sample's objective in units of ``1/den``, the ``offset`` plus
+    the entries of ``obj`` it chooses, from the 0/1 (sample, var) array
+    ``bits``."""
+    return [total + model.offset for total in (bits @ model.obj).tolist()]
+
+
 def driver_row_weight(arc_k: int, running: int, weighting: str) -> int:
     if weighting == "per_emu":
         return arc_k * running
@@ -522,8 +544,7 @@ def encode_ilp(graph: Hypergraph, instance: Instance,
 def objective_value(model: IlpModel, x: Sequence[int]) -> Fraction:
     """The objective at the 0/1 assignment ``x``: the chosen entries of
     ``obj`` and the ``offset``, over ``den``."""
-    bits = _bits([x], model.num_vars)[0]
-    return Fraction(int(model.obj[np.flatnonzero(bits)].sum()) + model.offset, model.den)
+    return Fraction(_prices(model, _bits([x], model.num_vars))[0], model.den)
 
 
 def check_feasibility(model: IlpModel, x: Sequence[int]) -> FeasibilityReport:

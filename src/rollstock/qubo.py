@@ -56,12 +56,14 @@ need not number them contiguously) and summed by the same evaluator.
 Energies are summed in the dtype of ``q``'s values; row sums in the
 dtype of the ILP's ``data``, and a chain's target in int64 while the
 ILP's ``reach`` plus the largest ``|constant|`` stays below 2**63, exact
-Python ints otherwise. Samples go through in blocks
-of at most ``_BLOCK`` = 2**17 (sample, cell) pairs, a cell being a term,
-a row coefficient or a chain bit, so the scratch of a call stays within a
-few MiB whatever the sample count; each block is checked and converted by
-the ILP's one assignment check, ``_bits``, so a sample of the wrong length
-or with an entry outside {0, 1} is a ``ValueError`` that names it.
+Python ints otherwise. Samples go through the ILP's block splitter,
+``_bit_blocks``, in blocks of at most its ``_BLOCK`` = 2**17 (sample,
+cell) pairs, a cell being a term, a row coefficient or a chain bit, so the
+scratch of a call stays within a few MiB whatever the sample count; each
+block is checked and converted by the ILP's one assignment check,
+``_bits``, so a sample of the wrong length or with an entry outside
+{0, 1} is a ``ValueError`` that names it; ``consistent_slacks`` checks
+its decision the same way.
 ``decode`` and ``qubo_energy`` are the one-sample calls.
 """
 
@@ -75,8 +77,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .ilp import (FeasibilityReport, IlpModel, _bits, _dtype, _EXACT, _frozen, _integers,
-                  _largest, _reports, _row_sums)
+from .ilp import (FeasibilityReport, IlpModel, _bit_blocks, _bits, _dtype, _EXACT, _frozen,
+                  _integers, _largest, _reports, _row_sums)
 from .model import Instance, exact_number
 from .netbuild import Hypergraph, size_bounds
 
@@ -472,11 +474,13 @@ def consistent_slacks(model: QuboModel, x: Sequence[int]) -> tuple[int, ...]:
     """Extend a decision assignment with energy-minimizing slack bits.
 
     Unary chains are degenerate (only the bit sum matters); the canonical
-    choice fills each chain from its first position.
+    choice fills each chain from its first position. ``ValueError`` names
+    a decision of the wrong length or its first entry outside {0, 1}.
     """
     if len(x) != model.num_decision:
         raise ValueError(f"decision length {len(x)} != {model.num_decision}")
-    y = list(int(v) for v in x) + [0] * model.num_slack
+    x = _bits([x], model.num_decision)[0].tolist()
+    y = x + [0] * model.num_slack
     for row in model.penalty_rows:
         fill = row.best_slack_sum(x)
         for s in row.slack_indices[:fill]:
@@ -539,17 +543,6 @@ def decode_many(model: QuboModel, ilp: IlpModel,
 
 # ---------------------------------------------------------------------------
 # Batch evaluation
-
-
-_BLOCK = 2 ** 17  # (sample, cell) pairs a batch routine evaluates at a time
-
-
-def _bit_blocks(ys: Sequence[Sequence[int]], n: int, cells: int):
-    """The samples ``ys`` in order as ``_bits`` blocks of at most
-    ``_BLOCK // cells`` samples each (at least one)."""
-    step = max(1, _BLOCK // max(cells, 1))
-    for start in range(0, len(ys), step):
-        yield _bits(ys[start:start + step], n, start)
 
 
 def _matched_rows(penalties: Sequence[PenaltyRow], kinds: Sequence[str],

@@ -581,3 +581,11 @@ def test_driver_weighting_and_max_count_defaults_are_the_library_defaults(
     with pytest.raises(_Stop):
         main(["enumerate", TOY])
     assert seen == {"driver_weighting": "per_train", "max_count": 7}
+
+
+def test_enumerate_out_writes_the_golden_portfolio(tmp_path, capsys):
+    # the console-script smoke diffs the same file
+    code, _, _ = run(capsys, "enumerate", TOY, "--out", str(tmp_path))
+    assert code == 0
+    golden = REPO / "tests" / "golden" / "toy-enum" / "portfolio.json"
+    assert (tmp_path / "portfolio.json").read_bytes() == golden.read_bytes()

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rollstock.diagram import DiagramError, render_ascii, render_svg, trace_rotations
@@ -151,3 +152,27 @@ def test_rotations_of_generated_optima_return_to_sinks(seed):
     sink_stations = {d.station for d in inst.depots if d.has_sink}
     for rotation in rotations:
         assert inst.trip_by_id(rotation.trips[-1]).destination in sink_stations
+
+
+@pytest.mark.parametrize("selected", [(0.0, 2.0, 10.0), (0.7, 2, 10), ("0", 2, 10)])
+def test_arc_ids_that_are_not_integers_are_refused(toy_instance, toy_graph, selected):
+    # int() once read 0.7 as arc 0 and "0" as arc 0
+    with pytest.raises(TypeError):
+        trace_rotations(toy_graph, toy_instance, selected)
+
+
+def test_integer_arc_ids_of_any_type_trace_alike(toy_instance, toy_graph):
+    want = trace_rotations(toy_graph, toy_instance, (0, 2, 10))
+    assert trace_rotations(toy_graph, toy_instance, np.array([0, 2, 10])) == want
+    assert trace_rotations(toy_graph, toy_instance, (False, 2, 10)) == want
+
+
+@pytest.mark.parametrize("columns", [0, -3])
+def test_ascii_grid_needs_a_column(toy_instance, toy_graph, columns):
+    with pytest.raises(ValueError, match=f"columns must be >= 1, got {columns}"):
+        render_ascii(toy_instance, toy_graph, (0, 2, 10), columns=columns)
+
+
+def test_ascii_grid_of_one_column(toy_instance, toy_graph):
+    lines = render_ascii(toy_instance, toy_graph, (0, 2, 10), columns=1).splitlines()
+    assert all(len(line) == len(lines[1]) for line in lines[1:-1])

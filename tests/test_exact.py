@@ -1,8 +1,10 @@
 import dataclasses
 import random
+import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rollstock.exact import brute_force, enumerate_feasible, solve_exact
@@ -350,3 +352,16 @@ def test_objective_naming_a_variable_outside_the_model_rejected(var):
             objective=((0, Fraction(1)), (var, Fraction(1))),
             constraints=(ConstraintRow(kind="coverage", relation="=", rhs=1,
                                        coeffs=((0, 1), (1, 1)), tag="cover[01]"),))
+
+
+@pytest.mark.parametrize("max_count", [2.5, 3.0, True, False, "3", None])
+def test_enumeration_budget_that_is_not_an_int_rejected(toy_ilp, max_count):
+    # 2.5 once listed all 3 toy plans as exhaustive, and True read as 1
+    with pytest.raises(ValueError, match=re.escape(f"max_count must be an int, got {max_count!r}")):
+        enumerate_feasible(toy_ilp, max_count=max_count)
+
+
+def test_enumeration_budget_may_be_a_numpy_int(toy_ilp):
+    portfolio = enumerate_feasible(toy_ilp, max_count=np.int64(2))
+    assert len(portfolio.solutions) == 2
+    assert not portfolio.exhaustive

@@ -364,3 +364,12 @@ def test_consistent_slacks_refuses_a_wrong_length_decision(toy_qubo, length):
     # the toy has 11 decision bits; 20 is the length of a whole sample
     with pytest.raises(ValueError, match=f"decision length {length} != 11"):
         consistent_slacks(toy_qubo, (0,) * length)
+
+
+@pytest.mark.parametrize("at,value", [(3, 2), (0, 0.5), (10, -1)])
+def test_consistent_slacks_refuses_an_entry_outside_0_1(toy_qubo, at, value):
+    # a 2 was once kept in the returned sample, and 0.5 failed deep inside
+    x = list(toy_x(0, 2, 10))
+    x[at] = value
+    with pytest.raises(ValueError, match=f"sample 0 entry {at} is {value!r}, not 0 or 1"):
+        consistent_slacks(toy_qubo, x)

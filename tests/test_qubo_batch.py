@@ -170,7 +170,7 @@ def test_sample_blocks_do_not_change_the_results(monkeypatch, toy_qubo, toy_ilp,
     rng = random.Random(per_block)
     ys = [tuple(rng.randint(0, 1) for _ in range(toy_qubo.num_vars)) for _ in range(50)]
     want = decode_many(toy_qubo, toy_ilp, ys), qubo_energies(toy_qubo, ys)
-    monkeypatch.setattr(QUBO, "_BLOCK", per_block * toy_qubo.num_terms())
+    monkeypatch.setattr("rollstock.ilp._BLOCK", per_block * toy_qubo.num_terms())
     assert (decode_many(toy_qubo, toy_ilp, ys), qubo_energies(toy_qubo, ys)) == want
     assert_batch_matches(toy_qubo, toy_ilp, ys)
 
@@ -262,7 +262,7 @@ def test_numpy_bools_and_ints_decode_like_python_ints(toy_qubo, toy_ilp):
 
 def test_one_sample_blocks_name_the_sample_by_its_place_in_the_list(
         monkeypatch, toy_qubo, toy_ilp):
-    monkeypatch.setattr(QUBO, "_BLOCK", 1)
+    monkeypatch.setattr("rollstock.ilp._BLOCK", 1)
     y = [0] * toy_qubo.num_vars
     y[5] = 2
     ys = [(0,) * toy_qubo.num_vars] * 3 + [tuple(y)]
