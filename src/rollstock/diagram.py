@@ -8,6 +8,7 @@ usual convention for marking multiple-unit compositions.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -207,7 +208,9 @@ def render_svg(instance: Instance, graph: Hypergraph,
 def render_ascii(instance: Instance, graph: Hypergraph,
                  selected: Sequence[int], columns: int = 96) -> str:
     """Coarse text rendering: stations as rows, time buckets as columns;
-    ``ValueError`` for fewer than 1 column."""
+    ``ValueError`` for fewer than 1 column or a ``columns`` that is not an int."""
+    if isinstance(columns, bool) or not isinstance(columns, numbers.Integral):
+        raise ValueError(f"columns must be an int, got {columns!r}")
     if columns < 1:
         raise ValueError(f"columns must be >= 1, got {columns!r}")
     rotations = trace_rotations(graph, instance, selected)

@@ -18,6 +18,12 @@ which is also its attribute, its reader, its default and how it is written
 back. ``loads_instance`` reads and ``serialize_instance`` writes every
 record through its table; docs/instance-format.md lists the same keys.
 
+``serialize_instance``'s text is ``json.dumps(data, indent=2)`` of the
+instance's JSON data, byte for byte, and tests/test_json_writer.py checks
+that equality; it is written by ``_json_text`` and ``_json_records``, not by
+``json``'s indented encoder, which is pure Python. Each record's fields
+go out straight from its table, with no dict built per record.
+
 Errors carry a JSON-pointer path, formatted only when a check fails: the
 field readers take the record's path and the field's key and build
 ``path/key`` only to raise, and validation formats ``/trips/i/...`` only
@@ -34,6 +40,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str  # C code
 from numbers import Rational as _Rational
 from typing import Any, Callable, IO, Iterator, NamedTuple, Optional, Union
 
@@ -355,7 +362,7 @@ def _validate(inst: Instance) -> None:
         if r.bike_slots < 0:
             raise InstanceError(f"{path}/bike_slots", "must be >= 0")
         _check_rational(r.cost_per_km, path, "cost_per_km")
-        if r.cost_per_km < 0:
+        if r.cost_per_km.numerator < 0:
             raise InstanceError(f"{path}/cost_per_km", "must be >= 0")
 
     # paths are formatted only for the check that fails
@@ -371,7 +378,7 @@ def _validate(inst: Instance) -> None:
         if t.bicycles < 0:
             raise InstanceError(f"/trips/{i}/bicycles", "must be >= 0")
         _check_rational(t.distance, "/trips", i, "distance")
-        if t.distance < 0:
+        if t.distance.numerator < 0:
             raise InstanceError(f"/trips/{i}/distance", "must be >= 0")
         if t.obligatory and not t.allowed_types:
             raise InstanceError(f"/trips/{i}/allowed_types",
@@ -598,34 +605,61 @@ def _meta_json(value: Any) -> Any:
     return value
 
 
-def _json_records(records: tuple, fields: tuple) -> list[dict]:
-    """Each record as the JSON object ``_records`` reads back. It starts as
-    the record's attributes, which are ``fields`` in order, and then each
-    field with a ``write`` is converted and each optional None left out."""
-    special = [(k, d, w) for k, _, d, w in fields if w is not None or d is None]
-    objs = [vars(record).copy() for record in records]
-    for obj in objs:
-        for key, default, write in special:
-            if obj[key] is None and default is None:
-                del obj[key]
-            elif write is not None:
-                obj[key] = write(obj[key])
-    return objs
+def _json_text(value: Any, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` with each line after the first
+    indented by ``pad``, a newline and spaces. Strings, ints, bools and
+    non-empty lists, tuples and str-keyed dicts are written here, the rest
+    by ``json``: every newline it writes is structural, since strings
+    escape control characters."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, int):  # bool is an int; json writes int subclasses as ints
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in value])}{pad}]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in value.items()]), pad)
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _json_records(records: tuple, fields: tuple, pad: str) -> str:
+    """The text of ``records`` as the JSON list ``_records`` reads back, at
+    indent ``pad``: each record's fields in ``fields`` order, each optional
+    None left out and each field with a ``write`` converted."""
+    inner, field_pad = pad + "  ", pad + "    "
+    heads = [(f"{_json_str(key)}: ", key, default is None, write)
+             for key, _, default, write in fields]
+    texts = []
+    for record in records:
+        items = []
+        for head, key, optional, write in heads:
+            value = getattr(record, key)
+            if value is None and optional:
+                continue
+            items.append(head + _json_text(value if write is None else write(value), field_pad))
+        texts.append(f"{{{field_pad}{(',' + field_pad).join(items)}{inner}}}")
+    return f"[{inner}{(',' + inner).join(texts)}{pad}]" if texts else "[]"
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Inverse of :func:`loads_instance`: deterministic, round-trip exact."""
-    data: dict[str, Any] = {
-        "meta": _meta_json(inst.meta),
-        "alpha": exact_number(inst.alpha),
-        "delta_min": inst.delta_min,
-        "delta_max": inst.delta_max,
-        "tolerances": {key: getattr(inst, name) for key, name in _TOLERANCE_KEYS.items()},
-        "emu_types": _json_records(inst.emu_types, _EMU_TYPE),
-        "depots": _json_records(inst.depots, _DEPOT),
-        "trips": _json_records(inst.trips, _TRIP),
-        "driver_windows": _json_records(inst.driver_windows, _WINDOW),
-    }
+    """Inverse of :func:`loads_instance`: deterministic, round-trip exact.
+    The text is ``json.dumps(data, indent=2)`` of the instance's JSON data."""
+    pad = "\n  "
+    items = [
+        ("meta", _json_text(_meta_json(inst.meta), pad)),
+        ("alpha", _json_text(exact_number(inst.alpha), pad)),
+        ("delta_min", _json_text(inst.delta_min, pad)),
+        ("delta_max", _json_text(inst.delta_max, pad)),
+        ("tolerances", _json_text({key: getattr(inst, name)
+                                   for key, name in _TOLERANCE_KEYS.items()}, pad)),
+        ("emu_types", _json_records(inst.emu_types, _EMU_TYPE, pad)),
+        ("depots", _json_records(inst.depots, _DEPOT, pad)),
+        ("trips", _json_records(inst.trips, _TRIP, pad)),
+        ("driver_windows", _json_records(inst.driver_windows, _WINDOW, pad)),
+    ]
     if inst.licenses:
-        data["licenses"] = {k: sorted(v) for k, v in sorted(inst.licenses.items())}
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+        items.append(("licenses", _json_text(
+            {k: sorted(v) for k, v in sorted(inst.licenses.items())}, pad)))
+    return "{%s%s\n}\n" % (pad, ("," + pad).join(f'"{key}": {text}' for key, text in items))

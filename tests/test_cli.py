@@ -198,6 +198,14 @@ def test_generate_open_corridors_to_stdout_matches_golden(capsys):
     assert out == (REPO / "tests" / "golden" / "generate" / "t13-open.json").read_text()
 
 
+def test_generate_exact_route_family_to_stdout_matches_golden(capsys):
+    # the 100-trip family of perfbench's exact-route workload
+    code, out, _ = run(capsys, "generate", "-", "--trips", "100", "--couplable", "20",
+                       "--types", "3", "--depots", "4", "--seed", "4001")
+    assert code == 0
+    assert out == (REPO / "tests" / "golden" / "generate" / "t100.json").read_text()
+
+
 def test_generate_rejects_zero_trips(capsys):
     code, _, err = run(capsys, "generate", "-", "--trips", "0")
     assert code == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
@@ -171,6 +172,18 @@ def test_integer_arc_ids_of_any_type_trace_alike(toy_instance, toy_graph):
 def test_ascii_grid_needs_a_column(toy_instance, toy_graph, columns):
     with pytest.raises(ValueError, match=f"columns must be >= 1, got {columns}"):
         render_ascii(toy_instance, toy_graph, (0, 2, 10), columns=columns)
+
+
+@pytest.mark.parametrize("columns", [2.5, 96.0, True, "96", None])
+def test_ascii_grid_columns_must_be_an_int(toy_instance, toy_graph, columns):
+    # 2.5 once failed inside the grid with a bare TypeError, True drew 1 column
+    with pytest.raises(ValueError, match=re.escape(f"columns must be an int, got {columns!r}")):
+        render_ascii(toy_instance, toy_graph, (0, 2, 10), columns=columns)
+
+
+def test_ascii_grid_takes_a_numpy_int(toy_instance, toy_graph):
+    assert (render_ascii(toy_instance, toy_graph, (0, 2, 10), columns=np.int64(40))
+            == render_ascii(toy_instance, toy_graph, (0, 2, 10), columns=40))
 
 
 def test_ascii_grid_of_one_column(toy_instance, toy_graph):

@@ -12,11 +12,15 @@ generator's rules one at a time.
 import dataclasses
 import hashlib
 import math
+import re
 from collections import defaultdict
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rollstock.generate import GeneratorConfig, GeneratorError, generate_synthetic
+from rollstock.generate import (GeneratorConfig, GeneratorError, _plan_rotations,
+                                generate_synthetic)
 from rollstock.model import serialize_instance
 
 DIGESTS = [
@@ -151,3 +155,90 @@ def test_last_rotation_is_cut_to_the_trips_left():
         assert all(n in (4, 6, 8) for n in rest)
         last.append(end)
     assert [seed for seed, n in enumerate(last) if n == 2] == [8, 9, 11, 18]
+
+
+def scalar_demands(rng, cfg, emu_types, rotations):
+    """Each trip's (passengers, bicycles, allowed types) drawn one double at
+    a time, the way the demand pass drew them before its one call: per trip
+    the cross-type draws in type order without its own type, then the
+    demand fill, then the bicycle fill."""
+    out = []
+    for rot in rotations:
+        own = emu_types[rot % cfg.n_types]
+        allowed = {own.id}
+        for other in emu_types:
+            if other.id != own.id and rng.random() < cfg.cross_type_prob:
+                allowed.add(other.id)
+        passengers = int(rng.uniform(*cfg.demand_fill) * own.seats)
+        bicycles = int(rng.uniform(*cfg.bike_fill) * own.bike_slots)
+        out.append((passengers, bicycles, frozenset(allowed)))
+    return out
+
+
+@pytest.mark.parametrize("n_types", [1, 3, 11])
+@pytest.mark.parametrize("cross_type_prob", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n_trips,seed,bike_fill", [(41, 3, (0.0, 0.0)),
+                                                    (17, 8, (0.25, 0.9)),
+                                                    (100, 4001, (0.1, 0.2))])
+def test_one_call_demand_draws_equal_the_scalar_loop(monkeypatch, n_types, cross_type_prob,
+                                                    n_trips, seed, bike_fill):
+    made, before = [], []
+
+    class Recording(np.random.Generator):
+        """Keeps itself and its state before each ``random`` call."""
+
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            made.append(self)
+
+        def random(self, *args, **kwargs):
+            before.append(self.bit_generator.state)
+            return super().random(*args, **kwargs)
+
+    cfg = GeneratorConfig(n_trips=n_trips, n_couplable=n_trips // 5, n_types=n_types,
+                          n_depots=4, bike_fill=bike_fill, cross_type_prob=cross_type_prob)
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    inst = generate_synthetic(cfg, seed)
+    monkeypatch.undo()
+    assert len(made) == 1 and len(before) == 1  # the demand pass is one call
+
+    counts = _plan_rotations(cfg, np.random.default_rng(np.random.PCG64(seed)))
+    rotations = [rot for rot, n in enumerate(counts) for _ in range(n)]
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = before[0]
+    want = scalar_demands(rng, cfg, inst.emu_types, rotations)
+    assert [(t.passengers, t.bicycles, t.allowed_types) for t in inst.trips] == want
+    assert made[0].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n_trips", 10.0), ("n_trips", True), ("n_couplable", 2.5), ("n_couplable", False),
+    ("n_depots", 2.0), ("n_types", True), ("n_types", Fraction(2)),
+    ("delta_min", 5.5), ("delta_max", 60.0), ("delta_max", "60")])
+def test_config_counts_must_be_ints(name, value):
+    # these once gave a day that loads_instance refused (delta_min=5.5), a
+    # TypeError deep inside (n_trips=10.0) or a 1-trip day (n_trips=True)
+    changes = {"n_trips": 10, name: value}
+    with pytest.raises(GeneratorError, match=re.escape(f"{name} must be an int, got {value!r}")):
+        GeneratorConfig(**changes)
+    with pytest.raises(GeneratorError, match=re.escape(f"{name} must be an int")):
+        dataclasses.replace(GeneratorConfig(n_trips=10), **{name: value})
+
+
+@pytest.mark.parametrize("legs,bad", [((4.0, 8), "rotation_legs[0] must be an int, got 4.0"),
+                                      ((4, True), "rotation_legs[1] must be an int, got True"),
+                                      ((4, 7.5), "rotation_legs[1] must be an int, got 7.5")])
+def test_rotation_leg_bounds_must_be_ints(legs, bad):
+    with pytest.raises(GeneratorError, match=re.escape(bad)):
+        GeneratorConfig(n_trips=10, rotation_legs=legs)
+
+
+def test_numpy_int_counts_give_the_same_day_as_python_ints():
+    config = dict(n_trips=31, n_couplable=6, n_types=3, n_depots=2, delta_min=4,
+                  delta_max=50, rotation_legs=(2, 6))
+    as_numpy = GeneratorConfig(**{k: np.asarray(v, dtype=np.int64)[()] if isinstance(v, int)
+                                  else tuple(np.int32(x) for x in v)
+                                  for k, v in config.items()})
+    assert as_numpy == GeneratorConfig(**config)
+    assert (serialize_instance(generate_synthetic(as_numpy, 31))
+            == serialize_instance(generate_synthetic(GeneratorConfig(**config), 31)))
