@@ -14,14 +14,27 @@ garbage collection, and the script prints and records the median wall
 time of each stage and the sizes: arcs, ILP rows, QUBO variables and
 terms, and the share of QUBO variables that are slack bits.
 
+Once per rung and tree, outside those repetitions, the script also runs
+branch and bound, ``solve_exact(model, time_limit=BB_TIME_LIMIT)``, and
+records its status, node count, objective (as exact text), the digest of
+its plan and its wall time. Beside them it records the arcs left free
+after root propagation: it builds ``rollstock.exact._Search(model)`` and
+runs its ``_propagate`` over every row. That is the script's one read of
+a private name.
+
 The checkout's ``src`` is always measured. ``--parent`` adds a second
 source tree, loaded into the same process under its own name with
 ``benchmarks/ab.py``'s loader. The two trees then alternate which goes
 first from repetition to repetition and from rung to rung, each rung prints
 the per-stage ratio (checkout over parent; below 1 is faster), and the
 script exits with 1 if the serialized instance or the LP text of any rung
-differs between the trees. ``--out`` writes everything as JSON. Times are
-raw wall clock of one process, so only ratios taken in one run compare.
+differs between the trees. The branch-and-bound column prints the ratio of
+its seconds, and the script also exits with 1 if the trees leave different
+free arcs after root propagation, or if, on a rung that both finish within
+the time limit, they differ in status, nodes, objective or plan. A rung
+stopped by the time limit (T >= 320 today) is recorded but not compared.
+``--out`` writes everything as JSON. Times are raw wall clock of one
+process, so only ratios taken in one run compare.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ RUNGS = {**{t: dict(n_trips=t, n_couplable=t // 5, n_types=3, n_depots=4) for t 
          PAPER_TRIPS: dict(n_trips=PAPER_TRIPS, n_couplable=80, n_types=11, n_depots=4)}
 STAGES = ("generate_synthetic", "serialize_instance", "loads_instance",
           "build_hypergraph", "encode_ilp", "export_lp", "encode_qubo")
+BB_TIME_LIMIT = 20.0  # seconds of branch and bound per rung and tree
 
 
 def sha256(text: str) -> str:
@@ -77,6 +91,24 @@ def run_rung(rs, gen: dict, seed: int) -> tuple[dict, dict, dict]:
              "qubo_vars": qubo.num_vars, "qubo_terms": qubo.num_terms(),
              "slack_share": round(qubo.num_slack / qubo.num_vars, 4)}
     return times, sizes, {"instance": sha256(text), "lp": sha256(lp)}
+
+
+def run_bb(rs, gen: dict, seed: int) -> dict:
+    """Branch and bound on one rung's ILP, and the arcs root propagation
+    leaves free."""
+    inst = rs.generate_synthetic(rs.GeneratorConfig(**gen), seed)
+    model = rs.encode_ilp(rs.build_hypergraph(inst), inst)
+    root = rs.exact._Search(model)
+    root._propagate(list(range(len(root.rows))))
+    gc.collect()
+    start = time.perf_counter()
+    result = rs.solve_exact(model, time_limit=BB_TIME_LIMIT)
+    seconds = time.perf_counter() - start
+    solution = result.solution
+    return {"status": result.status, "nodes": result.nodes,
+            "objective": None if solution is None else str(rs.exact_number(solution.objective)),
+            "plan": None if solution is None else sha256(repr(solution.decoded)),
+            "free_arcs": root.x.count(-1), "seconds": seconds}
 
 
 def main(argv=None) -> int:
@@ -112,30 +144,48 @@ def main(argv=None) -> int:
                     times[name][stage].append(seconds)
         medians = {name: {stage: statistics.median(t) for stage, t in per.items()}
                    for name, per in times.items()}
+        bb = {name: run_bb(trees[name], gen, seed)
+              for name in (names if r % 2 == 0 else names[::-1])}
         row = {"trips": trips, "gen": gen, "seed": seed, "sizes": sizes["change"],
-               "digests": digests["change"], "stages_s": medians}
+               "digests": digests["change"], "stages_s": medians,
+               "bb": {name: bb[name] for name in names}}
         print(f"T={trips} seed {seed}: " + ", ".join(f"{k} {v}" for k, v in sizes["change"].items()))
         if "parent" in trees:
             row["ratio"] = {stage: medians["change"][stage] / medians["parent"][stage]
                             for stage in STAGES}
+            row["bb_ratio"] = bb["change"]["seconds"] / bb["parent"]["seconds"]
             if digests["change"] != digests["parent"] or sizes["change"] != sizes["parent"]:
-                mismatches.append(trips)
+                mismatches.append((trips, "the instance or LP digests"))
+            if bb["change"]["free_arcs"] != bb["parent"]["free_arcs"]:
+                mismatches.append((trips, "the free arcs after root propagation"))
+            finished = all(bb[name]["status"] != "time_limit" for name in names)
+            if finished and any(bb["change"][key] != bb["parent"][key]
+                              for key in ("status", "nodes", "objective", "plan")):
+                mismatches.append((trips, "the branch-and-bound results"))
         for stage in STAGES:
             line = f"  {stage:<20}" + "".join(
                 f" {name} {medians[name][stage] * 1e3:10.3f} ms" for name in names)
             if "ratio" in row:
                 line += f"  ratio {row['ratio'][stage]:.3f}"
             print(line)
+        for name in names:
+            out = bb[name]
+            print(f"  {'branch_and_bound':<20} {name} {out['status']}, {out['nodes']} nodes, "
+                  f"objective {out['objective']}, {out['free_arcs']} free arcs after root "
+                  f"propagation, {out['seconds'] * 1e3:.3f} ms")
+        if "bb_ratio" in row:
+            print(f"  {'branch_and_bound':<20} ratio {row['bb_ratio']:.3f}")
         rows.append(row)
 
-    for trips in mismatches:
-        print(f"FAILED T={trips}: the instance or LP digests differ between the trees")
+    for trips, what in mismatches:
+        print(f"FAILED T={trips}: {what} differ between the trees")
     if args.out is not None:
         args.out.write_text(json.dumps({
             "repeat": args.repeat,
             "trees": names,
             "python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine(), "rungs": rows}, indent=2) + "\n")
+            "machine": platform.machine(), "bb_time_limit_s": BB_TIME_LIMIT,
+            "rungs": rows}, indent=2) + "\n")
     return 1 if mismatches else 0
 
 

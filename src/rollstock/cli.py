@@ -201,8 +201,7 @@ def _portfolio_json(instance: Instance, graph: Hypergraph,
 
 def cmd_validate(args) -> int:
     inst = _load(args)
-    obligatory = sum(1 for t in inst.trips if t.obligatory)
-    print(f"valid: {len(inst.trips)} trips ({obligatory} obligatory), "
+    print(f"valid: {len(inst.trips)} trips ({len(inst.obligatory_trips)} obligatory), "
           f"{len(inst.emu_types)} EMU types, {len(inst.depots)} depots, "
           f"{len(inst.driver_windows)} driver windows")
     return EXIT_OK

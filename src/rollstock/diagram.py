@@ -40,8 +40,7 @@ class Rotation:
     coupled: tuple[bool, ...]  # aligned with trips; True = runs in a pair
 
 
-def trace_rotations(graph: Hypergraph, instance: Instance,
-                    selected: Sequence[int]) -> list[Rotation]:
+def trace_rotations(graph: Hypergraph, selected: Sequence[int]) -> list[Rotation]:
     """Follow each dispatched EMU through the selected arcs.
 
     Coupling joins two rotations on the shared trip (both polylines carry
@@ -130,7 +129,7 @@ def render_svg(instance: Instance, graph: Hypergraph,
     """Deterministic SVG time-distance diagram of one plan, ``_SVG_WIDTH``
     by ``_SVG_HEIGHT`` pixels."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
-    rotations = trace_rotations(graph, instance, selected)
+    rotations = trace_rotations(graph, selected)
     stations = _station_order(instance)
     type_color = {r.id: _TYPE_COLORS[i % len(_TYPE_COLORS)]
                   for i, r in enumerate(instance.emu_types)}
@@ -172,7 +171,7 @@ def render_svg(instance: Instance, graph: Hypergraph,
                      f'text-anchor="middle" font-size="11">'
                      f'{minute // 60:02d}:{minute % 60:02d}</text>')
 
-    drawn_coupled: set[tuple[str, int]] = set()
+    drawn_coupled: set[str] = set()
     for idx, rot in enumerate(rotations):
         color = type_color.get(rot.emu_type, "#333333")
         prev: Optional[tuple[float, float]] = None
@@ -186,9 +185,8 @@ def render_svg(instance: Instance, graph: Hypergraph,
                     f'x2="{xa:.1f}" y2="{ya:.1f}" stroke="{color}" '
                     f'stroke-width="1" stroke-dasharray="3,3"/>')
             if coupled:
-                key = (trip_id, 0)
-                offset = 2.0 if key in drawn_coupled else -2.0
-                drawn_coupled.add(key)
+                offset = 2.0 if trip_id in drawn_coupled else -2.0
+                drawn_coupled.add(trip_id)
                 parts.append(
                     f'<line x1="{xa:.1f}" y1="{ya + offset:.1f}" x2="{xb:.1f}" '
                     f'y2="{yb + offset:.1f}" stroke="{_COUPLED_COLOR}" '
@@ -213,7 +211,7 @@ def render_ascii(instance: Instance, graph: Hypergraph,
         raise ValueError(f"columns must be an int, got {columns!r}")
     if columns < 1:
         raise ValueError(f"columns must be >= 1, got {columns!r}")
-    rotations = trace_rotations(graph, instance, selected)
+    rotations = trace_rotations(graph, selected)
     stations = _station_order(instance)
     if not instance.trips or not stations:
         return "(empty diagram)\n"

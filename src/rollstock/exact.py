@@ -34,15 +34,19 @@ those two is skipped without a scan, since nothing in it can be forced
 and it is not broken. The share bound stops summing once it reaches the
 incumbent: every share is nonnegative, so the prune decision is the same.
 
-The propagation queue keeps every row appended to it, in order, and each
-row is visited once per entry. A forced variable queues its other rows,
-not the one that forced it, which is scanned on from the forced entry
-only. That is sound because an ``IlpModel`` row names each variable once:
-the forced value moves its row by that entry's own ``|c|``, which the
-rule that forced it allows for. The queue is neither deduplicated nor
-run to a fixpoint: a deduplicated queue visits rows in another order,
-and a fixpoint forces variables that this rule leaves to a branch, so
-either grows a different tree. Node counts, incumbents and enumeration
+Every fixing, branched or forced, goes through ``_assign``, and every
+release through ``_undo``; no other step writes the assignment, the
+trail, the committed objective or the rooms. ``_assign`` appends the
+variable's rows to a propagation queue. That queue keeps every row
+appended to it, in order, and each row is visited once per entry. A
+forced variable queues its other rows, not the one that forced it, which
+is scanned on from the forced entry only. That is sound because an
+``IlpModel`` row names each variable once: the forced value moves its
+row by that entry's own ``|c|``, which the rule that forced it allows
+for. The queue is neither deduplicated nor run to a fixpoint: a
+deduplicated queue visits rows in another order, and a fixpoint forces
+variables that this rule leaves to a branch, so either grows a different
+tree. Node counts, incumbents and enumeration
 leaves are part of the results, and ``tests/test_exact_kernel.py`` pins
 them against the kernel that scanned every queued row.
 
@@ -83,8 +87,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ilp import (FeasibilityReport, IlpModel, _bit_blocks, _extremes, _prices, _reports,
-                  _row_sums)
+from .ilp import (FeasibilityReport, IlpModel, _bit_blocks, _EXACT, _extremes, _prices,
+                  _reports, _row_sums)
 
 __all__ = [
     "Solution",
@@ -217,17 +221,17 @@ class _Search:
 
     # -- assignment trail ---------------------------------------------------
 
-    def _assign(self, v: int, val: int) -> list[int]:
+    def _assign(self, v: int, val: int, queue: list[int], skip: int = -1) -> None:
         """Fix variable v, taking each of its |c| from the room its value
-        uses up. Returns v's rows, in order."""
+        uses up, and append each of v's rows but skip to queue, in order."""
         self.x[v] = val
         self.trail.append(v)
         if val:
             self.committed += self.obj[v]
-        effects = self.effects[v][val]
-        for side, idx, c in effects:
+        for side, idx, c in self.effects[v][val]:
             side[idx] -= c
-        return [idx for _, idx, _ in effects]
+            if idx != skip:
+                queue.append(idx)
 
     def _undo(self, mark: int) -> None:
         trail = self.trail
@@ -248,8 +252,7 @@ class _Search:
         once a row is broken. Rows only tighten, so a row broken by a forced
         value is still broken when its turn in the queue comes. The loop
         walks the queue as it grows."""
-        x, obj, trail, effects = self.x, self.obj, self.trail, self.effects
-        rows, widest, span = self.rows, self.widest, self.span
+        x, rows, widest, span = self.x, self.rows, self.widest, self.span
         rise_, fall_ = self.rise, self.fall
         for idx in queue:
             rise, fall = rise_[idx], fall_[idx]
@@ -275,14 +278,7 @@ class _Search:
                     val = raising
                 else:
                     continue
-                x[v] = val
-                trail.append(v)
-                if val:
-                    self.committed += obj[v]
-                for side, jdx, d in effects[v][val]:
-                    side[jdx] -= d
-                    if jdx != idx:
-                        queue.append(jdx)
+                self._assign(v, val, queue, idx)
                 # row state changed; refresh its rooms and scan on
                 rise, fall = rise_[idx], fall_[idx]
         return True
@@ -371,7 +367,9 @@ class _Search:
                 if val is None:
                     frames.pop()
                     continue
-                if self._propagate(self._assign(v, val)):
+                queue: list[int] = []
+                self._assign(v, val, queue)
+                if self._propagate(queue):
                     break
             else:
                 return
@@ -426,7 +424,7 @@ def brute_force(model: IlpModel) -> SolutionPortfolio:
         raise ValueError(f"brute_force supports at most 24 variables, got {n}")
     if model.data.dtype == object:  # only then can a row reach 2**63
         least, most = _extremes(model)  # a row's sum |c| is most - least
-        far = np.flatnonzero(most - least + np.maximum(abs(model.lo), abs(model.hi)) >= 2 ** 63)
+        far = np.flatnonzero(most - least + np.maximum(abs(model.lo), abs(model.hi)) >= _EXACT)
         if len(far):
             raise ValueError(f"brute_force sums rows in int64; row {model.tags[far[0]]!r} "
                              f"could reach 2**63")

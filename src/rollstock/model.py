@@ -141,11 +141,9 @@ def _int(obj: Mapping[str, Any], key: str, path: str, default: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         _present(value, key, path)
         raise InstanceError(f"{path}/{key}", f"expected an integer, got {value!r}")
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise InstanceError(f"{path}/{key}", f"expected an integer, got {value}")
-        return int(value)
-    return value
+    if value.denominator != 1:
+        raise InstanceError(f"{path}/{key}", f"expected an integer, got {value}")
+    return int(value)
 
 
 def _bool(obj: Mapping[str, Any], key: str, path: str, default: bool) -> bool:

@@ -16,7 +16,7 @@ from rollstock.netbuild import build_hypergraph
 
 
 def test_toy_optimum_two_rotations_with_coupled_leg(toy_instance, toy_graph):
-    rotations = trace_rotations(toy_graph, toy_instance, (0, 2, 10))
+    rotations = trace_rotations(toy_graph, (0, 2, 10))
     assert len(rotations) == 2
     assert sorted(r.trips for r in rotations) == [("t1", "t3"), ("t2", "t3")]
     for rot in rotations:
@@ -25,7 +25,7 @@ def test_toy_optimum_two_rotations_with_coupled_leg(toy_instance, toy_graph):
 
 
 def test_toy_excited_solution_draws_service_leg(toy_instance, toy_graph):
-    rotations = trace_rotations(toy_graph, toy_instance, (0, 3, 6, 8))
+    rotations = trace_rotations(toy_graph, (0, 3, 6, 8))
     assert len(rotations) == 2
     assert sorted(r.trips for r in rotations) == [("t1", "t4"), ("t2", "t3")]
     assert all(not any(r.coupled) for r in rotations)
@@ -80,7 +80,7 @@ def test_svg_escapes_station_names(toy_instance):
 
 def test_bad_arc_id_rejected(toy_instance, toy_graph):
     with pytest.raises(DiagramError):
-        trace_rotations(toy_graph, toy_instance, (99,))
+        trace_rotations(toy_graph, (99,))
 
 
 def decouple_instance():
@@ -111,7 +111,7 @@ def test_decouple_tracing_splits_units():
     pair_out = [a for a in by_kind["depot_out"] if graph.arcs[a].k == 2]
     assert pair_out and "decouple" in by_kind
     selected = (pair_out[0], by_kind["decouple"][0])
-    rotations = trace_rotations(graph, inst, selected)
+    rotations = trace_rotations(graph, selected)
     assert len(rotations) == 2
     assert sorted(r.trips for r in rotations) == [("p", "q1"), ("p", "q2")]
     for rot in rotations:
@@ -131,6 +131,18 @@ def test_empty_instance_renders_the_empty_text(toy_instance):
     assert render_ascii(empty, build_hypergraph(empty), ()) == "(empty diagram)\n"
 
 
+def test_empty_instance_draws_its_one_station_and_no_hour(toy_instance):
+    # no trips: the day spans minutes 0 to 60, which hold no hour tick, and
+    # the depot's station A, the only one, sits halfway down the plot
+    empty = dataclasses.replace(toy_instance, trips=(), driver_windows=())
+    svg = ET.fromstring(render_svg(empty, build_hypergraph(empty), ()))
+    lines = [(e.get("y1"), e.get("y2"), e.get("stroke"))
+             for e in svg.iter("{http://www.w3.org/2000/svg}line")]
+    assert lines == [("234.0", "234.0", "#dddddd")]
+    texts = [e.text for e in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["A", "0 rotation(s); green = coupled pair"]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rotations_of_generated_optima_return_to_sinks(seed):
     inst = generate_synthetic(GeneratorConfig(n_trips=30, n_couplable=6, n_types=2,
@@ -139,7 +151,7 @@ def test_rotations_of_generated_optima_return_to_sinks(seed):
     result = solve_exact(encode_ilp(graph, inst))
     assert result.optimal
     selected = [graph.arcs[a] for a in result.solution.decoded]
-    rotations = trace_rotations(graph, inst, result.solution.decoded)
+    rotations = trace_rotations(graph, result.solution.decoded)
     # one rotation per dispatched unit
     assert len(rotations) == sum(a.k_prime for a in selected if a.kind == "depot_out")
     # each trip once per unit that the selected arc into it places there
@@ -159,13 +171,13 @@ def test_rotations_of_generated_optima_return_to_sinks(seed):
 def test_arc_ids_that_are_not_integers_are_refused(toy_instance, toy_graph, selected):
     # int() once read 0.7 as arc 0 and "0" as arc 0
     with pytest.raises(TypeError):
-        trace_rotations(toy_graph, toy_instance, selected)
+        trace_rotations(toy_graph, selected)
 
 
 def test_integer_arc_ids_of_any_type_trace_alike(toy_instance, toy_graph):
-    want = trace_rotations(toy_graph, toy_instance, (0, 2, 10))
-    assert trace_rotations(toy_graph, toy_instance, np.array([0, 2, 10])) == want
-    assert trace_rotations(toy_graph, toy_instance, (False, 2, 10)) == want
+    want = trace_rotations(toy_graph, (0, 2, 10))
+    assert trace_rotations(toy_graph, np.array([0, 2, 10])) == want
+    assert trace_rotations(toy_graph, (False, 2, 10)) == want
 
 
 @pytest.mark.parametrize("columns", [0, -3])

@@ -487,3 +487,25 @@ def test_non_finite_alpha_names_its_value(value, shown):
     with pytest.raises(InstanceError) as err:
         loads_instance(json.dumps(data).replace('"@"', value))
     assert (err.value.path, err.value.message) == ("/alpha", f"expected a finite number, got {shown}")
+
+
+def toy_text_with_seats(literal):
+    """The toy instance's text with the first EMU type's seats written as
+    the JSON literal ``literal``."""
+    data = json.loads(TOY_PATH.read_text())
+    data["emu_types"][0]["seats"] = "SEATS"
+    return json.dumps(data).replace('"SEATS"', literal)
+
+
+@pytest.mark.parametrize("literal,seats", [("60.0", 60), ("1e2", 100)])
+def test_a_whole_decimal_reads_as_an_int(literal, seats):
+    read = loads_instance(toy_text_with_seats(literal)).emu_types[0].seats
+    assert type(read) is int and read == seats
+
+
+@pytest.mark.parametrize("literal,message", [("60.5", "expected an integer, got 121/2"),
+                                             ('"60"', "expected an integer, got '60'")])
+def test_an_int_field_refuses_a_fraction_and_a_string(literal, message):
+    with pytest.raises(InstanceError) as err:
+        loads_instance(toy_text_with_seats(literal))
+    assert (err.value.path, err.value.message) == ("/emu_types/0/seats", message)
