@@ -12,15 +12,21 @@ generator seed T; the paper rung (``--rungs 404``) has 404 trips, 11 types,
 ``--repeat`` times, after one untimed warm-up pass and each time after a
 garbage collection, and the script prints and records the median wall
 time of each stage and the sizes: arcs, ILP rows, QUBO variables and
-terms, and the share of QUBO variables that are slack bits.
+terms, the share of QUBO variables that are slack bits, and
+``max_degree``, the most distinct neighbours of any QUBO variable.
 
-Once per rung and tree, outside those repetitions, the script also runs
-branch and bound, ``solve_exact(model, time_limit=BB_TIME_LIMIT)``, and
-records its status, node count, objective (as exact text), the digest of
-its plan and its wall time. Beside them it records the arcs left free
-after root propagation: it builds ``rollstock.exact._Search(model)`` and
-runs its ``_propagate`` over every row. That is the script's one read of
-a private name.
+Outside those repetitions, the script also runs branch and bound,
+``solve_exact(model, time_limit=BB_TIME_LIMIT)``, once per rung and tree,
+and records its status, node count, objective (as exact text), the digest
+of its plan and its wall time. On a rung where every tree finishes within
+the time limit on that first run, each tree runs ``--repeat`` times in
+all, the trees alternating which goes first, and the median seconds are
+recorded beside each run's; the script exits with 1 if a tree's status,
+nodes, objective or plan differ between its runs. A rung stopped by the
+time limit runs once.
+Beside them it records the arcs left free after root propagation: it
+builds ``rollstock.exact._Search(model)`` and runs its ``_propagate`` over
+every row. That is the script's one read of a private name.
 
 The checkout's ``src`` is always measured. ``--parent`` adds a second
 source tree, loaded into the same process under its own name with
@@ -63,6 +69,7 @@ RUNGS = {**{t: dict(n_trips=t, n_couplable=t // 5, n_types=3, n_depots=4) for t 
 STAGES = ("generate_synthetic", "serialize_instance", "loads_instance",
           "build_hypergraph", "encode_ilp", "export_lp", "encode_qubo")
 BB_TIME_LIMIT = 20.0  # seconds of branch and bound per rung and tree
+BB_RESULT = ("status", "nodes", "objective", "plan")  # equal on every run of a tree
 
 
 def sha256(text: str) -> str:
@@ -89,17 +96,31 @@ def run_rung(rs, gen: dict, seed: int) -> tuple[dict, dict, dict]:
     qubo = timed("encode_qubo", model)
     sizes = {"arcs": len(graph.arcs), "ilp_rows": len(model.kinds),
              "qubo_vars": qubo.num_vars, "qubo_terms": qubo.num_terms(),
-             "slack_share": round(qubo.num_slack / qubo.num_vars, 4)}
+             "slack_share": round(qubo.num_slack / qubo.num_vars, 4),
+             "max_degree": max_degree(qubo)}
     return times, sizes, {"instance": sha256(text), "lp": sha256(lp)}
 
 
-def run_bb(rs, gen: dict, seed: int) -> dict:
-    """Branch and bound on one rung's ILP, and the arcs root propagation
-    leaves free."""
+def max_degree(qubo) -> int:
+    """The most distinct neighbours of any QUBO variable (each coupled pair
+    is stored once)."""
+    q = qubo.q
+    off = q.i != q.j
+    ends = np.concatenate([q.i[off], q.j[off]])
+    return int(np.bincount(ends).max()) if len(ends) else 0
+
+
+def bb_model(rs, gen: dict, seed: int):
+    """One rung's ILP and the arcs root propagation leaves free in it."""
     inst = rs.generate_synthetic(rs.GeneratorConfig(**gen), seed)
     model = rs.encode_ilp(rs.build_hypergraph(inst), inst)
     root = rs.exact._Search(model)
     root._propagate(list(range(len(root.rows))))
+    return model, root.x.count(-1)
+
+
+def run_bb(rs, model) -> dict:
+    """One branch-and-bound run on ``model``: its result and seconds."""
     gc.collect()
     start = time.perf_counter()
     result = rs.solve_exact(model, time_limit=BB_TIME_LIMIT)
@@ -108,7 +129,7 @@ def run_bb(rs, gen: dict, seed: int) -> dict:
     return {"status": result.status, "nodes": result.nodes,
             "objective": None if solution is None else str(rs.exact_number(solution.objective)),
             "plan": None if solution is None else sha256(repr(solution.decoded)),
-            "free_arcs": root.x.count(-1), "seconds": seconds}
+            "seconds": seconds}
 
 
 def main(argv=None) -> int:
@@ -144,8 +165,22 @@ def main(argv=None) -> int:
                     times[name][stage].append(seconds)
         medians = {name: {stage: statistics.median(t) for stage, t in per.items()}
                    for name, per in times.items()}
-        bb = {name: run_bb(trees[name], gen, seed)
-              for name in (names if r % 2 == 0 else names[::-1])}
+        models = {name: bb_model(trees[name], gen, seed) for name in names}
+        runs = {name: [] for name in names}
+        for rep in range(args.repeat):
+            for name in (names if (r + rep) % 2 == 0 else names[::-1]):
+                runs[name].append(run_bb(trees[name], models[name][0]))
+            if rep == 0 and any(runs[name][0]["status"] == "time_limit" for name in names):
+                break
+        bb = {}
+        for name in names:
+            first = runs[name][0]
+            if any(out[key] != first[key] for out in runs[name] for key in BB_RESULT):
+                mismatches.append((trips, f"the {name} tree's branch-and-bound results "
+                                          "differ between its runs"))
+            each = [out["seconds"] for out in runs[name]]
+            bb[name] = {**first, "free_arcs": models[name][1],
+                        "seconds": statistics.median(each), "seconds_each": each}
         row = {"trips": trips, "gen": gen, "seed": seed, "sizes": sizes["change"],
                "digests": digests["change"], "stages_s": medians,
                "bb": {name: bb[name] for name in names}}
@@ -155,13 +190,13 @@ def main(argv=None) -> int:
                             for stage in STAGES}
             row["bb_ratio"] = bb["change"]["seconds"] / bb["parent"]["seconds"]
             if digests["change"] != digests["parent"] or sizes["change"] != sizes["parent"]:
-                mismatches.append((trips, "the instance or LP digests"))
+                mismatches.append((trips, "the instance or LP digests differ between the trees"))
             if bb["change"]["free_arcs"] != bb["parent"]["free_arcs"]:
-                mismatches.append((trips, "the free arcs after root propagation"))
+                mismatches.append((trips, "the free arcs after root propagation differ "
+                                           "between the trees"))
             finished = all(bb[name]["status"] != "time_limit" for name in names)
-            if finished and any(bb["change"][key] != bb["parent"][key]
-                              for key in ("status", "nodes", "objective", "plan")):
-                mismatches.append((trips, "the branch-and-bound results"))
+            if finished and any(bb["change"][key] != bb["parent"][key] for key in BB_RESULT):
+                mismatches.append((trips, "the branch-and-bound results differ between the trees"))
         for stage in STAGES:
             line = f"  {stage:<20}" + "".join(
                 f" {name} {medians[name][stage] * 1e3:10.3f} ms" for name in names)
@@ -172,13 +207,13 @@ def main(argv=None) -> int:
             out = bb[name]
             print(f"  {'branch_and_bound':<20} {name} {out['status']}, {out['nodes']} nodes, "
                   f"objective {out['objective']}, {out['free_arcs']} free arcs after root "
-                  f"propagation, {out['seconds'] * 1e3:.3f} ms")
+                  f"propagation, {out['seconds'] * 1e3:.3f} ms (median of {len(out['seconds_each'])})")
         if "bb_ratio" in row:
             print(f"  {'branch_and_bound':<20} ratio {row['bb_ratio']:.3f}")
         rows.append(row)
 
     for trips, what in mismatches:
-        print(f"FAILED T={trips}: {what} differ between the trees")
+        print(f"FAILED T={trips}: {what}")
     if args.out is not None:
         args.out.write_text(json.dumps({
             "repeat": args.repeat,

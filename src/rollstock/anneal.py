@@ -14,16 +14,23 @@ A sweep runs level by level rather than site by site. Variable ``j`` gets
 coupled to (0 if none), and variables are renumbered by (level, index).
 No two variables of a level are coupled, and of every coupled pair the
 lower index sits on the lower level, so one vectorised Metropolis step
-per level over all reads sees exactly the states the index-order sweep
-would: a site's acceptance depends only on its coupled neighbours.
+per block over all reads sees exactly the states the index-order sweep
+would: a site's acceptance depends only on its coupled neighbours. A
+block is a level's members with the rows of their neighbours and the
+dense couplings between the two. A level whose block would hold more
+than ``_CELLS`` cells is cut into consecutive parts of at most
+``_CELLS // rows`` members (at least one), each with its own block; its
+members are uncoupled, so the parts may run one after another.
 
 Each variable's off-diagonal local field is kept per read as an exact
 integer in units of ``1/den``, stored in float64 below 2**53, and updated
-after each level from that level's neighbour rows only; no n x n matrix
-is built. ``den`` is the model's ``den`` over its gcd with the integer
-couplings (1 when they are whole numbers), and ``q_ii`` is the model's
-integer over its ``den``, one correctly rounded division. The acceptance
-test is ``u < exp(-beta * max(s * (field / den + q_ii), 0))`` with
+after each block from that block's neighbour rows only; no n x n matrix
+is built. Exact integer sums do not depend on their order, so the
+samples are the same however a level is cut. ``den`` is the model's
+``den`` over its gcd with the integer couplings (1 when they are whole
+numbers), and ``q_ii`` is the model's integer over its ``den``, one
+correctly rounded division. The acceptance test is
+``u < exp(-beta * max(s * (field / den + q_ii), 0))`` with
 ``s = 1 - 2 y_i``, computed without the ``max``: a delta ``<= 0`` still
 gives ``exp >= 1 > u``. When the off-diagonal couplings are integers, as
 in every model built with integer penalty weights, this is bit for bit
@@ -58,11 +65,11 @@ uniforms, and each block one ``min`` over its draws, kept per sweep; no
 sweep is gathered or tested site by site until the first one the bound
 allows, which runs exactly.
 
-A sweep that runs goes through the level loop from level 0; the bound is
-the one skip rule. Two fusions cut each level's work without changing a
-bit. ``s * -beta`` is one array per sweep: ``(x * s) * -beta`` equals
-``x * (s * -beta)`` bit for bit, because ``s = +-1`` and rounding is
-symmetric in sign. A level flips its spins with two exact subtractions,
+A sweep that runs goes through the block loop from the first block; the
+bound is the one skip rule. Two fusions cut each block's work without
+changing a bit. ``s * -beta`` is one array per sweep: ``(x * s) * -beta``
+equals ``x * (s * -beta)`` bit for bit, because ``s = +-1`` and rounding
+is symmetric in sign. A block flips its spins with two exact subtractions,
 ``s -= x`` twice, where ``x`` is ``s`` at an accepting site and 0
 elsewhere. The product adds one ``n x reads`` array to the working set.
 
@@ -162,12 +169,14 @@ class SampleSet:
 
 
 _DRAW = 2048  # uniforms each generator call fills, in whole sweeps
+_CELLS = 2 ** 16  # most cells of a neighbour block, unless one member has more neighbours
 
 
 @dataclass(frozen=True)
 class _Level:
-    """Variables ``start:stop`` of the level order, the level-order rows of
-    their neighbours, and the integer couplings between the two."""
+    """Variables ``start:stop`` of the level order, a whole level or a part
+    of one, the level-order rows of their neighbours, and the integer
+    couplings between the two."""
 
     start: int
     stop: int
@@ -219,18 +228,24 @@ def _schedule(model: QuboModel) -> _Schedule:
     position[order] = np.arange(n)
     bounds = np.cumsum(np.bincount(level, minlength=1)).tolist()
 
-    # the couplings of each level's members, grouped by level
-    var_level = level[var]
-    by_level = np.argsort(var_level, kind="stable")
-    cuts = np.searchsorted(var_level[by_level], np.arange(len(bounds) + 1))
+    # the couplings sorted by member position, which groups them by level;
+    # a level whose block would hold more than _CELLS cells is cut into
+    # parts of _CELLS // rows members, where rows are the level's neighbours
+    member = position[var]
+    by_member = np.argsort(member, kind="stable")
+    member, neighbour, weight = member[by_member], position[nb[by_member]], weight[by_member]
     levels = []
-    for start, stop, lo, hi in zip([0] + bounds, bounds, cuts, cuts[1:]):
-        entries = by_level[lo:hi]
-        neighbour = position[nb[entries]]
-        rows = np.flatnonzero(np.bincount(neighbour, minlength=n))
-        block = np.zeros((len(rows), stop - start))
-        block[np.searchsorted(rows, neighbour), position[var[entries]] - start] = weight[entries]
-        levels.append(_Level(start, stop, rows, block))
+    for start, stop in zip([0] + bounds, bounds):
+        lo, hi = np.searchsorted(member, [start, stop])
+        count = len(np.unique(neighbour[lo:hi]))
+        width = stop - start if count * (stop - start) <= _CELLS else max(_CELLS // count, 1)
+        for a in range(start, stop, width):
+            b = min(a + width, stop)
+            lo, hi = np.searchsorted(member, [a, b])
+            rows = np.unique(neighbour[lo:hi])
+            block = np.zeros((len(rows), b - a))
+            block[np.searchsorted(rows, neighbour[lo:hi]), member[lo:hi] - a] = weight[lo:hi]
+            levels.append(_Level(a, b, rows, block))
     return _Schedule(order, diag[order], den, tuple(levels))
 
 

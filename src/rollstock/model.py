@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
@@ -107,14 +107,26 @@ def _frac(obj: Mapping[str, Any], key: str, path: str, default: int) -> Fraction
                         f"expected a number, got {type(value).__name__}")
 
 
-def _check_rational(value: Any, *where: Any) -> None:
-    """Reject what exact arithmetic downstream cannot use: floats, bools.
+def _check_amount(value: Any, *where: Any) -> None:
+    """Reject what is not an exact amount of at least 0: floats and bools,
+    which exact arithmetic downstream cannot use, then negative numbers.
     The parts of ``where`` are joined into the JSON path only to raise."""
-    if type(value) is Fraction:  # every loaded number: no ABC check
-        return
-    if isinstance(value, bool) or not isinstance(value, _Rational):
+    # every loaded number is a Fraction: no ABC check for them
+    if type(value) is not Fraction and (isinstance(value, bool)
+                                        or not isinstance(value, _Rational)):
         raise InstanceError("/".join(map(str, where)),
                             f"expected an int or a Fraction, got {value!r}")
+    if value.numerator < 0:
+        raise InstanceError("/".join(map(str, where)), "must be >= 0")
+
+
+def _check_known(ids: Iterable[str], type_ids: set[str], *where: Any) -> None:
+    """Reject an id of ``ids`` that names no declared EMU type, naming the
+    least such id. The parts of ``where`` are joined into the JSON path
+    only to raise."""
+    if not type_ids.issuperset(ids):
+        unknown = min(rid for rid in ids if rid not in type_ids)
+        raise InstanceError("/".join(map(str, where)), f"unknown EMU type {unknown!r}")
 
 
 def _mapping(value: Any, path: str) -> dict[str, Any]:
@@ -359,9 +371,7 @@ def _validate(inst: Instance) -> None:
             raise InstanceError(f"{path}/seats", "must be > 0")
         if r.bike_slots < 0:
             raise InstanceError(f"{path}/bike_slots", "must be >= 0")
-        _check_rational(r.cost_per_km, path, "cost_per_km")
-        if r.cost_per_km.numerator < 0:
-            raise InstanceError(f"{path}/cost_per_km", "must be >= 0")
+        _check_amount(r.cost_per_km, path, "cost_per_km")
 
     # paths are formatted only for the check that fails
     trip_ids = set()
@@ -375,9 +385,7 @@ def _validate(inst: Instance) -> None:
             raise InstanceError(f"/trips/{i}/passengers", "must be >= 0")
         if t.bicycles < 0:
             raise InstanceError(f"/trips/{i}/bicycles", "must be >= 0")
-        _check_rational(t.distance, "/trips", i, "distance")
-        if t.distance.numerator < 0:
-            raise InstanceError(f"/trips/{i}/distance", "must be >= 0")
+        _check_amount(t.distance, "/trips", i, "distance")
         if t.obligatory and not t.allowed_types:
             raise InstanceError(f"/trips/{i}/allowed_types",
                                 "obligatory trip admits no EMU type")
@@ -385,10 +393,7 @@ def _validate(inst: Instance) -> None:
             override = getattr(t, name)
             if override is not None and override < 0:
                 raise InstanceError(f"/trips/{i}/{name}", "must be >= 0")
-        if not type_ids.issuperset(t.allowed_types):
-            unknown = min(rid for rid in t.allowed_types if rid not in type_ids)
-            raise InstanceError(f"/trips/{i}/allowed_types",
-                                f"unknown EMU type {unknown!r}")
+        _check_known(t.allowed_types, type_ids, "/trips", i, "allowed_types")
 
     depot_ids = set()
     for i, d in enumerate(inst.depots):
@@ -396,27 +401,18 @@ def _validate(inst: Instance) -> None:
         if d.id in depot_ids:
             raise InstanceError(f"{path}/id", f"duplicate depot id {d.id!r}")
         depot_ids.add(d.id)
-        for name, bounds in (("out_min", d.out_min), ("out_max", d.out_max)):
-            for rid in bounds:
-                if rid not in type_ids:
-                    raise InstanceError(f"{path}/{name}", f"unknown EMU type {rid!r}")
-        for rid in type_ids:
-            lo, hi = d.out_bounds(rid)
-            if not 0 <= lo <= hi:
-                raise InstanceError(f"{path}/out_min",
-                                    f"need 0 <= out_min <= out_max for type {rid!r}")
         if (d.in_min is None) != (d.in_max is None):
             raise InstanceError(f"{path}/in_min",
                                 "in_min and in_max must be given together")
-        if d.in_max is not None:
-            for rid in list(d.in_max) + list(d.in_min or {}):
-                if rid not in type_ids:
-                    raise InstanceError(f"{path}/in_max", f"unknown EMU type {rid!r}")
-            for rid in type_ids:
-                lo, hi = d.in_bounds(rid)
+        for lo_key, hi_key, bounds in (("out_min", "out_max", d.out_bounds),
+                                       ("in_min", "in_max", d.in_bounds)):
+            for key in (lo_key, hi_key):
+                _check_known(getattr(d, key) or (), type_ids, path, key)
+            for r in inst.emu_types:  # declaration order names the same type every run
+                lo, hi = bounds(r.id)
                 if not 0 <= lo <= hi:
-                    raise InstanceError(f"{path}/in_min",
-                                        f"need 0 <= in_min <= in_max for type {rid!r}")
+                    raise InstanceError(f"{path}/{lo_key}", f"need 0 <= {lo_key} "
+                                        f"<= {hi_key} for type {r.id!r}")
 
     for i, t in enumerate(inst.trips):
         if t.driver_depot is not None and t.driver_depot not in depot_ids:
@@ -441,9 +437,7 @@ def _validate(inst: Instance) -> None:
         seen_windows.add(key)
 
     for lic, types in inst.licenses.items():
-        for rid in sorted(types):
-            if rid not in type_ids:
-                raise InstanceError(f"/licenses/{lic}", f"unknown EMU type {rid!r}")
+        _check_known(types, type_ids, "/licenses", lic)
 
     if inst.delta_min < 0:
         raise InstanceError("/delta_min", "must be >= 0")
@@ -452,9 +446,7 @@ def _validate(inst: Instance) -> None:
     for key, name in _TOLERANCE_KEYS.items():
         if getattr(inst, name) < 0:
             raise InstanceError(f"/tolerances/{key}", "must be >= 0")
-    _check_rational(inst.alpha, "", "alpha")
-    if inst.alpha < 0:
-        raise InstanceError("/alpha", "must be >= 0")
+    _check_amount(inst.alpha, "", "alpha")
 
 
 # ---------------------------------------------------------------------------
